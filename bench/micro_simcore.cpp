@@ -118,7 +118,7 @@ BM_PredictorUpdate(benchmark::State &state)
     gpu::GpuParams params;
     gpu::CommandPtr cmd = gpu::Command::makeKernel(0, 0, prof);
     gpu::KernelExec k(0, cmd, params, 64);
-    gpu::Sm sm(0, 32);
+    gpu::Sm sm(0);
     sm.kernel = &k;
     sm.insertResident({0, 0, sim::microseconds(prof->timePerTbUs), 0});
     predict::RuntimePredictor pred(0.25);

@@ -25,7 +25,7 @@ Rules (each has a stable ID; see --list-rules):
   unordered-output  No unordered_map/unordered_set in any file that
                     feeds report/wire/JSONL output (harness/report,
                     harness/exec/wire, harness/runner, harness/suite,
-                    harness/experiment, metrics/, serve/slo).  This is
+                    metrics/, serve/slo).  This is
                     deliberately stronger than banning just iteration:
                     a hash container declared in an output path is one
                     refactor away from being iterated, and iteration
@@ -65,7 +65,6 @@ OUTPUT_PATH_PATTERNS = (
     r"src/harness/exec/wire\.(hh|cc)$",
     r"src/harness/runner\.(hh|cc)$",
     r"src/harness/suite\.(hh|cc)$",
-    r"src/harness/experiment\.(hh|cc)$",
     r"src/metrics/.*\.(hh|cc)$",
     r"src/serve/slo\.(hh|cc)$",
 )

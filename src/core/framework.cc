@@ -46,7 +46,7 @@ SchedulingFramework::SchedulingFramework(sim::Simulation &sim,
     contendedSwitch_ = gmem.params().contendedSwitch;
     sms_.reserve(static_cast<std::size_t>(params_.numSms));
     for (int i = 0; i < params_.numSms; ++i)
-        sms_.push_back(std::make_unique<gpu::Sm>(i, 64));
+        sms_.push_back(std::make_unique<gpu::Sm>(i));
     ksrt_.resize(static_cast<std::size_t>(maxActiveKernels(params_)));
     for (int i = maxActiveKernels(params_) - 1; i >= 0; --i)
         freeKsrs_.push_back(i);
@@ -292,7 +292,6 @@ SchedulingFramework::beginSetup(gpu::Sm *sm)
     sim::SimTime latency = params_.smSetupLatency;
     if (sm->loadedContext != k->ctx()) {
         latency += params_.contextLoadLatency;
-        sm->tlb().flush();
         sm->loadedContext = k->ctx();
     }
     sm->pendingEvent = sim_->events().scheduleIn(
@@ -767,10 +766,8 @@ void
 SchedulingFramework::onContextRemapped(sim::ContextId ctx)
 {
     for (auto &sm : sms_) {
-        if (sm->loadedContext == ctx) {
-            sm->tlb().flush();
+        if (sm->loadedContext == ctx)
             sm->loadedContext = sim::invalidContext;
-        }
     }
 }
 

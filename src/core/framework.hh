@@ -264,9 +264,9 @@ class SchedulingFramework : public gpu::KernelSink
     int stageRestore(gpu::KernelExec *k, int max_tbs);
 
     /**
-     * A context's physical mapping changed under it (residency swap):
-     * flush the TLB of every SM with that context loaded and force the
-     * context-load cost on the next assignment.
+     * A context's device state was evicted (residency swap): every SM
+     * with that context loaded forgets it, so the next assignment of
+     * the context there pays the context-load cost again.
      */
     void onContextRemapped(sim::ContextId ctx);
 

@@ -42,7 +42,7 @@ struct GpuParams
     /** SM driver setup of an SM before issuing thread blocks. */
     sim::SimTime smSetupLatency = sim::microseconds(1.0);
     /** Extra setup cost when the SM is re-targeted to a different
-     *  context (loading context registers, flushing the TLB). */
+     *  context (loading the context id and page table registers). */
     sim::SimTime contextLoadLatency = sim::microseconds(0.5);
     /** Pipeline drain before the context-save trap can run (precise
      *  exceptions, Section 3.2). */

@@ -7,12 +7,6 @@
 namespace gpump {
 namespace gpu {
 
-GpuContext::GpuContext(sim::ContextId id, sim::ProcessId owner,
-                       int priority, memory::FrameAllocator &frames)
-    : id_(id), owner_(owner), priority_(priority), pageTable_(frames)
-{
-}
-
 void
 GpuContext::commandCompleted()
 {

@@ -2,22 +2,24 @@
  * @file
  * GPU contexts: the per-process device state.
  *
- * Each process using the GPU gets its own context holding the page
- * table of its GPU address space and its streams (Section 2.1).  The
- * multiprogramming extensions make the execution engine aware of
- * multiple active contexts through the context table (Section 3.1);
- * this class is one entry of that table plus the software-visible
- * bookkeeping (outstanding commands for cudaDeviceSynchronize).
+ * Each process using the GPU gets its own context holding its GPU
+ * address space and its streams (Section 2.1).  The multiprogramming
+ * extensions make the execution engine aware of multiple active
+ * contexts through the context table (Section 3.1); this class is one
+ * entry of that table plus the software-visible bookkeeping
+ * (outstanding commands for cudaDeviceSynchronize).  The address
+ * space is not modelled page by page: the context's footprint is a
+ * byte count that memory::ResidencyManager charges to GpuMemory, and
+ * an SM switching to the context pays the load Sm::loadedContext
+ * tracks.
  */
 
 #ifndef GPUMP_GPU_GPU_CONTEXT_HH
 #define GPUMP_GPU_GPU_CONTEXT_HH
 
-#include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "memory/page_table.hh"
 #include "sim/types.hh"
 
 namespace gpump {
@@ -31,10 +33,11 @@ class GpuContext
      * @param id      device-unique context id.
      * @param owner   owning process.
      * @param priority process priority used by priority schedulers.
-     * @param frames  the device's physical frame allocator.
      */
-    GpuContext(sim::ContextId id, sim::ProcessId owner, int priority,
-               memory::FrameAllocator &frames);
+    GpuContext(sim::ContextId id, sim::ProcessId owner, int priority)
+        : id_(id), owner_(owner), priority_(priority)
+    {
+    }
 
     sim::ContextId id() const { return id_; }
     sim::ProcessId owner() const { return owner_; }
@@ -42,8 +45,6 @@ class GpuContext
 
     /** The OS may retune priorities on the fly (Section 3.3). */
     void setPriority(int priority) { priority_ = priority; }
-
-    memory::PageTable &pageTable() { return pageTable_; }
 
     /** @name Outstanding-command tracking (device synchronisation)
      * @{ */
@@ -63,7 +64,6 @@ class GpuContext
     sim::ContextId id_;
     sim::ProcessId owner_;
     int priority_;
-    memory::PageTable pageTable_;
     int outstanding_ = 0;
     std::vector<std::function<void()>> waiters_;
     /** Reused firing list (capacity survives across device syncs) and

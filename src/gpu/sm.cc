@@ -9,11 +9,6 @@
 namespace gpump {
 namespace gpu {
 
-Sm::Sm(sim::SmId id, std::size_t tlb_entries)
-    : id_(id), tlb_(tlb_entries)
-{
-}
-
 Sm::SmstState
 Sm::smstState() const
 {

@@ -5,8 +5,9 @@
  * The SM holds the resident thread blocks of exactly one kernel
  * (static hardware partitioning, Section 2.3), the per-SM context
  * extension of Section 3.1 (context id / base page table registers,
- * modelled with a TLB that is flushed on re-targeting), and the
- * preemption state machine driven by the SM driver:
+ * modelled as the loaded context plus a reload charge on
+ * re-targeting), and the preemption state machine driven by the SM
+ * driver:
  *
  *     Idle -> Setup -> Running -> (Draining | Saving) -> ...
  *
@@ -22,7 +23,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "memory/page_table.hh"
 #include "sim/event.hh"
 #include "sim/types.hh"
 
@@ -75,7 +75,7 @@ class Sm
         Reserved,
     };
 
-    Sm(sim::SmId id, std::size_t tlb_entries);
+    explicit Sm(sim::SmId id) : id_(id) {}
 
     sim::SmId id() const { return id_; }
 
@@ -109,7 +109,7 @@ class Sm
      *  beats a heap. */
     void insertResident(const ResidentTb &tb);
     /** Context whose state (context id register, base page table
-     *  register, TLB) is loaded; persists across kernels of the same
+     *  register) is loaded; persists across kernels of the same
      *  context so back-to-back launches avoid the reload cost. */
     sim::ContextId loadedContext = sim::invalidContext;
     /** @} */
@@ -119,9 +119,6 @@ class Sm
 
     /** True when a kernel is set up on this SM (any non-idle state). */
     bool busy() const { return state != State::Idle; }
-
-    /** Per-SM TLB (flushed when re-targeted to another context). */
-    memory::Tlb &tlb() { return tlb_; }
 
     /** Number of additional TBs that fit, given the current kernel's
      *  occupancy; 0 when idle or reserved. */
@@ -133,7 +130,6 @@ class Sm
 
   private:
     sim::SmId id_;
-    memory::Tlb tlb_;
 };
 
 /** Printable SM state names (for logs and tests). */

@@ -49,7 +49,7 @@ ResidencyManager::find(sim::ContextId ctx) const
 
 void
 ResidencyManager::registerContext(sim::ContextId ctx, int priority,
-                                  std::int64_t footprint, PageTable &pt)
+                                  std::int64_t footprint)
 {
     GPUMP_ASSERT(footprint >= 0, "negative footprint");
     GPUMP_ASSERT(ctxs_.find(ctx) == ctxs_.end(),
@@ -64,7 +64,6 @@ ResidencyManager::registerContext(sim::ContextId ctx, int priority,
     CtxInfo c;
     c.priority = priority;
     c.footprint = footprint;
-    c.pt = &pt;
     c.lastUse = ++useClock_;
 
     // Admission: take residency immediately when the footprint fits
@@ -73,8 +72,6 @@ ResidencyManager::registerContext(sim::ContextId ctx, int priority,
     // start swapped out and pay the swap-in when first scheduled.
     if (footprint <= gmem_->params().capacity - gmem_->totalAllocated()) {
         gmem_->allocate(ctx, footprint);
-        if (!pt.map(0, static_cast<std::uint64_t>(footprint)))
-            sim::fatal("out of GPU page frames for context %d", ctx);
         c.state = State::Resident;
     } else {
         c.state = State::SwappedOut;
@@ -190,14 +187,12 @@ ResidencyManager::evict(sim::ContextId victim)
     CtxInfo &v = info(victim);
     GPUMP_ASSERT(v.state == State::Resident, "evicting non-resident %d",
                  victim);
-    v.pt->unmap(0, static_cast<std::uint64_t>(v.footprint));
     gmem_->freeAll(victim);
     v.state = State::SwappedOut;
     ++swapOuts_;
     ++swapOutsStat_;
     swapBytes_ += static_cast<double>(v.footprint);
-    // The victim's frames are reusable now; any SM still holding its
-    // translations must flush before the frames are re-handed out.
+    // Any SM that still has the victim loaded must reload it.
     if (remapNotify_)
         remapNotify_(victim);
     // The write-back occupies the transfer path; ordering with a
@@ -219,8 +214,6 @@ ResidencyManager::tryStartSwapIn(sim::ContextId ctx)
     if (!makeRoom(c.footprint, ctx))
         return false;
     gmem_->allocate(ctx, c.footprint);
-    if (!c.pt->map(0, static_cast<std::uint64_t>(c.footprint)))
-        sim::fatal("out of GPU page frames swapping in context %d", ctx);
     c.state = State::SwappingIn;
     ++swapIns_;
     ++swapInsStat_;

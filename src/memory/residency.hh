@@ -17,11 +17,15 @@
  * timing model charges whole-footprint transfers and does not track
  * dirty subsets.
  *
+ * GpuMemory's byte ledger, driven by this manager, is the device's
+ * only capacity model: footprints are charged to the byte.
+ *
  * Layering: this file lives in memory/ and must not depend on gpu/ or
  * core/, so the actual transfer submission and the two engine-side
- * questions ("is this context pinned on an SM?", "who must flush TLBs
- * after a remap?") are injected as callbacks at assembly
- * (workload::System wires them to the scheduling framework).
+ * hooks ("is this context pinned on an SM?", "this context was
+ * evicted, so SMs holding it must reload it") are injected as
+ * callbacks at assembly (workload::System wires them to the
+ * scheduling framework).
  */
 
 #ifndef GPUMP_MEMORY_RESIDENCY_HH
@@ -37,7 +41,6 @@
 // comment).
 #include "core/audit.hh"
 #include "memory/gpu_memory.hh"
-#include "memory/page_table.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -65,19 +68,19 @@ class ResidencyManager
      *  are promised SMs).  Unset = nothing is ever pinned. */
     void setPinQuery(std::function<bool(sim::ContextId)> fn);
 
-    /** Ran after a context loses its physical frames, so stale
-     *  per-SM translations can be flushed. */
+    /** Ran after a context is evicted, so SMs that still have it
+     *  loaded pay the context load again on its next assignment. */
     void setRemapNotifier(std::function<void(sim::ContextId)> fn);
 
     /**
      * Admit a context with a fixed device footprint.  Raises fatal()
      * only when the footprint alone exceeds physical capacity; a
      * context that does not fit *now* is admitted swapped out.
-     * Resident contexts hold their GpuMemory allocation and page-table
-     * mapping; swapped-out contexts hold neither.
+     * Resident contexts hold their GpuMemory allocation; swapped-out
+     * contexts hold none.
      */
     void registerContext(sim::ContextId ctx, int priority,
-                         std::int64_t footprint, PageTable &pt);
+                         std::int64_t footprint);
 
     /** True when @p ctx's state is in device memory right now. */
     bool resident(sim::ContextId ctx) const;
@@ -114,7 +117,7 @@ class ResidencyManager
   private:
     enum class State
     {
-        Resident,   ///< allocation + mapping held, state on device
+        Resident,   ///< allocation held, state on device
         SwappingIn, ///< allocation held, swap-in transfer in flight
         SwappedOut, ///< no allocation, state lives on the host
     };
@@ -124,7 +127,6 @@ class ResidencyManager
         State state = State::SwappedOut;
         int priority = 0;
         std::int64_t footprint = 0;
-        PageTable *pt = nullptr;
         std::uint64_t lastUse = 0; ///< LRU clock for victim selection
         bool parked = false;       ///< sitting in parked_
         std::vector<std::function<void()>> waiters;
@@ -137,7 +139,7 @@ class ResidencyManager
      *  victim remains (caller parks the request). */
     bool makeRoom(std::int64_t bytes, sim::ContextId incoming);
     void evict(sim::ContextId victim);
-    /** Allocate, map and start the swap-in transfer; false when room
+    /** Allocate and start the swap-in transfer; false when room
      *  could not be made. */
     bool tryStartSwapIn(sim::ContextId ctx);
     void finishSwapIn(sim::ContextId ctx);

@@ -57,9 +57,6 @@ System::System(const SystemSpec &spec, const sim::Config &overrides)
     gpuParams_ = gpu::GpuParams::fromConfig(cfg);
     gmem_ = std::make_unique<memory::GpuMemory>(
         sim_->stats(), memory::GpuMemoryParams::fromConfig(cfg));
-    frames_ = std::make_unique<memory::FrameAllocator>(
-        static_cast<std::uint64_t>(gmem_->params().capacity) /
-        memory::gpuPageBytes);
     pcie_ = std::make_unique<memory::PcieBus>(
         sim_->stats(), memory::PcieParams::fromConfig(cfg));
 
@@ -92,8 +89,8 @@ System::System(const SystemSpec &spec, const sim::Config &overrides)
                                                  mech_cfg));
 
     // Device-memory residency: swap transfers ride the same transfer
-    // engine as workload copies; the engine-side questions (pinning,
-    // TLB shootdown after a remap) route back into the framework.
+    // engine as workload copies; the engine-side hooks (pinning, SMs
+    // forgetting an evicted context) route back into the framework.
     residency_ = std::make_unique<memory::ResidencyManager>(
         sim_->stats(), *gmem_,
         [this](sim::ContextId ctx, int priority, std::int64_t bytes,
@@ -132,6 +129,10 @@ System::System(const SystemSpec &spec, const sim::Config &overrides)
         cfg.getDouble("cpu.kernel_launch_overhead_us", 3.0);
     std::int64_t scratch_bytes =
         cfg.getInt("process.scratch_bytes", 32ll * 1024 * 1024);
+    if (scratch_bytes < 0) {
+        sim::fatal("process.scratch_bytes must be >= 0 (got %lld)",
+                   static_cast<long long>(scratch_bytes));
+    }
 
     for (std::size_t i = 0; i < apps.size(); ++i) {
         const trace::BenchmarkSpec &bench = *apps[i];
@@ -140,7 +141,7 @@ System::System(const SystemSpec &spec, const sim::Config &overrides)
 
         auto ctx = std::make_unique<gpu::GpuContext>(
             static_cast<sim::ContextId>(i),
-            static_cast<sim::ProcessId>(i), priority, *frames_);
+            static_cast<sim::ProcessId>(i), priority);
 
         // The process's device footprint: inputs, outputs and scratch.
         // The residency manager admits it — resident immediately when
@@ -150,8 +151,7 @@ System::System(const SystemSpec &spec, const sim::Config &overrides)
         // own is fatal.
         std::int64_t footprint =
             bench.bytesH2D() + bench.bytesD2H() + scratch_bytes;
-        residency_->registerContext(ctx->id(), priority, footprint,
-                                    ctx->pageTable());
+        residency_->registerContext(ctx->id(), priority, footprint);
 
         gpu::CommandQueue *queue = dispatcher_->createQueue(
             ctx->id(), gpuParams_.numHwQueues);

@@ -28,7 +28,6 @@
 #include "gpu/stream.hh"
 #include "gpu/transfer_engine.hh"
 #include "memory/gpu_memory.hh"
-#include "memory/page_table.hh"
 #include "memory/pcie.hh"
 #include "memory/residency.hh"
 #include "sim/simulation.hh"
@@ -155,7 +154,6 @@ class System
     std::unique_ptr<sim::Simulation> sim_;
     gpu::GpuParams gpuParams_;
     std::unique_ptr<memory::GpuMemory> gmem_;
-    std::unique_ptr<memory::FrameAllocator> frames_;
     std::unique_ptr<memory::PcieBus> pcie_;
     std::unique_ptr<gpu::TransferEngine> transferEngine_;
     std::unique_ptr<gpu::Dispatcher> dispatcher_;

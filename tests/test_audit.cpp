@@ -24,7 +24,6 @@
 #include "core/audit.hh"
 #include "harness/suite.hh"
 #include "memory/gpu_memory.hh"
-#include "memory/page_table.hh"
 #include "memory/residency.hh"
 #include "sim/event.hh"
 #include "sim/stats.hh"
@@ -95,20 +94,20 @@ TEST(Audit, GoldenAggregateIdenticalWithAndWithoutAudits)
 
 namespace {
 
-constexpr std::int64_t kPage = static_cast<std::int64_t>(memory::gpuPageBytes);
+/** Footprint unit of the rig (any size works; 64 KiB reads like a
+ *  GPU page). */
+constexpr std::int64_t kPage = 64 * 1024;
 
-/** GpuMemory + frames + a manager whose swap transfers are recorded,
- *  mirroring test_residency.cpp's rig. */
+/** GpuMemory + a manager whose swap transfers are dropped, mirroring
+ *  test_residency.cpp's rig. */
 struct AuditResidencyRig
 {
     sim::StatRegistry reg;
     memory::GpuMemory gmem;
-    memory::FrameAllocator frames;
     memory::ResidencyManager rm;
 
     explicit AuditResidencyRig(std::int64_t capacity_pages)
         : gmem(reg, paramsFor(capacity_pages)),
-          frames(static_cast<std::size_t>(capacity_pages)),
           rm(reg, gmem,
              [](sim::ContextId, int, std::int64_t, bool,
                 std::function<void()>) {})
@@ -146,10 +145,8 @@ TEST(AuditDeathTest, CorruptedEventQueueEntryAborts)
 TEST(AuditDeathTest, OverCapacityResidencyAborts)
 {
     AuditResidencyRig rig(8);
-    memory::PageTable pt0(rig.frames);
-    memory::PageTable pt1(rig.frames);
-    rig.rm.registerContext(0, 0, 6 * kPage, pt0); // admitted resident
-    rig.rm.registerContext(1, 0, 6 * kPage, pt1); // parked swapped-out
+    rig.rm.registerContext(0, 0, 6 * kPage); // admitted resident
+    rig.rm.registerContext(1, 0, 6 * kPage); // parked swapped-out
     ASSERT_TRUE(rig.rm.resident(0));
     ASSERT_FALSE(rig.rm.resident(1));
 

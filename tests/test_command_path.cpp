@@ -80,8 +80,7 @@ TEST(CommandPath, SameQueueCommandsSerializeInOrder)
 TEST(CommandPath, StreamChargesSubmissionLatencyAndTracksContext)
 {
     DeviceRig rig;
-    memory::FrameAllocator frames(128);
-    gpu::GpuContext ctx(0, 0, 0, frames);
+    gpu::GpuContext ctx(0, 0, 0);
     auto *q = rig.queueFor(0);
     gpu::Stream stream(rig.sim, ctx, rig.dispatcher, q,
                        rig.params.commandSubmitLatency);
@@ -104,8 +103,7 @@ TEST(CommandPath, StreamChargesSubmissionLatencyAndTracksContext)
 
 TEST(CommandPath, WaitIdleOnIdleContextFiresImmediately)
 {
-    memory::FrameAllocator frames(16);
-    gpu::GpuContext ctx(0, 0, 0, frames);
+    gpu::GpuContext ctx(0, 0, 0);
     bool fired = false;
     ctx.waitIdle([&] { fired = true; });
     EXPECT_TRUE(fired);

@@ -2,16 +2,15 @@
  * Tests of the contended-switch model (gmem.contended_switch):
  * context save/restore bytes ride the transfer engine as driver-
  * originated commands, so preemption latency includes PCIe queueing;
- * plus the proactive_mem mechanism built on top of it, the per-SM TLB
- * flush contract, and the byte-identity guard for the default (off)
- * configuration.
+ * plus the proactive_mem mechanism built on top of it, the per-SM
+ * context-load charge, and the byte-identity guard for the default
+ * (off) configuration.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
-#include <utility>
 
 #include "core/proactive_mem.hh"
 #include "sim/logging.hh"
@@ -221,47 +220,38 @@ TEST(ProactiveMem, NonPositiveLookaheadIsFatal)
                  sim::FatalError);
 }
 
-TEST(TlbFlush, EveryContextChangingAssignmentFlushesOnce)
+TEST(ContextLoad, ChargedOnContextChangeAndAfterEviction)
 {
-    // Two SMs (the KSRT holds one kernel per SM, so one SM could
-    // never admit the preemptor) and a fully deterministic sequence:
-    // ctx0 takes both SMs, ctx1 preempts SM 0, finishes, ctx0 gets
-    // SM 0 back.  That is four context-changing assignments in total
-    // — SM 0 flushes three times, SM 1 once — and nothing else may
-    // flush.
-    sim::Config cfg;
-    cfg.set("gpu.num_sms", static_cast<std::int64_t>(2));
-    DeviceRig rig("ppq_excl", "context_switch", std::move(cfg));
-    auto flushes = [&] {
-        return rig.framework.sm(0)->tlb().flushes() +
-               rig.framework.sm(1)->tlb().flushes();
+    // One 13-TB kernel at a time on an idle device, so each kernel
+    // takes exactly its setup, any context load, and one 10 us TB.
+    // An SM keeps its loaded context across kernels until that
+    // context is evicted (onContextRemapped), which forces the load
+    // again on the context's next assignment.
+    DeviceRig rig;
+    gpu::CommandQueue *queues[] = {rig.queueFor(0), rig.queueFor(1)};
+    auto k = test::makeProfile("k", 13, 10.0);
+    auto kernelTime = [&](sim::ContextId ctx) {
+        const sim::SimTime start = rig.sim.now();
+        sim::SimTime end = -1;
+        auto cmd = gpu::Command::makeKernel(ctx, 0, &k);
+        cmd->onComplete = [&] { end = rig.sim.now(); };
+        rig.dispatcher.enqueue(queues[ctx], cmd);
+        rig.run();
+        return end - start;
     };
-    EXPECT_EQ(flushes(), 0u);
+    const sim::SimTime plain =
+        rig.params.smSetupLatency + sim::microseconds(10.0);
+    const sim::SimTime loaded = plain + rig.params.contextLoadLatency;
 
-    auto lo = test::makeProfile("lo", 40, 10.0, 4096, 0, 512);
-    auto hi = test::makeProfile("hi", 4, 1.0, 4096, 0, 512);
-    rig.launch(rig.queueFor(0), &lo, 0);
-    rig.run(sim::microseconds(50.0));
-    EXPECT_EQ(flushes(), 2u)
-        << "first assignment of each SM loads ctx 0";
-
-    rig.launch(rig.queueFor(1), &hi, 9);
-    rig.run();
-    EXPECT_EQ(rig.framework.kernelsCompleted(), 2u);
-    EXPECT_EQ(rig.framework.preemptions(), 1u)
-        << "hi needs one SM, so exactly one preemption";
-    EXPECT_EQ(rig.framework.sm(0)->tlb().flushes(), 3u)
-        << "SM 0: assign ctx0, preempt->assign ctx1, re-assign ctx0";
-    EXPECT_EQ(rig.framework.sm(1)->tlb().flushes(), 1u)
-        << "SM 1 keeps running ctx0 throughout";
-
-    // Both SMs last ran ctx 0 and keep its translations: launching
-    // another ctx-0 kernel must not flush.
-    auto lo2 = test::makeProfile("lo2", 8, 1.0, 4096, 0, 512);
-    rig.launch(rig.queueFor(0), &lo2, 0);
-    rig.run();
-    EXPECT_EQ(flushes(), 4u)
-        << "same-context relaunch must reuse the loaded context";
+    EXPECT_EQ(kernelTime(0), loaded) << "first load of ctx 0";
+    EXPECT_EQ(kernelTime(0), plain) << "ctx 0 still loaded";
+    EXPECT_EQ(kernelTime(1), loaded) << "context change to ctx 1";
+    rig.framework.onContextRemapped(0);
+    EXPECT_EQ(kernelTime(1), plain)
+        << "evicting another context leaves ctx 1 loaded";
+    rig.framework.onContextRemapped(1);
+    EXPECT_EQ(kernelTime(1), loaded)
+        << "an evicted context pays the load on its next assignment";
 }
 
 TEST(ContendedSwitch, DefaultOffIsIdenticalToExplicitOff)

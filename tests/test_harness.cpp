@@ -1,12 +1,13 @@
-/** Tests of the experiment harness, argument parsing and reporting. */
+/** Tests of the harness: argument parsing, reporting, scheme labels
+ *  and single runs through the Runner. */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "harness/args.hh"
-#include "harness/experiment.hh"
 #include "harness/report.hh"
+#include "harness/runner.hh"
 #include "sim/logging.hh"
 
 using namespace gpump;
@@ -112,17 +113,7 @@ TEST(Report, TableJsonlKeyedByHeaders)
               "{\"name\":\"beta\",\"value\":\"2.50\"}\n");
 }
 
-TEST(Experiment, IsolatedTimesCachedAndPositive)
-{
-    Experiment exp;
-    exp.setMinReplays(1);
-    double t1 = exp.isolatedTimeUs("sgemm");
-    double t2 = exp.isolatedTimeUs("sgemm");
-    EXPECT_GT(t1, 0.0);
-    EXPECT_DOUBLE_EQ(t1, t2);
-}
-
-TEST(Experiment, SchemeLabels)
+TEST(Scheme, Labels)
 {
     Scheme s;
     s.policy = "fcfs";
@@ -132,7 +123,7 @@ TEST(Experiment, SchemeLabels)
     EXPECT_EQ(s.label(), "dss/draining");
 }
 
-TEST(Experiment, SchemeLabelIncludesNonDefaultTransferPolicy)
+TEST(Scheme, LabelIncludesNonDefaultTransferPolicy)
 {
     // Two schemes differing only in transfer policy must not collide.
     Scheme fcfs_xfer{"ppq_excl", "context_switch", "fcfs"};
@@ -146,18 +137,15 @@ TEST(Experiment, SchemeLabelIncludesNonDefaultTransferPolicy)
     EXPECT_EQ(npq.label(), "npq/priority-xfer");
 }
 
-TEST(Experiment, RunProducesConsistentMetrics)
+TEST(Runner, RunProducesConsistentMetrics)
 {
-    Experiment exp;
-    exp.setMinReplays(2);
-
-    workload::WorkloadPlan plan;
-    plan.benchmarks = {"sgemm", "spmv"};
-    plan.seed = 7;
-
-    Scheme scheme;
-    scheme.policy = "dss";
-    auto result = exp.run(plan, scheme);
+    Runner runner;
+    RunRequest req;
+    req.plan.benchmarks = {"sgemm", "spmv"};
+    req.plan.seed = 7;
+    req.scheme.policy = "dss";
+    req.minReplays = 2;
+    auto result = runner.runOne(req);
 
     ASSERT_EQ(result.metrics.ntt.size(), 2u);
     for (double ntt : result.metrics.ntt)
@@ -166,21 +154,19 @@ TEST(Experiment, RunProducesConsistentMetrics)
     EXPECT_LE(result.metrics.stp, 2.0 + 1e-9);
     EXPECT_GE(result.metrics.fairness, 0.0);
     EXPECT_LE(result.metrics.fairness, 1.0);
-    EXPECT_GT(result.kernelsCompleted, 0u);
+    EXPECT_GT(result.sys.kernelsCompleted, 0u);
 }
 
-TEST(Experiment, ConfigOverridesReachSimulation)
+TEST(Runner, ConfigOverridesReachSimulation)
 {
     // Shrinking the GPU must slow the isolated run down.
-    Experiment big;
-    big.setMinReplays(1);
-    double t13 = big.isolatedTimeUs("sgemm");
+    Runner big;
+    double t13 = big.isolatedTimeUs("sgemm", 1);
 
     sim::Config small_cfg;
     small_cfg.set("gpu.num_sms", static_cast<std::int64_t>(2));
-    Experiment small(small_cfg);
-    small.setMinReplays(1);
-    double t2 = small.isolatedTimeUs("sgemm");
+    Runner small(small_cfg);
+    double t2 = small.isolatedTimeUs("sgemm", 1);
 
     EXPECT_GT(t2, t13);
 }

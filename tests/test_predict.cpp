@@ -55,7 +55,7 @@ struct ObservationRig
         : profile(test::makeProfile("synthetic", num_tbs,
                                     declared_tb_us)),
           cmd(gpu::Command::makeKernel(0, 0, &profile)),
-          kernel(0, cmd, params, 64), sm(0, 32)
+          kernel(0, cmd, params, 64), sm(0)
     {
         sm.kernel = &kernel;
     }

@@ -9,11 +9,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "memory/gpu_memory.hh"
-#include "memory/page_table.hh"
 #include "memory/residency.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -25,7 +25,9 @@ using namespace gpump::memory;
 
 namespace {
 
-constexpr std::int64_t kPage = static_cast<std::int64_t>(gpuPageBytes);
+/** Footprint unit of the rig tests (any size works; 64 KiB reads
+ *  like a GPU page). */
+constexpr std::int64_t kPage = 64 * 1024;
 
 /** One recorded swap submission. */
 struct SwapRec
@@ -36,19 +38,17 @@ struct SwapRec
     std::function<void()> done;
 };
 
-/** GpuMemory + frame allocator + a manager whose swap transfers are
- *  recorded instead of simulated; tests complete them by hand. */
+/** GpuMemory + a manager whose swap transfers are recorded instead
+ *  of simulated; tests complete them by hand. */
 struct ResidencyRig
 {
     sim::StatRegistry reg;
     GpuMemory gmem;
-    FrameAllocator frames;
     std::vector<SwapRec> swaps;
     ResidencyManager rm;
 
     explicit ResidencyRig(std::int64_t capacity_pages)
         : gmem(reg, paramsFor(capacity_pages)),
-          frames(static_cast<std::size_t>(capacity_pages)),
           rm(reg, gmem,
              [this](sim::ContextId ctx, int, std::int64_t bytes,
                     bool to_device, std::function<void()> done) {
@@ -84,8 +84,7 @@ struct ResidencyRig
 TEST(Residency, FootprintBeyondCapacityIsFatal)
 {
     ResidencyRig rig(8);
-    PageTable pt(rig.frames);
-    EXPECT_THROW(rig.rm.registerContext(0, 0, 9 * kPage, pt),
+    EXPECT_THROW(rig.rm.registerContext(0, 0, 9 * kPage),
                  sim::FatalError)
         << "a footprint no eviction can ever make room for must be "
            "rejected at admission";
@@ -97,15 +96,13 @@ TEST(Residency, OversubscribedContextIsAdmittedSwappedOut)
     // capacity.  Now only the per-context bound is fatal: the second
     // context is admitted without device memory.
     ResidencyRig rig(8);
-    PageTable pt0(rig.frames), pt1(rig.frames);
-    rig.rm.registerContext(0, 0, 5 * kPage, pt0);
-    rig.rm.registerContext(1, 0, 5 * kPage, pt1);
+    rig.rm.registerContext(0, 0, 5 * kPage);
+    rig.rm.registerContext(1, 0, 5 * kPage);
 
     EXPECT_TRUE(rig.rm.resident(0));
     EXPECT_FALSE(rig.rm.resident(1));
     EXPECT_EQ(rig.gmem.totalAllocated(), 5 * kPage);
-    EXPECT_EQ(pt0.mappedPages(), 5u);
-    EXPECT_EQ(pt1.mappedPages(), 0u);
+    EXPECT_EQ(rig.gmem.allocated(1), 0);
     EXPECT_TRUE(rig.swaps.empty()) << "admission moves no data";
 
     bool ready = false;
@@ -117,9 +114,8 @@ TEST(Residency, OversubscribedContextIsAdmittedSwappedOut)
 TEST(Residency, SwapInEvictsLruAndRunsWaitersOnCompletion)
 {
     ResidencyRig rig(8);
-    PageTable pt0(rig.frames), pt1(rig.frames);
-    rig.rm.registerContext(0, 0, 5 * kPage, pt0);
-    rig.rm.registerContext(1, 0, 5 * kPage, pt1);
+    rig.rm.registerContext(0, 0, 5 * kPage);
+    rig.rm.registerContext(1, 0, 5 * kPage);
 
     int ready = 0;
     rig.rm.ensureResident(1, [&] { ++ready; });
@@ -133,11 +129,11 @@ TEST(Residency, SwapInEvictsLruAndRunsWaitersOnCompletion)
     EXPECT_TRUE(rig.swaps[1].toDevice);
     EXPECT_EQ(rig.swaps[1].bytes, 5 * kPage);
 
-    // Eviction is immediate (frames reused for the incoming context);
+    // Eviction is immediate (memory reused for the incoming context);
     // readiness is not.
     EXPECT_FALSE(rig.rm.resident(0));
-    EXPECT_EQ(pt0.mappedPages(), 0u);
-    EXPECT_EQ(pt1.mappedPages(), 5u);
+    EXPECT_EQ(rig.gmem.allocated(0), 0);
+    EXPECT_EQ(rig.gmem.allocated(1), 5 * kPage);
     EXPECT_EQ(rig.gmem.totalAllocated(), 5 * kPage);
     EXPECT_EQ(ready, 0) << "not ready until the swap-in lands";
 
@@ -158,12 +154,11 @@ TEST(Residency, SwapInEvictsLruAndRunsWaitersOnCompletion)
 TEST(Residency, PinnedResidentsParkTheRequestUntilRelease)
 {
     ResidencyRig rig(8);
-    PageTable pt0(rig.frames), pt1(rig.frames);
     bool pinned = true;
     rig.rm.setPinQuery(
         [&](sim::ContextId ctx) { return ctx == 0 && pinned; });
-    rig.rm.registerContext(0, 0, 5 * kPage, pt0);
-    rig.rm.registerContext(1, 0, 5 * kPage, pt1);
+    rig.rm.registerContext(0, 0, 5 * kPage);
+    rig.rm.registerContext(1, 0, 5 * kPage);
 
     bool ready = false;
     rig.rm.ensureResident(1, [&] { ready = true; });
@@ -184,15 +179,14 @@ TEST(Residency, PinnedResidentsParkTheRequestUntilRelease)
     EXPECT_FALSE(rig.rm.resident(0));
 }
 
-TEST(Residency, RemapNotifierFiresWhenAVictimLosesItsFrames)
+TEST(Residency, RemapNotifierFiresWhenAVictimIsEvicted)
 {
     ResidencyRig rig(8);
-    PageTable pt0(rig.frames), pt1(rig.frames);
     std::vector<sim::ContextId> remapped;
     rig.rm.setRemapNotifier(
         [&](sim::ContextId ctx) { remapped.push_back(ctx); });
-    rig.rm.registerContext(0, 0, 5 * kPage, pt0);
-    rig.rm.registerContext(1, 0, 5 * kPage, pt1);
+    rig.rm.registerContext(0, 0, 5 * kPage);
+    rig.rm.registerContext(1, 0, 5 * kPage);
 
     rig.rm.ensureResident(1, [] {});
     ASSERT_EQ(remapped.size(), 1u)
@@ -214,32 +208,38 @@ TEST(Residency, UnregisteredContextsAreAlwaysResident)
 
 namespace {
 
-/** A synthetic app with a large device footprint: 96 MiB of inputs,
- *  32 MiB of outputs, one 52-TB kernel in between. */
+/** A synthetic app whose device footprint is @p h2d bytes of inputs
+ *  plus @p d2h bytes of outputs, with one 52-TB kernel in between. */
+trace::BenchmarkSpec
+footprintSpec(const std::string &name, std::int64_t h2d, std::int64_t d2h)
+{
+    trace::BenchmarkSpec s;
+    s.name = name;
+    s.dataset = "synthetic";
+    trace::KernelProfile k;
+    k.benchmark = s.name;
+    k.kernel = "crunch";
+    k.launches = 1;
+    k.numThreadBlocks = 52;
+    k.timePerTbUs = 20.0;
+    k.regsPerTb = 4096;
+    k.threadsPerTb = 512;
+    s.kernels.push_back(k);
+    using Kind = trace::TraceOp::Kind;
+    s.ops.push_back({Kind::MemcpyH2D, 0, h2d, -1, true});
+    s.ops.push_back({Kind::KernelLaunch, 0, 0, 0, true});
+    s.ops.push_back({Kind::DeviceSync, 0, 0, -1, true});
+    s.ops.push_back({Kind::MemcpyD2H, 0, d2h, -1, true});
+    s.validate();
+    return s;
+}
+
+/** 96 MiB of inputs and 32 MiB of outputs. */
 const trace::BenchmarkSpec &
 bigFootprintSpec()
 {
-    static const trace::BenchmarkSpec spec = [] {
-        trace::BenchmarkSpec s;
-        s.name = "swapper";
-        s.dataset = "synthetic";
-        trace::KernelProfile k;
-        k.benchmark = s.name;
-        k.kernel = "crunch";
-        k.launches = 1;
-        k.numThreadBlocks = 52;
-        k.timePerTbUs = 20.0;
-        k.regsPerTb = 4096;
-        k.threadsPerTb = 512;
-        s.kernels.push_back(k);
-        using Kind = trace::TraceOp::Kind;
-        s.ops.push_back({Kind::MemcpyH2D, 0, 96ll << 20, -1, true});
-        s.ops.push_back({Kind::KernelLaunch, 0, 0, 0, true});
-        s.ops.push_back({Kind::DeviceSync, 0, 0, -1, true});
-        s.ops.push_back({Kind::MemcpyD2H, 0, 32ll << 20, -1, true});
-        s.validate();
-        return s;
-    }();
+    static const trace::BenchmarkSpec spec =
+        footprintSpec("swapper", 96ll << 20, 32ll << 20);
     return spec;
 }
 
@@ -293,4 +293,53 @@ TEST(ResidencySystem, ResidentWorkloadsNeverSwap)
     EXPECT_EQ(system.residency().swapOuts(), 0u);
     EXPECT_EQ(system.framework().contextTransfers(), 0u)
         << "no driver-originated transfers at defaults";
+}
+
+TEST(ResidencySystem, FootprintsThatFitToTheByteAreBothResident)
+{
+    // 65 537 + 65 535 bytes fill a 131 072-byte device exactly, so
+    // both contexts must be admitted resident and run without a
+    // swap.  Rounding the footprints up to 64 KiB pages would need
+    // three pages on a two-page device and refuse the second context.
+    const trace::BenchmarkSpec a = footprintSpec("a", 32768, 32769);
+    const trace::BenchmarkSpec b = footprintSpec("b", 32768, 32767);
+    sim::Config cfg;
+    cfg.set("gmem.capacity", static_cast<std::int64_t>(131072));
+    cfg.set("process.scratch_bytes", static_cast<std::int64_t>(0));
+    workload::SystemSpec spec;
+    spec.customSpecs = {&a, &b};
+    spec.minReplays = 2;
+    workload::System system(spec, cfg);
+    EXPECT_TRUE(system.residency().resident(0));
+    EXPECT_TRUE(system.residency().resident(1));
+
+    auto result = system.run(sim::seconds(30.0));
+    ASSERT_EQ(result.runs.size(), 2u);
+    for (const auto &runs : result.runs)
+        EXPECT_GE(runs.size(), 2u)
+            << "both processes must finish their replays";
+    EXPECT_EQ(system.residency().swapIns(), 0u);
+    EXPECT_EQ(system.residency().swapOuts(), 0u);
+}
+
+TEST(ResidencySystem, NegativeScratchBytesIsFatalAndNamesTheKey)
+{
+    // Small enough to only shrink the 128 MiB footprint, and large
+    // enough to make it negative: both are config errors.
+    for (std::int64_t scratch :
+         {std::int64_t{-1048576}, std::int64_t{-1000000000}}) {
+        sim::Config cfg;
+        cfg.set("process.scratch_bytes", scratch);
+        workload::SystemSpec spec;
+        spec.customSpecs = {&bigFootprintSpec()};
+        std::string msg;
+        try {
+            workload::System system(spec, cfg);
+            ADD_FAILURE() << "scratch " << scratch << " was accepted";
+        } catch (const sim::FatalError &e) {
+            msg = e.what();
+        }
+        EXPECT_NE(msg.find("process.scratch_bytes"), std::string::npos)
+            << msg;
+    }
 }
