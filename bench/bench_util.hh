@@ -42,12 +42,6 @@ struct BenchOptions
     bool csv = false;
     /** Worker threads for the batch runner (--jobs=N; default 1). */
     int jobs = 1;
-    /** Intra-run shard workers (--shards=N; default 1 = off): each
-     *  run's independent isolated-baseline replays execute on this
-     *  many workers concurrently with the run itself, with a
-     *  deterministic merge — output is byte-identical for any value
-     *  (see Runner::setRunShards). */
-    int shards = 1;
     /** JSON-lines output path; empty = disabled.  Bare --jsonl picks
      *  results/<bench>.jsonl. */
     std::string jsonl;
@@ -69,10 +63,10 @@ struct BenchOptions
     /**
      * Parse from args: --quick shrinks everything for smoke runs;
      * --sizes/--per-bench/--workloads/--replays/--seed/--csv/--jobs/
-     * --shards/--workers/--cache-dir/--timeout/--jsonl[=path]
-     * override.  --jobs/--shards/--workers share one validator:
-     * anything but a positive integer is fatal.  @p bench_name names
-     * the default JSONL file.
+     * --workers/--cache-dir/--timeout/--jsonl[=path] override.
+     * --jobs/--workers share one validator: anything but an integer
+     * in [1, INT_MAX] is fatal.  @p bench_name names the default JSONL
+     * file.
      */
     static BenchOptions fromArgs(const harness::Args &args,
                                  const std::string &bench_name)
@@ -93,11 +87,8 @@ struct BenchOptions
         o.seed = static_cast<std::uint64_t>(
             args.flagInt("seed", static_cast<std::int64_t>(o.seed)));
         o.csv = args.hasFlag("csv");
-        o.jobs = static_cast<int>(args.flagPositiveInt("jobs", o.jobs));
-        o.shards =
-            static_cast<int>(args.flagPositiveInt("shards", o.shards));
-        o.workers = static_cast<int>(
-            args.flagPositiveInt("workers", o.workers));
+        o.jobs = args.flagPositiveInt("jobs", o.jobs);
+        o.workers = args.flagPositiveInt("workers", o.workers);
         o.cacheDir = args.flag("cache-dir", "");
         o.timeoutSec = args.flagDouble("timeout", o.timeoutSec);
         if (o.timeoutSec < 0.0)
@@ -108,12 +99,11 @@ struct BenchOptions
         return o;
     }
 
-    /** Apply the parallelism knobs (--jobs is passed at construction;
-     *  --shards is a setter) and the multi-process backend options
-     *  (--workers/--cache-dir/--timeout) to @p runner. */
+    /** Apply the multi-process backend options (--workers/
+     *  --cache-dir/--timeout) to @p runner; --jobs is passed at its
+     *  construction. */
     void configureRunner(harness::Runner &runner) const
     {
-        runner.setRunShards(shards);
         harness::exec::ExecOptions ex;
         ex.workers = workers;
         ex.cacheDir = cacheDir;

@@ -14,7 +14,7 @@
  *
  * Usage: fig5_ppq_ntt [--quick] [--per-bench=N] [--replays=N]
  *                     [--seed=N] [--sizes=2,4,...] [--jobs=N]
- *                     [--shards=N] [--csv] [--jsonl[=path]]
+ *                     [--csv] [--jsonl[=path]]
  *                     [--mechanism=NAME] [key=value ...]
  *
  * --mechanism=NAME swaps the context-switch column's preemption

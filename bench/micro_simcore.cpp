@@ -109,10 +109,10 @@ BENCHMARK(BM_MetricsCompute);
 void
 BM_PredictorUpdate(benchmark::State &state)
 {
-    // The predict/ observation hook rides the TB-completion fast path
-    // (the hottest event in the simulator); this pins the cost of one
-    // model update plus the drain-estimate query pred_adaptive makes
-    // per decision.
+    // The predictor's tbCompleted hook rides the TB-completion fast
+    // path (the hottest event in the simulator); this pins the cost
+    // of one model update plus the drain-estimate query pred_adaptive
+    // makes per decision.
     const trace::KernelProfile *prof =
         trace::allKernelProfiles().front();
     gpu::GpuParams params;
@@ -127,7 +127,7 @@ BM_PredictorUpdate(benchmark::State &state)
     double sink = 0;
     for (auto _ : state) {
         now += tb;
-        pred.observeTb(sm, k, now - tb, now);
+        pred.tbCompleted(sm, k, now - tb, now);
         sink += pred.estimatedDrainTimeUs(sm, now);
     }
     benchmark::DoNotOptimize(sink);

@@ -19,7 +19,7 @@
  *
  * Usage: serve_slo [--quick] [--loads=30,60,90,120] (percent)
  *                  [--horizon-mult=N] [--replays=N] [--seed=N]
- *                  [--jobs=N] [--shards=N] [--csv] [--jsonl[=path]]
+ *                  [--jobs=N] [--csv] [--jsonl[=path]]
  *                  [key=value ...]
  */
 
@@ -104,7 +104,7 @@ main(int argc, char **argv)
     // The load factors are anchored on the isolated service times;
     // these are pure functions of (benchmark, replays, config), so
     // the generated timelines — and with them the whole bench output
-    // — stay bit-identical for any --jobs/--shards.
+    // — stay bit-identical for any --jobs/--workers.
     const double latency_iso =
         runner.isolatedTimeUs(kLatencyBench, opt.replays);
     const double batch_a_iso =

@@ -45,9 +45,9 @@ struct TimelineProbe : core::EngineObserver
         if (s.start < 0)
             s.start = sim->now();
     }
-    void kernelFinished(const gpu::KernelExec &k) override
+    void kernelFinished(const gpu::KernelExec &k, sim::SimTime now) override
     {
-        spans[k.profile().kernel].end = sim->now();
+        spans[k.profile().kernel].end = now;
     }
 };
 
@@ -59,7 +59,7 @@ runScenario(const std::string &policy, const sim::Config &overrides)
     test::DeviceRig rig(policy, "context_switch", overrides);
     TimelineProbe probe;
     probe.sim = &rig.sim;
-    rig.framework.setObserver(&probe);
+    rig.framework.addObserver(&probe);
 
     // K1: long, fills the GPU (16 waves of 25 us).  K2: medium.
     // K3: short, has a deadline.  All from different processes.

@@ -2,7 +2,7 @@
 """Determinism lint for the gpump source tree (DESIGN.md §12).
 
 The simulator's headline guarantee is byte-identical output across
---jobs x --shards x --workers (DESIGN.md §4/§7/§10).  The goldens and
+--jobs x --workers (DESIGN.md §4/§10).  The goldens and
 `cmp` checks in CI catch a violation *after* it changed the numbers;
 this lint rejects the constructs that cause violations at review time,
 before any golden moves.

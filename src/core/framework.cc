@@ -199,8 +199,8 @@ SchedulingFramework::admit(sim::ContextId ctx)
     }
     gpu::KernelExec *k = slot.get();
     activeQueue_.push_back(k);
-    if (observer_)
-        observer_->kernelAdmitted(*k);
+    for (EngineObserver *o : observers_)
+        o->kernelAdmitted(*k);
 
     // The buffer slot is free again; let the dispatcher refill it.
     dispatcher_->onKernelBufferFreed();
@@ -281,8 +281,8 @@ SchedulingFramework::assignSm(gpu::Sm *sm, gpu::KernelExec *k)
     } else {
         beginSetup(sm);
     }
-    if (observer_)
-        observer_->smAssigned(*sm, *k);
+    for (EngineObserver *o : observers_)
+        o->smAssigned(*sm, *k);
 }
 
 void
@@ -326,8 +326,8 @@ SchedulingFramework::placeResident(gpu::Sm *sm, gpu::KernelExec *k,
     if (!k->startedIssuing) {
         k->startedIssuing = true;
         k->firstIssuedAt = sim_->now();
-        if (observer_)
-            observer_->kernelStarted(*k);
+        for (EngineObserver *o : observers_)
+            o->kernelStarted(*k);
     }
 }
 
@@ -473,8 +473,8 @@ SchedulingFramework::onTbCompleted(gpu::Sm *sm)
     ++tbsCompleted_;
     // Measurement hook: observers see the post-pop SM (resident empty
     // when this was a drain's last block) before any re-issue.
-    for (predict::CompletionObserver *o : completionObservers_)
-        o->observeTb(*sm, *k, tb_started, sim_->now());
+    for (EngineObserver *o : observers_)
+        o->tbCompleted(*sm, *k, tb_started, sim_->now());
 
     bool kernel_done = k->finished();
 
@@ -539,8 +539,8 @@ SchedulingFramework::reserveSm(gpu::Sm *sm, gpu::KernelExec *next)
     ++next->smsReserved;
     reserveTime_[static_cast<std::size_t>(sm->id())] = sim_->now();
     ++preemptions_;
-    if (observer_)
-        observer_->preemptionRequested(*sm, *sm->kernel, *next);
+    for (EngineObserver *o : observers_)
+        o->preemptionRequested(*sm, *sm->kernel, *next);
 
     if (sm->state == gpu::Sm::State::Setup) {
         // The kernel never started here; cancel the setup and hand
@@ -607,8 +607,8 @@ SchedulingFramework::completePreemption(gpu::Sm *sm)
 
     preemptLatencyUs_.sample(sim::toMicroseconds(
         sim_->now() - reserveTime_[static_cast<std::size_t>(sm->id())]));
-    if (observer_)
-        observer_->preemptionCompleted(*sm);
+    for (EngineObserver *o : observers_)
+        o->preemptionCompleted(*sm);
 
     sm->clearKernel();
     policy_->onPreemptionComplete(sm, next);
@@ -661,12 +661,10 @@ SchedulingFramework::finalizeKernel(gpu::KernelExec *k)
                  k->profile().fullName().c_str(), k->smsReserved);
 
     ++kernelsCompleted_;
-    if (observer_)
-        observer_->kernelFinished(*owned);
-    // Measurement hook before the policy callback, so an observing
-    // policy decides with this kernel's burst already folded in.
-    for (predict::CompletionObserver *o : completionObservers_)
-        o->observeKernel(*owned, owned->firstIssuedAt, sim_->now());
+    // Observers before the policy callback, so an observing policy
+    // decides with this kernel's burst already folded in.
+    for (EngineObserver *o : observers_)
+        o->kernelFinished(*owned, sim_->now());
     policy_->onKernelFinished(owned.get());
     if (residency_ != nullptr)
         residency_->onPinsReleased();

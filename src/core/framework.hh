@@ -22,6 +22,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/observer.hh"
 #include "core/preemption.hh"
 #include "core/tables.hh"
 #include "gpu/dispatcher.hh"
@@ -29,7 +30,6 @@
 #include "gpu/kernel_exec.hh"
 #include "gpu/sm.hh"
 #include "memory/gpu_memory.hh"
-#include "predict/observe.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
 
@@ -43,26 +43,6 @@ class ResidencyManager;
 namespace core {
 
 class SchedulingPolicy;
-
-/**
- * Optional observer of engine events.  Used by examples (timelines)
- * and tests (ordering assertions); all hooks default to no-ops so
- * observers implement only what they need.
- */
-class EngineObserver
-{
-  public:
-    virtual ~EngineObserver() = default;
-    virtual void kernelAdmitted(const gpu::KernelExec &) {}
-    /** First thread block of the kernel issued. */
-    virtual void kernelStarted(const gpu::KernelExec &) {}
-    virtual void kernelFinished(const gpu::KernelExec &) {}
-    virtual void smAssigned(const gpu::Sm &, const gpu::KernelExec &) {}
-    virtual void preemptionRequested(const gpu::Sm &,
-                                     const gpu::KernelExec & /*victim*/,
-                                     const gpu::KernelExec & /*next*/) {}
-    virtual void preemptionCompleted(const gpu::Sm &) {}
-};
 
 /** The execution engine's scheduling framework + SM driver. */
 class SchedulingFramework : public gpu::KernelSink
@@ -80,22 +60,17 @@ class SchedulingFramework : public gpu::KernelSink
     SchedulingPolicy &policy() { return *policy_; }
     PreemptionMechanism &mechanism() { return *mechanism_; }
 
-    /** Install an observer (nullptr to remove).  Not owned. */
-    void setObserver(EngineObserver *observer) { observer_ = observer; }
-
     /**
-     * Register a measurement-side completion observer (assembly; not
-     * owned — typically a mechanism or policy registering itself or a
-     * predictor from its bind()).  Observers are notified on every TB
-     * and kernel completion, in registration order; the completion
-     * path skips the dispatch entirely while the list is empty, so
-     * default-off runs are untouched (see predict/observe.hh for the
-     * observer contract).
+     * Register an engine observer (assembly; not owned — a test
+     * probe, or a mechanism or policy registering itself or a
+     * predictor from its bind()).  Every hook site notifies the
+     * observers in registration order; the list is empty in every
+     * default assembly (see core/observer.hh for the contract).
      */
-    void addCompletionObserver(predict::CompletionObserver *observer)
+    void addObserver(EngineObserver *observer)
     {
-        GPUMP_ASSERT(observer != nullptr, "null completion observer");
-        completionObservers_.push_back(observer);
+        GPUMP_ASSERT(observer != nullptr, "null engine observer");
+        observers_.push_back(observer);
     }
 
     /** Wire the transfer engine carrying contended context save /
@@ -332,10 +307,8 @@ class SchedulingFramework : public gpu::KernelSink
     bool contendedSwitch_ = false;
     std::unique_ptr<SchedulingPolicy> policy_;
     std::unique_ptr<PreemptionMechanism> mechanism_;
-    EngineObserver *observer_ = nullptr;
-    /** Measurement-side completion observers (predict/), empty in
-     *  every default-off assembly.  Not owned. */
-    std::vector<predict::CompletionObserver *> completionObservers_;
+    /** Engine observers in registration order.  Not owned. */
+    std::vector<EngineObserver *> observers_;
 
     /** Issue preempted TBs before fresh ones (Section 3.3 keeps the
      *  PTBQ bounded this way).  Config "engine.preempted_first";

@@ -153,7 +153,7 @@ class KernelExec
     bool startedIssuing = false; ///< first TB has been issued
     /** When the first TB was issued (meaningful once startedIssuing).
      *  Driver-observable service-time anchor for the measurement-fed
-     *  schedulers (predict/observe.hh). */
+     *  schedulers (core/observer.hh). */
     sim::SimTime firstIssuedAt = 0;
     /** @} */
 

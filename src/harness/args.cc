@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 
 #include "core/policy.hh"
 #include "core/preemption.hh"
@@ -103,18 +104,22 @@ Args::flagInt(const std::string &name, std::int64_t def) const
     return static_cast<std::int64_t>(v);
 }
 
-std::int64_t
-Args::flagPositiveInt(const std::string &name, std::int64_t def) const
+int
+Args::flagPositiveInt(const std::string &name, int def) const
 {
     auto it = flags_.find(name);
     if (it == flags_.end())
         return def;
     char *end = nullptr;
+    // strtoll saturates on overflow, so the INT_MAX bound catches it.
     long long v = std::strtoll(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0' || v < 1)
-        sim::fatal("flag --%s expects a positive integer, got '%s'",
-                   name.c_str(), it->second.c_str());
-    return static_cast<std::int64_t>(v);
+    if (end == it->second.c_str() || *end != '\0' || v < 1 ||
+        v > std::numeric_limits<int>::max())
+        sim::fatal("flag --%s expects a positive integer up to %d, "
+                   "got '%s'",
+                   name.c_str(), std::numeric_limits<int>::max(),
+                   it->second.c_str());
+    return static_cast<int>(v);
 }
 
 std::vector<int>

@@ -46,11 +46,10 @@ class Args
     std::string flag(const std::string &name,
                      const std::string &def) const;
     std::int64_t flagInt(const std::string &name, std::int64_t def) const;
-    /** flagInt that additionally rejects zero and negative values —
-     *  the shared validator for parallelism degrees (--jobs, --shards,
+    /** flagInt that additionally rejects values outside [1, INT_MAX]
+     *  — the shared validator for parallelism degrees (--jobs,
      *  --workers), so every bench fails with the same message. */
-    std::int64_t flagPositiveInt(const std::string &name,
-                                 std::int64_t def) const;
+    int flagPositiveInt(const std::string &name, int def) const;
     double flagDouble(const std::string &name, double def) const;
     /** Comma-separated integer list, e.g. --sizes=2,4,6,8. */
     std::vector<int> flagIntList(const std::string &name,

@@ -1,6 +1,5 @@
 #include "harness/runner.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <thread>
@@ -92,31 +91,6 @@ Runner::setJobs(int jobs)
     jobs_ = jobs < 1 ? 1 : jobs;
 }
 
-void
-Runner::setRunShards(int shards)
-{
-    runShards_ = shards < 1 ? 1 : shards;
-}
-
-namespace {
-
-/** Joins a shard pool on every exit path (a fatal() from the main
- *  simulation must not leak running threads). */
-struct ShardPool
-{
-    std::vector<std::thread> threads;
-
-    ~ShardPool()
-    {
-        for (auto &t : threads) {
-            if (t.joinable())
-                t.join();
-        }
-    }
-};
-
-} // namespace
-
 RunResult
 Runner::execute(const RunRequest &request)
 {
@@ -126,7 +100,7 @@ Runner::execute(const RunRequest &request)
     // A serving request compiles its scenario (open-loop arrival
     // schedules, admission bounds, tenant priorities); a plain
     // request replays its plan closed-loop.  Everything downstream —
-    // sharded baselines, ANTT/STP, result collection — is shared, so
+    // isolated baselines, ANTT/STP, result collection — is shared, so
     // the serving path inherits the batch determinism contract as-is.
     workload::SystemSpec spec;
     if (request.serving) {
@@ -150,49 +124,6 @@ Runner::execute(const RunRequest &request)
 
     workload::System system(spec, cfg);
 
-    // Intra-run sharding: the request's isolated-baseline replays are
-    // independent simulations, so with runShards_ > 1 they run on a
-    // worker pool *concurrently* with the multiprogrammed run below.
-    // Workers only warm the memoizing cache (each distinct benchmark
-    // is computed exactly once, whichever thread gets there first);
-    // the ordered collection loop after the join performs the
-    // deterministic merge, so results are bit-identical to the serial
-    // path for any shard count.  Worker-side failures are swallowed
-    // here and rethrown, once, from the collection loop via the
-    // cache's shared_future.
-    std::vector<std::string> distinct;
-    std::atomic<std::size_t> nextShard{0};
-    ShardPool shards;
-    if (runShards_ > 1) {
-        for (const auto &b : benchmarks) {
-            if (std::find(distinct.begin(), distinct.end(), b) ==
-                distinct.end())
-                distinct.push_back(b);
-        }
-        std::size_t pool = static_cast<std::size_t>(runShards_);
-        if (pool > distinct.size())
-            pool = distinct.size();
-        shards.threads.reserve(pool);
-        for (std::size_t t = 0; t < pool; ++t) {
-            shards.threads.emplace_back(
-                [this, &nextShard, &distinct, &cfg, &request] {
-                    for (;;) {
-                        std::size_t i = nextShard.fetch_add(
-                            1, std::memory_order_relaxed);
-                        if (i >= distinct.size())
-                            return;
-                        try {
-                            baselines_.timeUs(distinct[i], cfg,
-                                              request.minReplays);
-                        } catch (...) {
-                            // Recorded in the cache entry; surfaced
-                            // by the ordered collection below.
-                        }
-                    }
-                });
-        }
-    }
-
     RunResult out;
     out.index = request.index;
     out.tag = request.tag;
@@ -203,8 +134,6 @@ Runner::execute(const RunRequest &request)
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)
             .count();
-    for (auto &t : shards.threads)
-        t.join();
     out.isolatedUs.reserve(benchmarks.size());
     for (const auto &b : benchmarks)
         out.isolatedUs.push_back(

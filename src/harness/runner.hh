@@ -203,28 +203,6 @@ class Runner
     void setJobs(int jobs);
     int jobs() const { return jobs_; }
 
-    /**
-     * Intra-run sharding: worker threads used *within* one request.
-     *
-     * A multiprogrammed run needs one isolated-baseline replay per
-     * distinct benchmark in its plan (the denominators of its
-     * Eyerman-Eeckhout metrics).  Those replays are independent
-     * simulations, so with shards > 1 they execute on a small worker
-     * pool concurrently with the request's own multiprogrammed
-     * simulation, and the results are merged in process order once
-     * everything joins.  The merge is deterministic and bit-identical
-     * to shards == 1 for any shard count: every replay is a pure
-     * function of (benchmark, replays, config) with a fixed seed, and
-     * the memoizing baseline cache guarantees each is computed
-     * exactly once no matter which worker gets there first — the same
-     * contract as run()'s --jobs determinism (DESIGN.md §4, §7).
-     *
-     * Clamped to >= 1; 1 (the default) keeps the request fully
-     * serial in its calling thread.
-     */
-    void setRunShards(int shards);
-    int runShards() const { return runShards_; }
-
     void setProgress(ProgressFn fn) { progress_ = std::move(fn); }
     const ProgressFn &progressFn() const { return progress_; }
 
@@ -277,7 +255,6 @@ class Runner
 
     sim::Config base_;
     int jobs_ = 1;
-    int runShards_ = 1;
     exec::ExecOptions exec_;
     ProgressFn progress_;
     IsolatedBaselineCache baselines_;

@@ -1,5 +1,7 @@
 #include "predict/bore_burst.hh"
 
+#include <limits>
+
 #include "core/framework.hh"
 #include "sim/logging.hh"
 
@@ -17,14 +19,7 @@ void
 BoreBurstPolicy::bind(core::SchedulingFramework &fw)
 {
     PpqPolicy::bind(fw);
-    fw.addCompletionObserver(this);
-}
-
-void
-BoreBurstPolicy::observeKernel(const gpu::KernelExec &k,
-                               sim::SimTime first_issued, sim::SimTime now)
-{
-    burst_.observeKernel(k, first_issued, now);
+    fw.addObserver(&burst_);
 }
 
 int
@@ -54,9 +49,9 @@ namespace {
     d.tunables = {
         {"bore.smoothness", core::TunableType::Int, "2",
          "EWMA shift of the burst average: each kernel moves it by "
-         "1/2^smoothness of the error (>= 0)"},
+         "1/2^smoothness of the error (0..62)"},
         {"bore.max_offset", core::TunableType::Int, "8",
-         "cap on the burst-score priority demotion (>= 0)"},
+         "cap on the burst-score priority demotion (0..INT_MAX)"},
         {"bore.decay_us", core::TunableType::Double, "2000",
          "idle time per bucket of burst-score decay, microseconds "
          "(> 0)"},
@@ -64,19 +59,25 @@ namespace {
          "run on top of exclusive-mode PPQ instead of shared mode"},
     };
     d.factory = [](const sim::Config &cfg) {
-        int smoothness =
-            static_cast<int>(cfg.getInt("bore.smoothness", 2));
-        int max_offset =
-            static_cast<int>(cfg.getInt("bore.max_offset", 8));
-        if (smoothness < 0 || max_offset < 0)
-            sim::fatal("bore.smoothness and bore.max_offset must be "
-                       ">= 0");
+        // Range-check before narrowing: the estimator shifts an
+        // int64 by the smoothness, and a wrapped value would
+        // silently run as a different one.
+        std::int64_t smoothness = cfg.getInt("bore.smoothness", 2);
+        if (smoothness < 0 || smoothness > 62)
+            sim::fatal("bore.smoothness must be in [0, 62], got %lld",
+                       static_cast<long long>(smoothness));
+        std::int64_t max_offset = cfg.getInt("bore.max_offset", 8);
+        if (max_offset < 0 || max_offset > std::numeric_limits<int>::max())
+            sim::fatal("bore.max_offset must be in [0, %d], got %lld",
+                       std::numeric_limits<int>::max(),
+                       static_cast<long long>(max_offset));
         double decay_us = cfg.getDouble("bore.decay_us", 2000.0);
         if (decay_us <= 0)
             sim::fatal("bore.decay_us must be positive");
         bool exclusive = cfg.getBool("bore.exclusive", false);
-        return std::make_unique<BoreBurstPolicy>(smoothness, max_offset,
-                                                 decay_us, exclusive);
+        return std::make_unique<BoreBurstPolicy>(
+            static_cast<int>(smoothness), static_cast<int>(max_offset),
+            decay_us, exclusive);
     };
     core::policyRegistry().add(std::move(d));
     return true;

@@ -17,10 +17,10 @@
  * short-burst contexts keep their rank, and a context that stops
  * bursting earns its priority back after a few decay intervals.
  *
- * Entirely measurement-fed (a CompletionObserver like the runtime
- * predictor): no oracle reads, deterministic, and default-off — a
- * system that never selects "bore_burst" never registers the
- * observer.
+ * Entirely measurement-fed (the estimator is an engine observer,
+ * like the runtime predictor): no oracle reads, deterministic, and
+ * default-off — a system that never selects "bore_burst" never
+ * registers the observer.
  *
  * Registers as "bore_burst" with tunables bore.smoothness,
  * bore.max_offset, bore.decay_us and bore.exclusive.
@@ -36,12 +36,11 @@ namespace gpump {
 namespace predict {
 
 /** PPQ with burst-score priority demotion. */
-class BoreBurstPolicy : public core::PpqPolicy,
-                        public CompletionObserver
+class BoreBurstPolicy : public core::PpqPolicy
 {
   public:
     /**
-     * @param smoothness EWMA shift of the burst average (>= 0)
+     * @param smoothness EWMA shift of the burst average, in [0, 62]
      * @param max_offset cap on the priority demotion (>= 0)
      * @param decay_us   idle time per bucket of score decay (> 0)
      * @param exclusive  PPQ access mode to run on top of
@@ -51,12 +50,8 @@ class BoreBurstPolicy : public core::PpqPolicy,
 
     const char *name() const override { return "bore_burst"; }
 
-    /** Registers this policy as a completion observer. */
+    /** Registers the burst estimator as an engine observer. */
     void bind(core::SchedulingFramework &fw) override;
-
-    /** Feeds the burst estimator. */
-    void observeKernel(const gpu::KernelExec &k, sim::SimTime first_issued,
-                       sim::SimTime now) override;
 
     /** The burst model behind the demotion (tests, analyses). */
     const BurstEstimator &burst() const { return burst_; }

@@ -14,21 +14,21 @@ BurstEstimator::BurstEstimator(int smoothness, int max_score,
     : smoothness_(smoothness), maxScore_(max_score),
       decay_(sim::microseconds(decay_us))
 {
-    GPUMP_ASSERT(smoothness >= 0, "negative burst smoothness");
+    GPUMP_ASSERT(smoothness >= 0 && smoothness <= 62,
+                 "burst smoothness %d outside [0, 62]", smoothness);
     GPUMP_ASSERT(max_score >= 0, "negative burst score cap");
     GPUMP_ASSERT(decay_ > 0, "non-positive burst decay interval");
 }
 
 void
-BurstEstimator::observeKernel(const gpu::KernelExec &k,
-                              sim::SimTime first_issued, sim::SimTime now)
+BurstEstimator::kernelFinished(const gpu::KernelExec &k, sim::SimTime now)
 {
-    GPUMP_ASSERT(now >= first_issued, "kernel finished before it issued");
+    GPUMP_ASSERT(now >= k.firstIssuedAt, "kernel finished before it issued");
     auto idx = static_cast<std::size_t>(k.ctx());
     if (idx >= state_.size())
         state_.resize(idx + 1);
     State &s = state_[idx];
-    double burst_us = sim::toMicroseconds(now - first_issued);
+    double burst_us = sim::toMicroseconds(now - k.firstIssuedAt);
     if (!s.any) {
         s.avgUs = burst_us;
         s.any = true;

@@ -34,28 +34,27 @@
 #include <cstdint>
 #include <vector>
 
-#include "predict/observe.hh"
+#include "core/observer.hh"
 #include "sim/types.hh"
 
 namespace gpump {
 namespace predict {
 
 /** Per-process burstiness scoring from kernel service times. */
-class BurstEstimator : public CompletionObserver
+class BurstEstimator : public core::EngineObserver
 {
   public:
     /**
-     * @param smoothness EWMA shift (>= 0): each observation moves the
-     *        average by 1/2^smoothness of the error.
+     * @param smoothness EWMA shift in [0, 62]: each observation moves
+     *        the average by 1/2^smoothness of the error.
      * @param max_score  cap on the burst score (>= 0).
      * @param decay_us   idle time per bucket of score decay (> 0).
      */
     BurstEstimator(int smoothness, int max_score, double decay_us);
 
-    /** Fold a completed kernel's service time into its context's
-     *  average burst. */
-    void observeKernel(const gpu::KernelExec &k, sim::SimTime first_issued,
-                       sim::SimTime now) override;
+    /** Fold a completed kernel's service time (k.firstIssuedAt to
+     *  @p now) into its context's average burst. */
+    void kernelFinished(const gpu::KernelExec &k, sim::SimTime now) override;
 
     /**
      * The context's burst score at @p now: the log2 bucket of its

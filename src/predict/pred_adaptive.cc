@@ -27,8 +27,8 @@ PredAdaptiveMechanism::bind(core::SchedulingFramework &fw)
                     PendingDrain());
     // Predictor first: by the time this mechanism audits a completed
     // drain, the model has already folded the completing block in.
-    fw.addCompletionObserver(&predictor_);
-    fw.addCompletionObserver(this);
+    fw.addObserver(&predictor_);
+    fw.addObserver(this);
 }
 
 void
@@ -69,9 +69,9 @@ PredAdaptiveMechanism::beginPreemption(gpu::Sm *sm)
 }
 
 void
-PredAdaptiveMechanism::observeTb(const gpu::Sm &sm,
-                                 const gpu::KernelExec &k,
-                                 sim::SimTime started, sim::SimTime now)
+PredAdaptiveMechanism::tbCompleted(const gpu::Sm &sm,
+                                   const gpu::KernelExec &k,
+                                   sim::SimTime started, sim::SimTime now)
 {
     (void)k;
     (void)started;

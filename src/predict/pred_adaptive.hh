@@ -41,7 +41,7 @@ namespace predict {
 
 /** Measurement-driven per-SM drain-vs-switch selection. */
 class PredAdaptiveMechanism : public core::PreemptionMechanism,
-                              public CompletionObserver
+                              public core::EngineObserver
 {
   public:
     /**
@@ -61,15 +61,15 @@ class PredAdaptiveMechanism : public core::PreemptionMechanism,
     bool savesContext() const override { return true; }
 
     /** Binds the base mechanisms and registers the predictor and this
-     *  mechanism as completion observers. */
+     *  mechanism as engine observers. */
     void bind(core::SchedulingFramework &fw) override;
 
     void beginPreemption(gpu::Sm *sm) override;
 
     /** Closes the drain-prediction audit when a predicted drain's SM
      *  empties. */
-    void observeTb(const gpu::Sm &sm, const gpu::KernelExec &k,
-                   sim::SimTime started, sim::SimTime now) override;
+    void tbCompleted(const gpu::Sm &sm, const gpu::KernelExec &k,
+                     sim::SimTime started, sim::SimTime now) override;
 
     double bias() const { return bias_; }
     double confidenceMin() const { return confidenceMin_; }

@@ -27,8 +27,8 @@ RuntimePredictor::find(sim::ContextId ctx,
 }
 
 void
-RuntimePredictor::observeTb(const gpu::Sm &, const gpu::KernelExec &k,
-                            sim::SimTime started, sim::SimTime now)
+RuntimePredictor::tbCompleted(const gpu::Sm &, const gpu::KernelExec &k,
+                              sim::SimTime started, sim::SimTime now)
 {
     GPUMP_ASSERT(now >= started, "TB completion before its issue");
     double service_us = sim::toMicroseconds(now - started);

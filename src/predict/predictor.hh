@@ -34,7 +34,7 @@
 #include <map>
 #include <utility>
 
-#include "predict/observe.hh"
+#include "core/observer.hh"
 #include "sim/types.hh"
 
 namespace gpump {
@@ -56,7 +56,7 @@ struct Estimate
 };
 
 /** Online per-(context, kernel) runtime model. */
-class RuntimePredictor : public CompletionObserver
+class RuntimePredictor : public core::EngineObserver
 {
   public:
     /** @param ewma_alpha EWMA smoothing factor in (0, 1]: the weight
@@ -64,8 +64,8 @@ class RuntimePredictor : public CompletionObserver
     explicit RuntimePredictor(double ewma_alpha = 0.25);
 
     /** Fold one observed TB service time into the model. */
-    void observeTb(const gpu::Sm &sm, const gpu::KernelExec &k,
-                   sim::SimTime started, sim::SimTime now) override;
+    void tbCompleted(const gpu::Sm &sm, const gpu::KernelExec &k,
+                     sim::SimTime started, sim::SimTime now) override;
 
     /** The current per-TB estimate for (@p ctx, @p prof); cold keys
      *  answer the declared-profile prior at confidence 0. */

@@ -1,6 +1,7 @@
 #include "sim/config.hh"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "sim/logging.hh"
@@ -77,6 +78,11 @@ Config::getDouble(const std::string &key, double def) const
     if (errno != 0 || end == it->second.c_str() || *end != '\0')
         fatal("config key '%s' has non-numeric value '%s'",
               key.c_str(), it->second.c_str());
+    // No model parameter is meaningful as nan or +-inf, and letting
+    // one through turns into undefined double->int64 casts downstream.
+    if (!std::isfinite(v))
+        fatal("config key '%s' has non-finite value '%s'", key.c_str(),
+              it->second.c_str());
     return v;
 }
 

@@ -56,8 +56,8 @@ class Config
 
     /** @name Typed getters with defaults
      *  Return the stored value converted to the requested type, or
-     *  @p def when the key is absent.  Conversion failures raise
-     *  fatal() naming the offending key.
+     *  @p def when the key is absent.  Conversion failures (and
+     *  non-finite doubles) raise fatal() naming the offending key.
      *  @{
      */
     std::string getString(const std::string &key,

@@ -153,7 +153,7 @@ TEST(CommandPath, TwoContextsSerializeUnderFcfs)
     } obs;
     obs.start2 = &start2;
     obs.sim = &rig.sim;
-    rig.framework.setObserver(&obs);
+    rig.framework.addObserver(&obs);
 
     auto c1 = gpu::Command::makeKernel(0, 0, &k1);
     c1->onComplete = [&] { end1 = rig.sim.now(); };

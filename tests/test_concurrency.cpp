@@ -3,13 +3,12 @@
  * ci tsan job builds the suite with -DGPUMP_SANITIZE=thread).
  *
  * The simulator itself is single-threaded by design; the only code
- * that runs concurrently is the harness layer (Runner's job pool, the
- * intra-run shard pool, the memoizing baseline cache) and the
- * process-wide Logger.  These tests drive exactly those seams harder
- * than the functional suite does — maximum pool sizes, deliberate
- * first-access herds, level flips racing emission — so a data race
- * shows up as a TSan report here rather than as a once-a-month flaky
- * batch result.
+ * that runs concurrently is the harness layer (Runner's job pool and
+ * the memoizing baseline cache) and the process-wide Logger.  These
+ * tests drive exactly those seams harder than the functional suite
+ * does — maximum pool sizes, deliberate first-access herds, level
+ * flips racing emission — so a data race shows up as a TSan report
+ * here rather than as a once-a-month flaky batch result.
  */
 
 #include <gtest/gtest.h>
@@ -27,8 +26,8 @@ using namespace gpump::harness;
 
 namespace {
 
-/** Grid with enough requests and distinct benchmarks that an 8-job x
- *  4-shard runner keeps every pool busy at once. */
+/** Grid with enough requests and distinct benchmarks that an 8-job
+ *  runner keeps every worker busy at once. */
 Batch
 contentionGrid()
 {
@@ -43,19 +42,18 @@ contentionGrid()
 
 } // namespace
 
-TEST(ConcurrencyStress, JobsTimesShardsBitIdenticalUnderContention)
+TEST(ConcurrencyStress, JobsBitIdenticalUnderContention)
 {
-    // jobs=8 batch workers, each running shards=4 baseline workers,
-    // all sharing one memoizing cache: the heaviest thread shape the
-    // harness supports.  The determinism contract says the results
-    // must still be bit-identical to the fully serial run.
+    // jobs=8 batch workers all sharing one memoizing cache: the
+    // heaviest thread shape the harness supports.  The determinism
+    // contract says the results must still be bit-identical to the
+    // fully serial run.
     Batch batch = contentionGrid();
 
     Runner serial(sim::Config(), /*jobs=*/1);
     auto expected = serial.run(batch.requests);
 
     Runner stressed(sim::Config(), /*jobs=*/8);
-    stressed.setRunShards(4);
     auto actual = stressed.run(batch.requests);
 
     ASSERT_EQ(expected.size(), actual.size());
@@ -74,7 +72,7 @@ TEST(ConcurrencyStress, JobsTimesShardsBitIdenticalUnderContention)
     }
 
     // Every distinct benchmark across the whole batch computed its
-    // isolated baseline exactly once, no matter how many of the 8x4
+    // isolated baseline exactly once, no matter how many of the 8
     // workers raced for it.
     std::vector<std::string> distinct;
     for (const auto &req : batch.requests) {

@@ -58,6 +58,11 @@ TEST(Config, ConversionErrorsAreFatal)
     EXPECT_THROW(c.getDouble("x", 0), sim::FatalError);
     EXPECT_THROW(c.getInt("x", 0), sim::FatalError);
     EXPECT_THROW(c.getBool("x", false), sim::FatalError);
+    // strtod accepts these spellings; no model parameter does.
+    for (const char *v : {"nan", "inf", "-inf"}) {
+        c.set("x", std::string(v));
+        EXPECT_THROW(c.getDouble("x", 0), sim::FatalError) << v;
+    }
 }
 
 TEST(Config, BoolSpellings)

@@ -62,7 +62,7 @@ TEST(ContendedSwitch, SavesSerializeOnTheTransferEngine)
     DeviceRig rig("ppq_excl", "context_switch", contendedConfig());
     PreemptionProbe probe;
     probe.sim = &rig.sim;
-    rig.framework.setObserver(&probe);
+    rig.framework.addObserver(&probe);
 
     // Occupancy 4 (512 threads/TB), 16 KiB of regs per TB ->
     // 64 KiB of context per SM.
@@ -97,7 +97,7 @@ TEST(ContendedSwitch, SaveQueuesBehindWorkloadCopy)
     DeviceRig rig("ppq_excl", "context_switch", contendedConfig());
     PreemptionProbe probe;
     probe.sim = &rig.sim;
-    rig.framework.setObserver(&probe);
+    rig.framework.addObserver(&probe);
 
     auto lo = test::makeProfile("lo", 2000, 1000.0, 4096, 0, 512);
     auto hi = test::makeProfile("hi", 13, 1.0, 4096, 0, 2048);

@@ -457,8 +457,19 @@ TEST(ExecFlags, ParallelismFlagsRejectNonPositiveValues)
                  sim::FatalError);
     EXPECT_THROW(argsFor("--workers=-3").flagPositiveInt("workers", 0),
                  sim::FatalError);
-    EXPECT_THROW(argsFor("--shards=zap").flagPositiveInt("shards", 1),
+    EXPECT_THROW(argsFor("--jobs=zap").flagPositiveInt("jobs", 1),
                  sim::FatalError);
+    // Oversized values must not wrap when narrowed to int.
+    EXPECT_THROW(argsFor("--jobs=4294967297").flagPositiveInt("jobs", 1),
+                 sim::FatalError);
+    EXPECT_THROW(
+        argsFor("--workers=2147483648").flagPositiveInt("workers", 0),
+        sim::FatalError);
+    EXPECT_THROW(argsFor("--jobs=99999999999999999999")
+                     .flagPositiveInt("jobs", 1),
+                 sim::FatalError);
+    EXPECT_EQ(argsFor("--workers=2147483647").flagPositiveInt("workers", 0),
+              2147483647);
     EXPECT_EQ(argsFor("--jobs=8").flagPositiveInt("jobs", 1), 8);
     // Absent flag: default passes through unvalidated (0 means "off"
     // for --workers).

@@ -24,9 +24,9 @@ struct OrderProbe : core::EngineObserver
     {
         starts.emplace_back(k.profile().kernel, sim->now());
     }
-    void kernelFinished(const gpu::KernelExec &k) override
+    void kernelFinished(const gpu::KernelExec &k, sim::SimTime now) override
     {
-        finishes.emplace_back(k.profile().kernel, sim->now());
+        finishes.emplace_back(k.profile().kernel, now);
     }
 };
 
@@ -37,7 +37,7 @@ TEST(Fcfs, ArrivalOrderAcrossContexts)
     DeviceRig rig("fcfs", "context_switch");
     OrderProbe probe;
     probe.sim = &rig.sim;
-    rig.framework.setObserver(&probe);
+    rig.framework.addObserver(&probe);
 
     auto k1 = test::makeProfile("k1", 260, 50.0);
     auto k2 = test::makeProfile("k2", 26, 10.0);
@@ -74,7 +74,7 @@ TEST(Fcfs, PriorityDoesNotReorder)
     DeviceRig rig("fcfs", "context_switch");
     OrderProbe probe;
     probe.sim = &rig.sim;
-    rig.framework.setObserver(&probe);
+    rig.framework.addObserver(&probe);
     auto k1 = test::makeProfile("k1", 130, 20.0);
     auto k2 = test::makeProfile("k2", 13, 5.0);
     rig.launch(rig.queueFor(0), &k1, 0);
@@ -93,7 +93,7 @@ TEST(Fcfs, BackToBackWithinContext)
     DeviceRig rig("fcfs", "context_switch");
     OrderProbe probe;
     probe.sim = &rig.sim;
-    rig.framework.setObserver(&probe);
+    rig.framework.addObserver(&probe);
 
     auto k1 = test::makeProfile("k1", 6 * 16, 100.0); // 6 SMs
     auto k2 = test::makeProfile("k2", 4 * 16, 100.0); // 4 SMs
@@ -114,7 +114,7 @@ TEST(Fcfs, HeadOfLineBlocksOtherContextEvenWithIdleSms)
     DeviceRig rig("fcfs", "context_switch");
     OrderProbe probe;
     probe.sim = &rig.sim;
-    rig.framework.setObserver(&probe);
+    rig.framework.addObserver(&probe);
 
     auto k1 = test::makeProfile("k1", 3 * 16, 100.0); // 3 SMs
     auto k2 = test::makeProfile("k2", 16, 10.0);      // 1 SM

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "core/tables.hh"
 #include "sim/logging.hh"
@@ -163,36 +165,93 @@ TEST(Framework, PtbqOverflowPanics)
 
 TEST(Framework, ObserverSeesLifecycle)
 {
+    // Two observers append to one shared log: every hook site must
+    // notify both, the first-registered one first.
+    struct Entry
+    {
+        int observer;
+        std::string event;
+        sim::SimTime now;
+    };
     struct Obs : core::EngineObserver
     {
+        Obs(int id, std::vector<Entry> &log, sim::Simulation &sim)
+            : id(id), log(&log), sim(&sim)
+        {
+        }
+        int id;
+        std::vector<Entry> *log;
+        sim::Simulation *sim;
         int admitted = 0, started = 0, finished = 0, assigned = 0;
+        std::uint64_t tbs = 0;
+        sim::SimTime finishedAt = -1;
+
+        void note(const char *event)
+        {
+            log->push_back({id, event, sim->now()});
+        }
         void kernelAdmitted(const gpu::KernelExec &) override
         {
             ++admitted;
+            note("admitted");
         }
         void kernelStarted(const gpu::KernelExec &) override
         {
             ++started;
-        }
-        void kernelFinished(const gpu::KernelExec &) override
-        {
-            ++finished;
+            note("started");
         }
         void smAssigned(const gpu::Sm &, const gpu::KernelExec &) override
         {
             ++assigned;
+            note("assigned");
         }
-    } obs;
+        void tbCompleted(const gpu::Sm &, const gpu::KernelExec &,
+                         sim::SimTime, sim::SimTime) override
+        {
+            ++tbs;
+            note("tb");
+        }
+        void kernelFinished(const gpu::KernelExec &,
+                            sim::SimTime now) override
+        {
+            ++finished;
+            finishedAt = now;
+            note("finished");
+        }
+    };
 
     DeviceRig rig;
-    rig.framework.setObserver(&obs);
+    std::vector<Entry> log;
+    Obs first(0, log, rig.sim);
+    Obs second(1, log, rig.sim);
+    rig.framework.addObserver(&first);
+    rig.framework.addObserver(&second);
     auto k = test::makeProfile("k", 40, 10.0);
-    rig.launch(rig.queueFor(0), &k);
+    sim::SimTime completed_at = -1;
+    auto cmd = gpu::Command::makeKernel(0, 0, &k);
+    cmd->onComplete = [&] { completed_at = rig.sim.now(); };
+    rig.dispatcher.enqueue(rig.queueFor(0), cmd);
     rig.run();
-    EXPECT_EQ(obs.admitted, 1);
-    EXPECT_EQ(obs.started, 1);
-    EXPECT_EQ(obs.finished, 1);
-    EXPECT_EQ(obs.assigned, 3);
+
+    ASSERT_EQ(rig.framework.tbsCompleted(), 40u);
+    ASSERT_GT(completed_at, 0);
+    for (const Obs *obs : {&first, &second}) {
+        EXPECT_EQ(obs->admitted, 1);
+        EXPECT_EQ(obs->started, 1);
+        EXPECT_EQ(obs->finished, 1);
+        EXPECT_EQ(obs->assigned, 3);
+        EXPECT_EQ(obs->tbs, rig.framework.tbsCompleted());
+        EXPECT_EQ(obs->finishedAt, completed_at);
+    }
+    // Registration order: each event appears as a (first, second)
+    // pair of adjacent entries.
+    ASSERT_EQ(log.size(), 2u * (1 + 1 + 3 + 40 + 1));
+    for (std::size_t i = 0; i < log.size(); i += 2) {
+        EXPECT_EQ(log[i].observer, 0) << i;
+        EXPECT_EQ(log[i + 1].observer, 1) << i;
+        EXPECT_EQ(log[i].event, log[i + 1].event) << i;
+        EXPECT_EQ(log[i].now, log[i + 1].now) << i;
+    }
 }
 
 TEST(Framework, SetupLatencySkippedForSameContext)

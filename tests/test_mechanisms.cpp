@@ -47,7 +47,7 @@ TEST(ContextSwitch, SaveLatencyMatchesContextSize)
     DeviceRig rig("ppq_excl", "context_switch");
     PreemptionProbe probe;
     probe.sim = &rig.sim;
-    rig.framework.setObserver(&probe);
+    rig.framework.addObserver(&probe);
 
     // lo: occupancy 4 (512 threads/TB), 16 KiB of regs per TB ->
     // context = 4 TBs * 4096 regs * 4 B = 64 KiB per SM.
@@ -134,7 +134,7 @@ TEST(Draining, LatencyBoundedByResidentRemainder)
     DeviceRig rig("ppq_excl", "draining");
     PreemptionProbe probe;
     probe.sim = &rig.sim;
-    rig.framework.setObserver(&probe);
+    rig.framework.addObserver(&probe);
 
     auto lo = test::makeProfile("lo", 2000, 50.0);
     auto hi = test::makeProfile("hi", 13, 1.0);
@@ -339,7 +339,7 @@ TEST(Mechanisms, ContextSwitchBeatsDrainingForLongTbs)
         DeviceRig rig("ppq_excl", mech);
         PreemptionProbe probe;
         probe.sim = &rig.sim;
-        rig.framework.setObserver(&probe);
+        rig.framework.addObserver(&probe);
         // sgemm-like: 98.56 us TBs, low register use.
         auto lo = test::makeProfile("lo", 2000, 98.56, 4480, 512, 128);
         auto hi = test::makeProfile("hi", 13, 1.0);

@@ -1,8 +1,7 @@
 /**
  * Tests of the predict/ subsystem: the online runtime predictor, the
  * BORE-style burst estimator, and the measurement-fed registrants
- * (pred_adaptive, bore_burst) built on the completion-observation
- * hook.
+ * (pred_adaptive, bore_burst) built on the engine observer hooks.
  */
 
 #include <gtest/gtest.h>
@@ -42,7 +41,8 @@ fatalMessageOf(Fn &&fn)
     return "";
 }
 
-/** A synthetic (Sm, KernelExec) pair for driving observeTb directly. */
+/** A synthetic (Sm, KernelExec) pair for driving the observer hooks
+ *  directly. */
 struct ObservationRig
 {
     trace::KernelProfile profile;
@@ -68,8 +68,17 @@ struct ObservationRig
         for (int i = 0; i < n; ++i) {
             sim::SimTime begin = t;
             t += sim::microseconds(service_us);
-            pred.observeTb(sm, kernel, begin, t);
+            pred.tbCompleted(sm, kernel, begin, t);
         }
+    }
+
+    /** Report the kernel's grid finished at @p now after its first TB
+     *  issued at @p first_issued. */
+    void finish(predict::BurstEstimator &b, sim::SimTime first_issued,
+                sim::SimTime now)
+    {
+        kernel.firstIssuedAt = first_issued;
+        b.kernelFinished(kernel, now);
     }
 };
 
@@ -165,7 +174,7 @@ TEST(Burst, BinaryShiftSmoothingAndLog2Bucketing)
     ObservationRig rig(10.0);
     EXPECT_EQ(b.burstScore(0, 0), 0) << "unobserved contexts score 0";
 
-    b.observeKernel(rig.kernel, 0, sim::microseconds(1000.0));
+    rig.finish(b, 0, sim::microseconds(1000.0));
     EXPECT_DOUBLE_EQ(b.avgBurstUs(0), 1000.0);
     EXPECT_EQ(b.burstScore(0, sim::microseconds(1000.0)),
               static_cast<int>(std::floor(std::log2(1001.0))));
@@ -173,9 +182,8 @@ TEST(Burst, BinaryShiftSmoothingAndLog2Bucketing)
     // smoothness 2: each observation moves the average by 1/4 of the
     // error (bore.c's shift smoothing).
     predict::BurstEstimator s2(2, 30, 1000.0);
-    s2.observeKernel(rig.kernel, 0, sim::microseconds(100.0));
-    s2.observeKernel(rig.kernel, sim::microseconds(100.0),
-                     sim::microseconds(300.0));
+    rig.finish(s2, 0, sim::microseconds(100.0));
+    rig.finish(s2, sim::microseconds(100.0), sim::microseconds(300.0));
     EXPECT_DOUBLE_EQ(s2.avgBurstUs(0), 100.0 + (200.0 - 100.0) / 4.0);
     EXPECT_EQ(s2.observations(), 2u);
 }
@@ -188,7 +196,7 @@ TEST(Burst, ScoreDecaysWhileIdleAndIsCapped)
     // A 1000 us burst: raw bucket floor(log2(1001)) = 9, then one
     // bucket back per 100 us of idleness, down to zero.
     const sim::SimTime done = sim::microseconds(1000.0);
-    b.observeKernel(rig.kernel, 0, done);
+    rig.finish(b, 0, done);
     EXPECT_EQ(b.burstScore(0, done), 9);
     EXPECT_EQ(b.burstScore(0, done + sim::microseconds(100.0)), 8);
     EXPECT_EQ(b.burstScore(0, done + sim::microseconds(250.0)), 7);
@@ -197,7 +205,7 @@ TEST(Burst, ScoreDecaysWhileIdleAndIsCapped)
     // The cap bounds the demotion of a runaway burst: a ~1 s burst
     // (raw bucket 19) scores max_score, not 19.
     predict::BurstEstimator capped(0, /*max_score=*/5, 100.0);
-    capped.observeKernel(rig.kernel, 0, sim::microseconds(1e6));
+    rig.finish(capped, 0, sim::microseconds(1e6));
     EXPECT_EQ(capped.burstScore(0, sim::microseconds(1e6)), 5);
 }
 
@@ -253,17 +261,17 @@ TEST(PredAdaptive, WarmModelDrainsWhenPredictedDrainIsCheap)
 
 TEST(PredAdaptive, ObservationHookDoesNotPerturbTheSchedule)
 {
-    // The completion-observer dispatch sits on the TB fast path; a
-    // run with a registered no-op observer (and one with the full
-    // predictor attached to a mechanism that is never asked to
-    // preempt) must be cycle-identical to the unobserved run.
+    // The observer dispatch sits on the TB fast path; a run with a
+    // registered no-op observer (and one with the full predictor
+    // attached to a mechanism that is never asked to preempt) must be
+    // cycle-identical to the unobserved run.
     auto timeline = [](bool with_observer) {
         DeviceRig rig("fcfs", "context_switch");
-        predict::CompletionObserver noop;
+        core::EngineObserver noop;
         predict::RuntimePredictor pred(0.25);
         if (with_observer) {
-            rig.framework.addCompletionObserver(&noop);
-            rig.framework.addCompletionObserver(&pred);
+            rig.framework.addObserver(&noop);
+            rig.framework.addObserver(&pred);
         }
         auto a = test::makeProfile("a", 64, 7.0);
         auto b = test::makeProfile("b", 64, 3.0);
@@ -275,15 +283,15 @@ TEST(PredAdaptive, ObservationHookDoesNotPerturbTheSchedule)
     EXPECT_EQ(timeline(false), timeline(true));
 }
 
-TEST(PredAdaptive, DecisionsAreDeterministicAcrossJobsAndShards)
+TEST(PredAdaptive, DecisionsAreDeterministicAcrossJobs)
 {
     // The predictor feeds on the completion stream, which is
     // deterministic per run; the whole pred_adaptive sweep must be
-    // bit-identical for any --jobs/--shards partitioning.
+    // bit-identical for any --jobs partitioning.
     sim::Config cfg;
     cfg.set("gpu.tb_time_cv", 0.25);
 
-    auto sweep = [&](int jobs, int shards) {
+    auto sweep = [&](int jobs) {
         harness::Suite suite("pred");
         suite.sizes({2, 4})
             .uniform(/*count=*/2, /*base_seed=*/20140614)
@@ -291,19 +299,16 @@ TEST(PredAdaptive, DecisionsAreDeterministicAcrossJobsAndShards)
             .scheme("DSS-Pred", {"dss", "pred_adaptive", "fcfs"});
         harness::Batch batch = suite.build();
         harness::Runner runner(cfg, jobs);
-        runner.setRunShards(shards);
         return runner.run(batch.requests);
     };
 
-    auto base = sweep(1, 1);
-    for (auto [jobs, shards] : {std::pair<int, int>{2, 1},
-                                {1, 2},
-                                {2, 4}}) {
-        auto other = sweep(jobs, shards);
+    auto base = sweep(1);
+    for (int jobs : {2, 4}) {
+        auto other = sweep(jobs);
         ASSERT_EQ(base.size(), other.size());
         for (std::size_t i = 0; i < base.size(); ++i) {
             EXPECT_EQ(base[i].metrics.antt, other[i].metrics.antt)
-                << jobs << "x" << shards;
+                << jobs;
             EXPECT_EQ(base[i].metrics.stp, other[i].metrics.stp);
             EXPECT_EQ(base[i].metrics.ntt, other[i].metrics.ntt);
             EXPECT_EQ(base[i].sys.eventsExecuted,
@@ -373,6 +378,23 @@ TEST(Registry, PredictTunablesValidatedWithDidYouMean)
     badd.set("bore.decay_us", 0.0);
     EXPECT_THROW(core::makePolicy("bore_burst", badd),
                  sim::FatalError);
+    // A nan alpha is a user error (fatal naming the key), not an
+    // internal assertion.
+    sim::Config nan_alpha;
+    nan_alpha.set("pred.ewma_alpha", std::string("nan"));
+    std::string nmsg = fatalMessageOf(
+        [&] { core::makeMechanism("pred_adaptive", nan_alpha); });
+    EXPECT_NE(nmsg.find("pred.ewma_alpha"), std::string::npos) << nmsg;
+    // The shift count must not wrap: 63 is out of range for an int64
+    // shift, and 2^32 + 2 must not narrow to 2.
+    for (std::int64_t s : {std::int64_t{63}, std::int64_t{4294967298}}) {
+        sim::Config bads;
+        bads.set("bore.smoothness", s);
+        std::string smsg = fatalMessageOf(
+            [&] { core::makePolicy("bore_burst", bads); });
+        EXPECT_NE(smsg.find("bore.smoothness"), std::string::npos)
+            << s << ": " << smsg;
+    }
 }
 
 TEST(Registry, MeasurementSchemesAssembleThroughSystemSpec)

@@ -25,9 +25,9 @@ struct OrderProbe : core::EngineObserver
     {
         starts.emplace_back(k.profile().kernel, sim->now());
     }
-    void kernelFinished(const gpu::KernelExec &k) override
+    void kernelFinished(const gpu::KernelExec &k, sim::SimTime now) override
     {
-        finishes.emplace_back(k.profile().kernel, sim->now());
+        finishes.emplace_back(k.profile().kernel, now);
     }
     sim::SimTime startOf(const std::string &name) const
     {
@@ -56,7 +56,7 @@ TEST(Npq, ReordersByPriorityWithoutPreempting)
     DeviceRig rig("npq", "context_switch");
     OrderProbe probe;
     probe.sim = &rig.sim;
-    rig.framework.setObserver(&probe);
+    rig.framework.addObserver(&probe);
 
     auto k1 = test::makeProfile("K1", 260, 50.0);
     auto k2 = test::makeProfile("K2", 130, 20.0);
@@ -82,7 +82,7 @@ TEST(Npq, TwoProcessCaseDegeneratesToFcfs)
     DeviceRig rig("npq", "context_switch");
     OrderProbe probe;
     probe.sim = &rig.sim;
-    rig.framework.setObserver(&probe);
+    rig.framework.addObserver(&probe);
     auto k1 = test::makeProfile("K1", 130, 50.0);
     auto k3 = test::makeProfile("K3", 26, 10.0);
     rig.launch(rig.queueFor(0), &k1, 0);
@@ -99,7 +99,7 @@ TEST(Ppq, PreemptsRunningLowPriorityKernel)
         DeviceRig rig(policy, "context_switch");
         OrderProbe probe;
         probe.sim = &rig.sim;
-        rig.framework.setObserver(&probe);
+        rig.framework.addObserver(&probe);
         auto k1 = test::makeProfile("K1", 520, 50.0);
         auto k3 = test::makeProfile("K3", 26, 10.0);
         rig.launch(rig.queueFor(0), &k1, 0);
@@ -123,7 +123,7 @@ TEST(Ppq, ExclusiveModeBlocksBackfilling)
     DeviceRig rig("ppq_excl", "context_switch");
     OrderProbe probe;
     probe.sim = &rig.sim;
-    rig.framework.setObserver(&probe);
+    rig.framework.addObserver(&probe);
 
     // hi uses only 1 SM (16 TBs, occupancy 16) and runs long.
     auto hi = test::makeProfile("hi", 16, 500.0);
@@ -142,7 +142,7 @@ TEST(Ppq, SharedModeBackfillsIdleSms)
     DeviceRig rig("ppq_shared", "context_switch");
     OrderProbe probe;
     probe.sim = &rig.sim;
-    rig.framework.setObserver(&probe);
+    rig.framework.addObserver(&probe);
 
     auto hi = test::makeProfile("hi", 16, 500.0);
     auto lo = test::makeProfile("lo", 16, 10.0);
@@ -202,7 +202,7 @@ TEST(Ppq, WorksWithDrainingMechanism)
     DeviceRig rig("ppq_excl", "draining");
     OrderProbe probe;
     probe.sim = &rig.sim;
-    rig.framework.setObserver(&probe);
+    rig.framework.addObserver(&probe);
     auto lo = test::makeProfile("lo", 520, 50.0);
     auto hi = test::makeProfile("hi", 26, 10.0);
     rig.launch(rig.queueFor(0), &lo, 0);
@@ -221,7 +221,7 @@ TEST(Ppq, ThreePriorityLevelsStack)
     DeviceRig rig("ppq_excl", "context_switch");
     OrderProbe probe;
     probe.sim = &rig.sim;
-    rig.framework.setObserver(&probe);
+    rig.framework.addObserver(&probe);
     auto low = test::makeProfile("low", 260, 50.0);
     auto mid = test::makeProfile("mid", 130, 20.0);
     auto top = test::makeProfile("top", 26, 5.0);
@@ -252,7 +252,7 @@ TEST(PpqAging, BoundsLowPriorityStarvation)
         DeviceRig rig(policy, "context_switch", std::move(cfg));
         OrderProbe probe;
         probe.sim = &rig.sim;
-        rig.framework.setObserver(&probe);
+        rig.framework.addObserver(&probe);
         auto hog = test::makeProfile("hog", 2000, 50.0);
         auto lo = test::makeProfile("lo", 13, 10.0);
         rig.launch(rig.queueFor(0), &hog, 9);

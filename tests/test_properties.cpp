@@ -54,7 +54,7 @@ TEST_P(PolicyMechanismSweep, ConservationAndCompletion)
     DeviceRig rig(policy, mechanism, sim::Config(), seed);
     InvariantProbe probe;
     probe.fw = &rig.framework;
-    rig.framework.setObserver(&probe);
+    rig.framework.addObserver(&probe);
 
     sim::Rng rng(seed);
     std::vector<trace::KernelProfile> profiles;

@@ -255,89 +255,6 @@ TEST(Runner, GoldenFig5QuickAggregatePinned)
     EXPECT_NEAR(avg, kGolden, 1e-9) << "pinned fig5 aggregate moved";
 }
 
-TEST(Runner, IntraRunShardingBitIdenticalForAnyShardCount)
-{
-    // One multiprogrammed plan whose isolated-baseline replays are
-    // computed serially (shards = 1) vs. on 2 and 4 shard workers
-    // concurrently with the run: every RunResult stream must be
-    // identical (wall-clock telemetry excluded by contract).
-    workload::WorkloadPlan plan;
-    plan.benchmarks = {"sgemm", "histo", "spmv", "mri-q"};
-    plan.seed = 20140614;
-
-    RunRequest req;
-    req.plan = plan;
-    req.scheme = {"dss", "context_switch", "fcfs"};
-    req.minReplays = 2;
-
-    RunResult baseline;
-    bool have_baseline = false;
-    for (int shards : {1, 2, 4}) {
-        Runner runner;
-        runner.setRunShards(shards);
-        EXPECT_EQ(runner.runShards(), shards);
-        RunResult res = runner.runOne(req);
-        // Each distinct benchmark's baseline computed exactly once,
-        // regardless of how many workers raced for it.
-        EXPECT_EQ(runner.baselines().computations(),
-                  plan.benchmarks.size());
-        if (!have_baseline) {
-            baseline = res;
-            have_baseline = true;
-            continue;
-        }
-        EXPECT_EQ(baseline.metrics.antt, res.metrics.antt) << shards;
-        EXPECT_EQ(baseline.metrics.stp, res.metrics.stp) << shards;
-        EXPECT_EQ(baseline.metrics.ntt, res.metrics.ntt) << shards;
-        EXPECT_EQ(baseline.metrics.fairness, res.metrics.fairness)
-            << shards;
-        EXPECT_EQ(baseline.isolatedUs, res.isolatedUs) << shards;
-        EXPECT_EQ(baseline.sys.meanTurnaroundUs,
-                  res.sys.meanTurnaroundUs)
-            << shards;
-        EXPECT_EQ(baseline.sys.endTime, res.sys.endTime) << shards;
-        EXPECT_EQ(baseline.sys.eventsExecuted, res.sys.eventsExecuted)
-            << shards;
-        EXPECT_EQ(baseline.sys.preemptions, res.sys.preemptions)
-            << shards;
-        ASSERT_EQ(baseline.sys.runs.size(), res.sys.runs.size());
-        for (std::size_t p = 0; p < baseline.sys.runs.size(); ++p) {
-            ASSERT_EQ(baseline.sys.runs[p].size(),
-                      res.sys.runs[p].size());
-            for (std::size_t i = 0; i < baseline.sys.runs[p].size();
-                 ++i) {
-                EXPECT_EQ(baseline.sys.runs[p][i].start,
-                          res.sys.runs[p][i].start);
-                EXPECT_EQ(baseline.sys.runs[p][i].end,
-                          res.sys.runs[p][i].end);
-            }
-        }
-    }
-}
-
-TEST(Runner, ShardingComposesWithParallelBatches)
-{
-    // --jobs and --shards together: batch-level and intra-run
-    // parallelism compose without perturbing results.
-    Batch batch = smallGrid();
-
-    Runner serial(sim::Config(), /*jobs=*/1);
-    auto expected = serial.run(batch.requests);
-
-    Runner sharded(sim::Config(), /*jobs=*/2);
-    sharded.setRunShards(2);
-    auto actual = sharded.run(batch.requests);
-
-    ASSERT_EQ(expected.size(), actual.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(expected[i].metrics.antt, actual[i].metrics.antt);
-        EXPECT_EQ(expected[i].metrics.ntt, actual[i].metrics.ntt);
-        EXPECT_EQ(expected[i].isolatedUs, actual[i].isolatedUs);
-        EXPECT_EQ(expected[i].sys.eventsExecuted,
-                  actual[i].sys.eventsExecuted);
-    }
-}
-
 TEST(Suite, AllSchemesSpansTheRegistryCrossProduct)
 {
     // No manual linkBuiltin* calls: allSchemes() itself must make the

@@ -30,9 +30,9 @@ struct SpanProbe : core::EngineObserver
     {
         starts.emplace_back(k.profile().kernel, sim->now());
     }
-    void kernelFinished(const gpu::KernelExec &k) override
+    void kernelFinished(const gpu::KernelExec &k, sim::SimTime now) override
     {
-        finishes.emplace_back(k.profile().kernel, sim->now());
+        finishes.emplace_back(k.profile().kernel, now);
     }
     sim::SimTime startOf(const std::string &n) const
     {
@@ -58,7 +58,7 @@ figure2Latency(const std::string &policy)
     DeviceRig rig(policy, "context_switch");
     SpanProbe probe;
     probe.sim = &rig.sim;
-    rig.framework.setObserver(&probe);
+    rig.framework.addObserver(&probe);
 
     static auto k1 = test::makeProfile("K1", 13 * 16 * 16, 25.0);
     static auto k2 = test::makeProfile("K2", 13 * 16 * 8, 25.0);
@@ -137,7 +137,7 @@ TEST(Scenarios, StreamOrdersAcrossEngines)
     DeviceRig rig;
     SpanProbe probe;
     probe.sim = &rig.sim;
-    rig.framework.setObserver(&probe);
+    rig.framework.addObserver(&probe);
 
     auto *q = rig.queueFor(0);
     sim::SimTime copy_done = -1;
@@ -162,7 +162,7 @@ TEST(Scenarios, IndependentQueuesDoNotOrder)
     DeviceRig rig;
     SpanProbe probe;
     probe.sim = &rig.sim;
-    rig.framework.setObserver(&probe);
+    rig.framework.addObserver(&probe);
 
     auto copy = gpu::Command::makeMemcpy(
         0, 0, gpu::Command::Kind::MemcpyH2D, 16 << 20);

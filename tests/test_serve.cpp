@@ -1,7 +1,7 @@
 /**
  * Integration tests for the cloud-serving layer: open-loop request
  * semantics (latency vs service time, backlog, admission drops),
- * timeline determinism through the Runner under --jobs x --shards,
+ * timeline determinism through the Runner under --jobs,
  * the overload ordering the subsystem exists to show (preemptive
  * prioritization beats FCFS on latency-class p99), a pinned golden,
  * and the serving fields of the results JSONL.
@@ -164,7 +164,7 @@ TEST(ServeScenario, TimelinesRegenerateBitIdentically)
     EXPECT_EQ(sys_a.arrivalSchedules, sys_b.arrivalSchedules);
 }
 
-TEST(ServeRunner, JobsAndShardsAreBitIdentical)
+TEST(ServeRunner, JobsAreBitIdentical)
 {
     harness::Batch batch = contendedBatch();
 
@@ -172,7 +172,6 @@ TEST(ServeRunner, JobsAndShardsAreBitIdentical)
     auto base = serial.run(batch.requests);
 
     harness::Runner parallel(sim::Config(), /*jobs=*/4);
-    parallel.setRunShards(2);
     auto par = parallel.run(batch.requests);
 
     ASSERT_EQ(base.size(), par.size());
