@@ -78,12 +78,9 @@ struct BenchOptions
             o.replays = 2;
         }
         o.sizes = args.flagIntList("sizes", o.sizes);
-        o.perBench = static_cast<int>(
-            args.flagInt("per-bench", o.perBench));
-        o.workloads = static_cast<int>(
-            args.flagInt("workloads", o.workloads));
-        o.replays =
-            static_cast<int>(args.flagInt("replays", o.replays));
+        o.perBench = args.flagInt32("per-bench", o.perBench);
+        o.workloads = args.flagInt32("workloads", o.workloads);
+        o.replays = args.flagInt32("replays", o.replays);
         o.seed = static_cast<std::uint64_t>(
             args.flagInt("seed", static_cast<std::int64_t>(o.seed)));
         o.csv = args.hasFlag("csv");

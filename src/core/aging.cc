@@ -189,9 +189,8 @@ namespace {
                                            500.0);
         if (interval_us <= 0)
             sim::fatal("ppq_aging.interval_us must be positive");
-        int step = static_cast<int>(cfg.getInt("ppq_aging.step", 1));
-        int max_boost =
-            static_cast<int>(cfg.getInt("ppq_aging.max_boost", 1000));
+        int step = cfg.getInt32("ppq_aging.step", 1);
+        int max_boost = cfg.getInt32("ppq_aging.max_boost", 1000);
         if (step < 0 || max_boost < 0)
             sim::fatal("ppq_aging.step and ppq_aging.max_boost must "
                        "be >= 0");

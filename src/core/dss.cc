@@ -243,9 +243,8 @@ namespace {
         }
     };
     d.factory = [](const sim::Config &cfg) {
-        int tokens = static_cast<int>(
-            cfg.getInt("dss.tokens_per_kernel", 1));
-        int bonus = static_cast<int>(cfg.getInt("dss.bonus_tokens", 0));
+        int tokens = cfg.getInt32("dss.tokens_per_kernel", 1);
+        int bonus = cfg.getInt32("dss.bonus_tokens", 0);
         bool retarget = cfg.getBool("dss.retarget", true);
         bool weighted = cfg.getBool("dss.weight_by_priority", false);
         return std::make_unique<DssPolicy>(tokens, bonus, retarget,

@@ -60,8 +60,7 @@ namespace {
          "must be > 0"},
     };
     d.factory = [](const sim::Config &cfg) {
-        int lookahead =
-            static_cast<int>(cfg.getInt("proactive_mem.lookahead", 16));
+        int lookahead = cfg.getInt32("proactive_mem.lookahead", 16);
         if (lookahead <= 0)
             sim::fatal("proactive_mem.lookahead must be > 0");
         return std::make_unique<ProactiveMemMechanism>(lookahead);

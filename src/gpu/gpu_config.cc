@@ -11,19 +11,15 @@ GpuParams
 GpuParams::fromConfig(const sim::Config &cfg)
 {
     GpuParams p;
-    p.numSms = static_cast<int>(cfg.getInt("gpu.num_sms", p.numSms));
+    p.numSms = cfg.getInt32("gpu.num_sms", p.numSms);
     p.clockGhz = cfg.getDouble("gpu.clock_ghz", p.clockGhz);
     p.pipelinesPerSm =
-        static_cast<int>(cfg.getInt("gpu.pipelines_per_sm",
-                                    p.pipelinesPerSm));
-    p.regsPerSm =
-        static_cast<int>(cfg.getInt("gpu.regs_per_sm", p.regsPerSm));
+        cfg.getInt32("gpu.pipelines_per_sm", p.pipelinesPerSm);
+    p.regsPerSm = cfg.getInt32("gpu.regs_per_sm", p.regsPerSm);
     p.maxThreadsPerSm =
-        static_cast<int>(cfg.getInt("gpu.max_threads_per_sm",
-                                    p.maxThreadsPerSm));
+        cfg.getInt32("gpu.max_threads_per_sm", p.maxThreadsPerSm);
     p.maxTbSlotsPerSm =
-        static_cast<int>(cfg.getInt("gpu.max_tb_slots_per_sm",
-                                    p.maxTbSlotsPerSm));
+        cfg.getInt32("gpu.max_tb_slots_per_sm", p.maxTbSlotsPerSm);
     p.smSetupLatency = sim::microseconds(
         cfg.getDouble("gpu.sm_setup_us",
                       sim::toMicroseconds(p.smSetupLatency)));
@@ -37,8 +33,7 @@ GpuParams::fromConfig(const sim::Config &cfg)
         cfg.getDouble("gpu.command_submit_us",
                       sim::toMicroseconds(p.commandSubmitLatency)));
     p.tbTimeCv = cfg.getDouble("gpu.tb_time_cv", p.tbTimeCv);
-    p.numHwQueues =
-        static_cast<int>(cfg.getInt("gpu.num_hw_queues", p.numHwQueues));
+    p.numHwQueues = cfg.getInt32("gpu.num_hw_queues", p.numHwQueues);
 
     if (p.numSms <= 0 || p.regsPerSm <= 0 || p.maxThreadsPerSm <= 0 ||
         p.maxTbSlotsPerSm <= 0 || p.numHwQueues <= 0) {

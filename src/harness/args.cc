@@ -104,6 +104,19 @@ Args::flagInt(const std::string &name, std::int64_t def) const
     return static_cast<std::int64_t>(v);
 }
 
+std::int32_t
+Args::flagInt32(const std::string &name, std::int32_t def) const
+{
+    // flagInt saturates on overflow, so the range check catches it.
+    std::int64_t v = flagInt(name, def);
+    if (v < std::numeric_limits<std::int32_t>::min() ||
+        v > std::numeric_limits<std::int32_t>::max())
+        sim::fatal("flag --%s value %lld is outside the 32-bit integer "
+                   "range",
+                   name.c_str(), static_cast<long long>(v));
+    return static_cast<std::int32_t>(v);
+}
+
 int
 Args::flagPositiveInt(const std::string &name, int def) const
 {
@@ -143,6 +156,11 @@ Args::flagIntList(const std::string &name, std::vector<int> def) const
                        "list, got '%s'",
                        name.c_str(), v.c_str());
         }
+        // strtoll saturates on overflow, so the int bounds catch it.
+        if (n < std::numeric_limits<int>::min() ||
+            n > std::numeric_limits<int>::max())
+            sim::fatal("flag --%s item '%s' is outside the int range",
+                       name.c_str(), item.c_str());
         out.push_back(static_cast<int>(n));
         if (comma == std::string::npos)
             break;

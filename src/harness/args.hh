@@ -46,12 +46,17 @@ class Args
     std::string flag(const std::string &name,
                      const std::string &def) const;
     std::int64_t flagInt(const std::string &name, std::int64_t def) const;
+    /** flagInt for values held in 32 bits: anything outside the
+     *  std::int32_t range is fatal instead of wrapping. */
+    std::int32_t flagInt32(const std::string &name,
+                           std::int32_t def) const;
     /** flagInt that additionally rejects values outside [1, INT_MAX]
      *  — the shared validator for parallelism degrees (--jobs,
      *  --workers), so every bench fails with the same message. */
     int flagPositiveInt(const std::string &name, int def) const;
     double flagDouble(const std::string &name, double def) const;
-    /** Comma-separated integer list, e.g. --sizes=2,4,6,8. */
+    /** Comma-separated integer list, e.g. --sizes=2,4,6,8; an item
+     *  outside the int range is fatal. */
     std::vector<int> flagIntList(const std::string &name,
                                  std::vector<int> def) const;
     /** @} */

@@ -10,7 +10,7 @@ PcieParams::fromConfig(const sim::Config &cfg)
 {
     PcieParams p;
     p.clockHz = cfg.getDouble("pcie.clock_hz", p.clockHz);
-    p.lanes = static_cast<int>(cfg.getInt("pcie.lanes", p.lanes));
+    p.lanes = cfg.getInt32("pcie.lanes", p.lanes);
     p.burstBytes = cfg.getInt("pcie.burst_bytes", p.burstBytes);
     p.bytesPerLanePerClock =
         cfg.getDouble("pcie.bytes_per_lane_per_clock", p.bytesPerLanePerClock);

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "sim/logging.hh"
 
@@ -99,6 +100,18 @@ Config::getInt(const std::string &key, std::int64_t def) const
         fatal("config key '%s' has non-integer value '%s'",
               key.c_str(), it->second.c_str());
     return static_cast<std::int64_t>(v);
+}
+
+std::int32_t
+Config::getInt32(const std::string &key, std::int32_t def) const
+{
+    std::int64_t v = getInt(key, def);
+    if (v < std::numeric_limits<std::int32_t>::min() ||
+        v > std::numeric_limits<std::int32_t>::max())
+        fatal("config key '%s' value %lld is outside the 32-bit "
+              "integer range",
+              key.c_str(), static_cast<long long>(v));
+    return static_cast<std::int32_t>(v);
 }
 
 bool

@@ -64,6 +64,9 @@ class Config
                           const std::string &def) const;
     double getDouble(const std::string &key, double def) const;
     std::int64_t getInt(const std::string &key, std::int64_t def) const;
+    /** getInt for parameters held in 32 bits: a value outside the
+     *  std::int32_t range raises fatal() instead of wrapping. */
+    std::int32_t getInt32(const std::string &key, std::int32_t def) const;
     bool getBool(const std::string &key, bool def) const;
     /** @} */
 

@@ -13,22 +13,7 @@ namespace {
 /** Compaction only pays off once the queue is big enough to matter. */
 constexpr std::size_t compactionMinEntries = 64;
 
-/** Smallest refill chunk. */
-constexpr std::size_t refillMin = 32;
-
-/** Up to this many future entries the refill takes everything in one
- *  sort, skipping the selection passes; typical simulator runs hold
- *  a few dozen live events and always hit this path. */
-constexpr std::size_t smallQueue = 1024;
-
-/** Sorted-insert ceiling for the bottom: beyond this many pending
- *  entries the upper half is spilled back to the future, keeping the
- *  memmove cost of below-boundary scheduling bounded. */
-constexpr std::size_t spillLimit = 256;
-
-constexpr std::uint64_t maxKey = ~0ull;
-
-/** Initial capacity of the slab and both tiers: growing a vector of
+/** Initial capacity of the slab and the heap: growing a vector of
  *  live slots relocates every callback, so start big enough that
  *  typical runs never pay it. */
 constexpr std::size_t initialCapacity = 128;
@@ -38,8 +23,7 @@ constexpr std::size_t initialCapacity = 128;
 EventQueue::EventQueue()
 {
     slots_.reserve(initialCapacity);
-    bottom_.reserve(initialCapacity);
-    future_.reserve(initialCapacity);
+    heap_.reserve(initialCapacity);
 }
 
 std::uint32_t
@@ -102,137 +86,37 @@ EventQueue::compactIfWorthIt()
     if (heapEntries() < compactionMinEntries ||
         deadEntries_ * 2 <= heapEntries())
         return;
-    // Drop the consumed prefix first so only inspectable entries
-    // remain, then filter both tiers.  remove_if keeps the relative
-    // order, so the bottom stays sorted.
-    bottom_.erase(bottom_.begin(),
-                  bottom_.begin() +
-                      static_cast<std::ptrdiff_t>(bottomPos_));
-    bottomPos_ = 0;
-    auto sweep = [this](std::vector<Entry> &entries) {
-        auto live_end = std::remove_if(
-            entries.begin(), entries.end(), [this](const Entry &e) {
-                if (!entryDead(e))
-                    return false;
-                releaseSlot(e.slot);
-                return true;
-            });
-        entries.erase(live_end, entries.end());
-    };
-    sweep(bottom_);
-    sweep(future_);
+    auto live_end = std::remove_if(
+        heap_.begin(), heap_.end(), [this](const Entry &e) {
+            if (!entryDead(e))
+                return false;
+            releaseSlot(e.slot);
+            return true;
+        });
+    heap_.erase(live_end, heap_.end());
+    std::make_heap(heap_.begin(), heap_.end(), FiresAfter());
     deadEntries_ = 0;
 }
 
 void
-EventQueue::insertEntry(const Entry &e)
+EventQueue::popFront()
 {
-    if (!keyBefore(e.keyHi, e.keyLo, boundaryHi_, boundaryLo_)) {
-        future_.push_back(e);
-        return;
-    }
-    auto pos = std::upper_bound(
-        bottom_.begin() + static_cast<std::ptrdiff_t>(bottomPos_),
-        bottom_.end(), e, FiresBefore());
-    auto ins = bottom_.insert(pos, e);
-    // Two-tier ordering: a below-boundary insert must land in sorted
-    // position (its neighbours bracket it).  Catches a comparator or
-    // boundary regression at the insert, not replays later.
-    GPUMP_AUDIT(
-        (ins == bottom_.begin() + static_cast<std::ptrdiff_t>(bottomPos_) ||
-         !keyBefore(e.keyHi, e.keyLo, (ins - 1)->keyHi, (ins - 1)->keyLo)) &&
-            (ins + 1 == bottom_.end() ||
-             !keyBefore((ins + 1)->keyHi, (ins + 1)->keyLo, e.keyHi,
-                        e.keyLo)),
-        "sorted-bottom insert out of order (when=%llu)",
-        static_cast<unsigned long long>(e.keyHi));
-    if (bottom_.size() - bottomPos_ > spillLimit)
-        spillBottom();
-}
-
-void
-EventQueue::spillBottom()
-{
-    // Keep the near half sorted, hand the far half back to the future
-    // and tighten the boundary to the spill point.
-    std::size_t pending = bottom_.size() - bottomPos_;
-    auto mid = bottom_.begin() +
-        static_cast<std::ptrdiff_t>(bottomPos_ + pending / 2);
-    boundaryHi_ = mid->keyHi;
-    boundaryLo_ = mid->keyLo;
-    future_.insert(future_.end(), mid, bottom_.end());
-    bottom_.erase(mid, bottom_.end());
-}
-
-void
-EventQueue::refillBottom()
-{
-    // Move the smallest chunk of the future into the bottom.  Taking
-    // an eighth amortizes the O(n) selection to a constant number of
-    // comparisons per event while keeping the bottom small enough
-    // that below-boundary sorted inserts stay cheap.
-    std::size_t n = future_.size();
-    std::size_t take = n <= smallQueue ? n : std::max(refillMin, n / 8);
-    if (take < n) {
-        std::nth_element(future_.begin(),
-                         future_.begin() +
-                             static_cast<std::ptrdiff_t>(take),
-                         future_.end(), FiresBefore());
-        boundaryHi_ = future_[take].keyHi;
-        boundaryLo_ = future_[take].keyLo;
-    } else {
-        boundaryHi_ = maxKey;
-        boundaryLo_ = maxKey;
-    }
-    bottom_.assign(future_.begin(),
-                   future_.begin() + static_cast<std::ptrdiff_t>(take));
-    future_.erase(future_.begin(),
-                  future_.begin() + static_cast<std::ptrdiff_t>(take));
-    std::sort(bottom_.begin(), bottom_.end(), FiresBefore());
-    bottomPos_ = 0;
-#if GPUMP_AUDIT_ENABLED
-    // Two-tier ordering after a refill: the bottom is sorted and every
-    // entry left in the future belongs at or beyond the new boundary.
-    // O(n) — audit builds trade throughput for machine-checked
-    // structure.
-    for (std::size_t i = 1; i < bottom_.size(); ++i) {
-        GPUMP_AUDIT(!keyBefore(bottom_[i].keyHi, bottom_[i].keyLo,
-                               bottom_[i - 1].keyHi, bottom_[i - 1].keyLo),
-                    "refilled bottom not sorted at index %zu", i);
-    }
-    for (std::size_t i = 0; i < future_.size(); ++i) {
-        GPUMP_AUDIT(!keyBefore(future_[i].keyHi, future_[i].keyLo,
-                               boundaryHi_, boundaryLo_),
-                    "future entry %zu fires below the refill boundary "
-                    "(the bottom would skip it)", i);
-    }
-#endif
+    std::pop_heap(heap_.begin(), heap_.end(), FiresAfter());
+    heap_.pop_back();
 }
 
 const EventQueue::Entry *
 EventQueue::peekFront()
 {
-    for (;;) {
-        if (bottomPos_ < bottom_.size()) {
-            const Entry &e = bottom_[bottomPos_];
-            if (!entryDead(e))
-                return &e;
-            releaseSlot(e.slot);
-            ++bottomPos_;
-            --deadEntries_;
-            continue;
-        }
-        bottom_.clear();
-        bottomPos_ = 0;
-        if (future_.empty()) {
-            // Drained: subsequent schedules sorted-insert into the
-            // bottom directly (and spill if they pile up).
-            boundaryHi_ = maxKey;
-            boundaryLo_ = maxKey;
-            return nullptr;
-        }
-        refillBottom();
+    while (!heap_.empty()) {
+        const Entry &e = heap_.front();
+        if (!entryDead(e))
+            return &e;
+        releaseSlot(e.slot);
+        popFront();
+        --deadEntries_;
     }
+    return nullptr;
 }
 
 EventQueue::Handle
@@ -270,7 +154,14 @@ EventQueue::doSchedule(SimTime when, std::uint64_t seq, Callback &&cb,
              static_cast<std::uint32_t>(priority + priorityBias))
          << 48) |
         seq;
-    insertEntry(Entry{static_cast<std::uint64_t>(when), key_lo, slot, gen});
+    heap_.push_back(
+        Entry{static_cast<std::uint64_t>(when), key_lo, slot, gen});
+    std::push_heap(heap_.begin(), heap_.end(), FiresAfter());
+    // The heap property holds after every push.  O(n) — audit builds
+    // trade throughput for machine-checked structure.
+    GPUMP_AUDIT(std::is_heap(heap_.begin(), heap_.end(), FiresAfter()),
+                "event heap out of order after a push (when=%lld)",
+                static_cast<long long>(when));
     return Handle(this, slot, gen);
 }
 
@@ -293,13 +184,13 @@ EventQueue::step()
     // break: events fire in nondecreasing time order.
     GPUMP_AUDIT(top.when() >= now_,
                 "event fires at %lld but time already reached %lld "
-                "(two-tier ordering violated)",
+                "(firing order violated)",
                 static_cast<long long>(top.when()),
                 static_cast<long long>(now_));
     GPUMP_AUDIT(slots_[top.slot].callback != nullptr,
                 "front entry's slot %u has no callback "
                 "(generation bookkeeping corrupt)", top.slot);
-    ++bottomPos_; // consume before the callback can mutate the queue
+    popFront(); // consume before the callback can mutate the queue
     now_ = top.when();
     ++slots_[top.slot].gen; // the event is no longer pending
     Callback cb = std::move(slots_[top.slot].callback);
@@ -316,10 +207,10 @@ EventQueue::auditCorruptFrontKeyForTest()
     const Entry *front = peekFront();
     GPUMP_ASSERT(front != nullptr,
                  "no pending entry to corrupt for the audit test");
-    // peekFront() leaves the live front at bottom_[bottomPos_]; zero
+    // peekFront() leaves the live front at the top of the heap; zero
     // its firing key so the next step() sees an event "before" the
-    // current time and the two-tier ordering audit trips.
-    bottom_[bottomPos_].keyHi = 0;
+    // current time and the firing-order audit trips.
+    heap_.front().keyHi = 0;
 }
 #endif
 

@@ -205,20 +205,16 @@ class EventCallback
 };
 
 /**
- * Deterministic event queue with O(1) cancellation, amortized
- * O(log n) ordering work per event and bounded dead-entry overhead.
+ * Deterministic event queue with O(1) cancellation, O(log n)
+ * ordering work per event and bounded dead-entry overhead.
  *
  * Internals (see DESIGN.md §5): event callbacks live in a slab of
  * generation-counted slots recycled through a free list; the
- * priority structure holds 24-byte POD entries referencing slots by
- * index.  Instead of a binary heap, entries sit in two tiers — a
- * small sorted "bottom" array popped by index bump and an unsorted
- * "future" buffer refilled from in sorted chunks — trading the
- * pointer-chasing sift loops for sequential selection and sort
- * passes.  Cancellation bumps the slot's generation (invalidating
- * the entry and every outstanding handle); dead entries are skipped
- * when reached, or swept eagerly when they come to outnumber live
- * ones.
+ * priority structure is a binary min-heap of 24-byte POD entries
+ * referencing slots by index.  Cancellation bumps the slot's
+ * generation (invalidating the entry and every outstanding handle);
+ * dead entries are skipped when they reach the top, or swept eagerly
+ * when they come to outnumber live ones.
  */
 class EventQueue
 {
@@ -331,10 +327,7 @@ class EventQueue
 
     /** Queue entries currently held, live and dead (observability for
      *  tests of the compaction policy). */
-    std::size_t heapEntries() const
-    {
-        return (bottom_.size() - bottomPos_) + future_.size();
-    }
+    std::size_t heapEntries() const { return heap_.size(); }
 
     /** Slab cells ever allocated (observability for tests of slot
      *  recycling; steady-state workloads plateau at their peak
@@ -343,8 +336,8 @@ class EventQueue
 
 #if GPUMP_AUDIT_ENABLED
     /** Test hook (audit builds only): deliberately corrupt the firing
-     *  key of the next pending entry so the two-tier ordering audit
-     *  in step() trips.  Exists so tests/test_audit.cpp can prove the
+     *  key of the next pending entry so the firing-order audit in
+     *  step() trips.  Exists so tests/test_audit.cpp can prove the
      *  audit layer detects a corrupted queue; never compiled into
      *  default builds.  @pre at least one live entry is pending. */
     void auditCorruptFrontKeyForTest();
@@ -392,12 +385,13 @@ class EventQueue
         return bool(hi1 < hi2) | (bool(hi1 == hi2) & bool(lo1 < lo2));
     }
 
-    /** Comparator functor over entries (inlines into sorts). */
-    struct FiresBefore
+    /** Heap comparator.  The std heap algorithms keep the greatest
+     *  element on top, so "greater" has to mean "fires earlier". */
+    struct FiresAfter
     {
         bool operator()(const Entry &a, const Entry &b) const
         {
-            return keyBefore(a.keyHi, a.keyLo, b.keyHi, b.keyLo);
+            return keyBefore(b.keyHi, b.keyLo, a.keyHi, a.keyLo);
         }
     };
 
@@ -415,24 +409,12 @@ class EventQueue
     void releaseSlot(std::uint32_t slot);
     void compactIfWorthIt();
 
-    /** @name Two-tier priority structure
-     * A small sorted "bottom" array (next event = index bump) over an
-     * unsorted "future" buffer.  Scheduling beyond the boundary is an
-     * O(1) append; scheduling below it is a sorted insert into the
-     * (small) bottom.  When the bottom drains, the smallest chunk of
-     * the future is selected with nth_element and sorted — sequential
-     * passes that replace the pointer-chasing sift loops of a binary
-     * heap and amortize to O(log n) comparisons per event with far
-     * better locality.  See DESIGN.md §5.
-     * @{ */
-    void insertEntry(const Entry &e);
-    /** Next live entry (skipping dead ones, refilling the bottom),
-     *  or nullptr when drained.  The pointer is invalidated by any
-     *  mutation of the queue. */
+    /** Next live entry (popping dead ones off the top), or nullptr
+     *  when drained.  The pointer is invalidated by any mutation of
+     *  the queue. */
     const Entry *peekFront();
-    void refillBottom();
-    void spillBottom();
-    /** @} */
+    /** Remove the top entry. */
+    void popFront();
 
     SimTime now_ = 0;
     std::uint64_t seq_ = 0;
@@ -441,16 +423,8 @@ class EventQueue
      *  events are the remaining entries (pending()). */
     std::size_t deadEntries_ = 0;
 
-    /** Sorted ascending by key; bottom_[bottomPos_] fires next. */
-    std::vector<Entry> bottom_;
-    std::size_t bottomPos_ = 0;
-    /** Unsorted; every key here is >= (boundaryHi_, boundaryLo_). */
-    std::vector<Entry> future_;
-    /** Keys strictly below the boundary belong to the bottom.  The
-     *  initial zero boundary routes everything to the future until
-     *  the first refill. */
-    std::uint64_t boundaryHi_ = 0;
-    std::uint64_t boundaryLo_ = 0;
+    /** Binary heap under FiresAfter: heap_.front() fires next. */
+    std::vector<Entry> heap_;
 
     std::vector<Slot> slots_;
     static constexpr std::uint32_t noSlot = 0xffffffffu;

@@ -159,20 +159,6 @@ Rng::exponential(double mean)
 }
 
 void
-Rng::fillUniform(double *out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = uniform();
-}
-
-void
-Rng::fillNormal(double *out, std::size_t n, double mean, double stddev)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = mean + stddev * normal();
-}
-
-void
 Rng::fillLognormal(double *out, std::size_t n, double mean, double cv)
 {
     GPUMP_ASSERT(mean > 0.0, "lognormal: mean must be positive");

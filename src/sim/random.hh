@@ -113,9 +113,6 @@ class Rng
      * the loop — the issue loop's amortization win when sampling a
      * wave of thread-block durations from one kernel profile.
      * @{ */
-    void fillUniform(double *out, std::size_t n);
-    void fillNormal(double *out, std::size_t n, double mean,
-                    double stddev);
     /** @pre mean > 0, cv >= 0 */
     void fillLognormal(double *out, std::size_t n, double mean,
                        double cv);

@@ -16,9 +16,8 @@ Stat::Stat(StatRegistry &registry, std::string name, std::string desc)
 
 Stat::~Stat()
 {
-    // Unregister so a stat destroyed before its registry (including a
-    // derived constructor that throws after the base registered the
-    // object) cannot leave a dangling pointer behind.
+    // Unregister so a stat destroyed before its registry cannot leave
+    // a dangling pointer behind.
     registry_->remove(this);
 }
 
@@ -73,57 +72,6 @@ Distribution::reset()
     max_ = 0.0;
     mean_ = 0.0;
     m2_ = 0.0;
-}
-
-Histogram::Histogram(StatRegistry &registry, std::string name,
-                     std::string desc, double lo, double hi,
-                     std::size_t bins)
-    : Stat(registry, std::move(name), std::move(desc)),
-      lo_(lo), hi_(hi), bins_(bins, 0)
-{
-    GPUMP_ASSERT(hi > lo, "histogram range is empty");
-    GPUMP_ASSERT(bins > 0, "histogram needs at least one bin");
-}
-
-void
-Histogram::sample(double v)
-{
-    ++count_;
-    if (v < lo_) {
-        ++underflow_;
-        return;
-    }
-    if (v >= hi_) {
-        ++overflow_;
-        return;
-    }
-    double width = (hi_ - lo_) / static_cast<double>(bins_.size());
-    auto idx = static_cast<std::size_t>((v - lo_) / width);
-    idx = std::min(idx, bins_.size() - 1);
-    ++bins_[idx];
-}
-
-void
-Histogram::dump(std::ostream &os) const
-{
-    os << name() << ".count " << count_ << " # " << description() << "\n";
-    os << name() << ".underflow " << underflow_ << "\n";
-    double width = (hi_ - lo_) / static_cast<double>(bins_.size());
-    for (std::size_t i = 0; i < bins_.size(); ++i) {
-        os << name() << ".bin[" << lo_ + width * static_cast<double>(i)
-           << "," << lo_ + width * static_cast<double>(i + 1) << ") "
-           << bins_[i] << "\n";
-    }
-    os << name() << ".overflow " << overflow_ << "\n";
-}
-
-void
-Histogram::reset()
-{
-    std::fill(bins_.begin(), bins_.end(), 0);
-    count_ = 0;
-    underflow_ = 0;
-    overflow_ = 0;
 }
 
 void

@@ -3,11 +3,10 @@
  * Lightweight statistics package.
  *
  * Components declare named statistics against a StatRegistry; the
- * harness dumps them as text or CSV at the end of a run.  Three stat
+ * harness dumps them as text or CSV at the end of a run.  Two stat
  * kinds cover the simulator's needs:
  *  - Scalar:       a single accumulating value (counts, sums);
- *  - Distribution: streaming moments plus min/max (Welford);
- *  - Histogram:    fixed-width bins with under/overflow.
+ *  - Distribution: streaming moments plus min/max (Welford).
  */
 
 #ifndef GPUMP_SIM_STATS_HH
@@ -95,37 +94,6 @@ class Distribution : public Stat
     double max_ = 0.0;
     double mean_ = 0.0;
     double m2_ = 0.0;
-};
-
-/** Fixed-width-bin histogram over [lo, hi) with under/overflow bins. */
-class Histogram : public Stat
-{
-  public:
-    /**
-     * @param lo inclusive lower bound of the binned range.
-     * @param hi exclusive upper bound; must exceed @p lo.
-     * @param bins number of equal-width bins; must be positive.
-     */
-    Histogram(StatRegistry &registry, std::string name, std::string desc,
-              double lo, double hi, std::size_t bins);
-
-    void sample(double v);
-
-    std::uint64_t count() const { return count_; }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    const std::vector<std::uint64_t> &bins() const { return bins_; }
-
-    void dump(std::ostream &os) const override;
-    void reset() override;
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::uint64_t> bins_;
-    std::uint64_t count_ = 0;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
 };
 
 /**

@@ -10,9 +10,9 @@ CpuParams
 CpuParams::fromConfig(const sim::Config &cfg)
 {
     CpuParams p;
-    p.cores = static_cast<int>(cfg.getInt("cpu.cores", p.cores));
-    p.threadsPerCore = static_cast<int>(
-        cfg.getInt("cpu.threads_per_core", p.threadsPerCore));
+    p.cores = cfg.getInt32("cpu.cores", p.cores);
+    p.threadsPerCore =
+        cfg.getInt32("cpu.threads_per_core", p.threadsPerCore);
     p.clockGhz = cfg.getDouble("cpu.clock_ghz", p.clockGhz);
     p.modelContention =
         cfg.getBool("cpu.model_contention", p.modelContention);

@@ -137,9 +137,9 @@ TEST(AuditDeathTest, CorruptedEventQueueEntryAborts)
 
     // Zero the pending entry's firing key: the queue now claims its
     // next event fires at t=0 while time already reached t=100, and
-    // the two-tier ordering audit in step() must catch it.
+    // the firing-order audit in step() must catch it.
     q.auditCorruptFrontKeyForTest();
-    EXPECT_DEATH(q.step(), "two-tier ordering violated");
+    EXPECT_DEATH(q.step(), "firing order violated");
 }
 
 TEST(AuditDeathTest, OverCapacityResidencyAborts)

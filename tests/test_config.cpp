@@ -4,8 +4,10 @@
 
 #include <sstream>
 
+#include "memory/pcie.hh"
 #include "sim/config.hh"
 #include "sim/logging.hh"
+#include "workload/host_cpu.hh"
 
 using namespace gpump;
 using sim::Config;
@@ -63,6 +65,37 @@ TEST(Config, ConversionErrorsAreFatal)
         c.set("x", std::string(v));
         EXPECT_THROW(c.getDouble("x", 0), sim::FatalError) << v;
     }
+}
+
+TEST(Config, Int32RejectsValuesBeyondItsRange)
+{
+    Config c;
+    c.set("i", static_cast<std::int64_t>(-2147483648LL));
+    EXPECT_EQ(c.getInt32("i", 0), -2147483647 - 1);
+    c.set("i", static_cast<std::int64_t>(2147483647));
+    EXPECT_EQ(c.getInt32("i", 0), 2147483647);
+    EXPECT_EQ(c.getInt32("absent", -3), -3);
+    for (std::int64_t v :
+         {std::int64_t{2147483648LL}, std::int64_t{-2147483649LL}}) {
+        c.set("i", v);
+        EXPECT_THROW(c.getInt32("i", 0), sim::FatalError) << v;
+    }
+}
+
+TEST(Config, HostAndBusCountsBeyondIntAreFatal)
+{
+    // Each value is 2^32 + the Table 2 default, which a narrowing cast
+    // would silently turn back into the default.
+    Config cores;
+    cores.parse("cpu.cores=4294967300");
+    EXPECT_THROW(workload::CpuParams::fromConfig(cores), sim::FatalError);
+    Config threads;
+    threads.parse("cpu.threads_per_core=4294967298");
+    EXPECT_THROW(workload::CpuParams::fromConfig(threads),
+                 sim::FatalError);
+    Config lanes;
+    lanes.parse("pcie.lanes=4294967328");
+    EXPECT_THROW(memory::PcieParams::fromConfig(lanes), sim::FatalError);
 }
 
 TEST(Config, BoolSpellings)

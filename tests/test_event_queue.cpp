@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "sim/event.hh"
@@ -10,6 +13,62 @@
 
 using namespace gpump;
 using sim::EventQueue;
+
+namespace {
+
+/** Heap allocations made by this test binary, counted by the global
+ *  operator new below. */
+std::atomic<std::size_t> allocations{0};
+
+/** Every operator delete lands here.  Out of line, so the compiler
+ *  cannot see a free() meet a pointer from operator new at an inlined
+ *  call site and warn about mismatched allocation functions. */
+[[gnu::noinline]] void
+release(void *p) noexcept
+{
+    std::free(p);
+}
+
+} // namespace
+
+void *
+operator new(std::size_t n)
+{
+    allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n == 0 ? 1 : n))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new[](std::size_t n)
+{
+    return ::operator new(n);
+}
+
+void
+operator delete(void *p) noexcept
+{
+    release(p);
+}
+
+void
+operator delete[](void *p) noexcept
+{
+    release(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    release(p);
+}
+
+void
+operator delete[](void *p, std::size_t) noexcept
+{
+    release(p);
+}
 
 TEST(EventQueue, StartsEmptyAtTimeZero)
 {
@@ -224,6 +283,39 @@ TEST(EventQueue, SlotsAreRecycledInSteadyState)
     }
     EXPECT_EQ(q.slotsAllocated(), peak)
         << "slots leaked instead of recycling through the free list";
+}
+
+TEST(EventQueue, SteadyStateSchedulingAllocatesNothing)
+{
+    // DESIGN.md §5: the event core is allocation-free on the hot path.
+    // Sixteen events stay pending; each re-arms itself when it fires,
+    // with a period of its own so the firing order keeps interleaving.
+    struct Rearm
+    {
+        EventQueue *q;
+        sim::SimTime period;
+        void operator()() const { q->scheduleIn(period, *this); }
+    };
+    static_assert(sizeof(Rearm) <= sim::EventCallback::inlineBytes,
+                  "the callback must stay in the inline buffer");
+    const std::size_t pending = 16;
+    EventQueue q;
+    for (std::size_t i = 0; i < pending; ++i) {
+        auto period = static_cast<sim::SimTime>(1 + i);
+        q.schedule(period, Rearm{&q, period});
+    }
+    for (int i = 0; i < 1000; ++i)
+        q.step();
+
+    const std::size_t before = allocations.load();
+    bool all_ran = true;
+    for (int i = 0; i < 1000000; ++i)
+        all_ran &= q.step();
+    const std::size_t during = allocations.load() - before;
+
+    EXPECT_TRUE(all_ran);
+    EXPECT_EQ(during, 0u) << "the steady-state hot path allocated";
+    EXPECT_EQ(q.pending(), pending);
 }
 
 TEST(EventQueue, MassCancellationCompactsTheHeap)

@@ -41,6 +41,24 @@ TEST(GpuConfig, InvalidConfigIsFatal)
     sim::Config cfg2;
     cfg2.parse("gpu.tb_time_cv=-1");
     EXPECT_THROW(GpuParams::fromConfig(cfg2), sim::FatalError);
+
+    // 2^32 + the Table 2 default: a narrowing cast would wrap each of
+    // these back to the default and run the default GPU.
+    const std::int64_t wrap = std::int64_t{1} << 32;
+    GpuParams def;
+    const std::pair<const char *, int> counts[] = {
+        {"gpu.num_sms", def.numSms},
+        {"gpu.pipelines_per_sm", def.pipelinesPerSm},
+        {"gpu.regs_per_sm", def.regsPerSm},
+        {"gpu.max_threads_per_sm", def.maxThreadsPerSm},
+        {"gpu.max_tb_slots_per_sm", def.maxTbSlotsPerSm},
+        {"gpu.num_hw_queues", def.numHwQueues},
+    };
+    for (const auto &[key, value] : counts) {
+        sim::Config wide;
+        wide.set(key, wrap + value);
+        EXPECT_THROW(GpuParams::fromConfig(wide), sim::FatalError) << key;
+    }
 }
 
 TEST(GpuConfig, SharedMemoryConfigSelection)

@@ -5,6 +5,7 @@
 
 #include <sstream>
 
+#include "bench/bench_util.hh"
 #include "harness/args.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
@@ -50,6 +51,21 @@ TEST(Args, FlagIntList)
     EXPECT_EQ(args.flagIntList("one", {}), (std::vector<int>{6}));
     EXPECT_EQ(args.flagIntList("missing", {1, 2}),
               (std::vector<int>{1, 2}));
+}
+
+TEST(BenchOptions, CountsBeyondIntAreFatal)
+{
+    // A narrowing cast would run these as --replays=2, --sizes=2,2,
+    // --workloads=3 and --per-bench=1.
+    for (const char *flag : {"--replays=4294967298", "--sizes=2,4294967298",
+                             "--workloads=4294967299",
+                             "--per-bench=-4294967295"}) {
+        const char *argv[] = {"prog", flag};
+        Args args(2, const_cast<char **>(argv));
+        EXPECT_THROW(bench::BenchOptions::fromArgs(args, "test"),
+                     sim::FatalError)
+            << flag;
+    }
 }
 
 TEST(Report, TableAlignsAndCsvEscapesNothing)

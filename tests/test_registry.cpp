@@ -273,6 +273,12 @@ TEST(SchemeRegistry, IllTypedTunableValueIsRejected)
     mcfg.set("adaptive.bias", std::string("fast"));
     EXPECT_THROW(makeMechanism("adaptive", mcfg), sim::FatalError);
 
+    // An int tunable beyond the int range is rejected, not wrapped
+    // (2^32 + 1 would run as a step of 1).
+    sim::Config wide;
+    wide.set("ppq_aging.step", std::int64_t{4294967297LL});
+    EXPECT_THROW(makePolicy("ppq_aging", wide), sim::FatalError);
+
     // Unclaimed namespaces stay untouched: other subsystems own them.
     sim::Config other;
     other.set("gpu.num_sms", static_cast<std::int64_t>(4));

@@ -47,31 +47,6 @@ TEST(Stats, DistributionEmptyIsSafe)
     EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
 }
 
-TEST(Stats, HistogramBinning)
-{
-    StatRegistry reg;
-    Histogram h(reg, "h", "test", 0.0, 10.0, 5);
-    h.sample(-1.0); // underflow
-    h.sample(0.0);  // bin 0
-    h.sample(1.99); // bin 0
-    h.sample(5.0);  // bin 2
-    h.sample(9.99); // bin 4
-    h.sample(10.0); // overflow
-    EXPECT_EQ(h.count(), 6u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.bins()[0], 2u);
-    EXPECT_EQ(h.bins()[2], 1u);
-    EXPECT_EQ(h.bins()[4], 1u);
-}
-
-TEST(Stats, HistogramValidation)
-{
-    StatRegistry reg;
-    EXPECT_THROW(Histogram(reg, "bad", "", 5.0, 5.0, 4), PanicError);
-    EXPECT_THROW(Histogram(reg, "bad2", "", 0.0, 1.0, 0), PanicError);
-}
-
 TEST(Stats, RegistryFindsAndDumps)
 {
     StatRegistry reg;
@@ -123,9 +98,7 @@ TEST(Stats, WelfordStableForLargeStreams)
 TEST(Stats, DestroyedStatUnregistersItself)
 {
     // A stat that dies before its registry must drop out of it:
-    // otherwise the registry dangles (caught by ASan as a
-    // use-after-scope when a throwing Histogram constructor left its
-    // half-built object registered).
+    // otherwise the registry dangles.
     StatRegistry reg;
     {
         Scalar tmp(reg, "x.tmp", "scoped");
@@ -133,9 +106,7 @@ TEST(Stats, DestroyedStatUnregistersItself)
     }
     EXPECT_EQ(reg.find("x.tmp"), nullptr);
 
-    // The name is reusable afterwards, including after a derived
-    // constructor threw past the base-class registration.
-    EXPECT_THROW(Histogram(reg, "x.tmp", "", 5.0, 5.0, 4), PanicError);
+    // The name is reusable afterwards.
     Scalar again(reg, "x.tmp", "reused");
     EXPECT_EQ(reg.find("x.tmp"), &again);
 }
