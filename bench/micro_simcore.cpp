@@ -64,13 +64,46 @@ BM_EventQueueCancelHalf(benchmark::State &state)
 BENCHMARK(BM_EventQueueCancelHalf);
 
 void
+BM_EventQueueRearm(benchmark::State &state)
+{
+    // The simulator's steady state: one completion event per SM of the
+    // Table 2 GPU, each re-arming itself from its own callback with a
+    // reserved sequence, as a TB completion re-arms its SM's timeline.
+    // BM_EventQueueScheduleRun schedules only from outside callbacks.
+    struct Rearm
+    {
+        sim::EventQueue *q;
+        std::uint64_t *lcg;
+        void operator()() const
+        {
+            *lcg = *lcg * 6364136223846793005ull + 1442695040888963407ull;
+            auto delay = static_cast<sim::SimTime>(1 + (*lcg >> 54));
+            q->scheduleWithSeq(q->now() + delay, q->reserveSeq(), *this,
+                               sim::prioCompletion);
+        }
+    };
+    sim::EventQueue q;
+    std::uint64_t lcg = 42;
+    for (int sm = 0; sm < gpu::GpuParams().numSms; ++sm)
+        Rearm{&q, &lcg}();
+    for (auto _ : state)
+        q.step();
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueRearm);
+
+void
 BM_RngLognormal(benchmark::State &state)
 {
+    // One fresh thread-block duration, drawn from the per-kernel
+    // distribution the issue loop solves once per launch.
     sim::Rng rng(42);
+    const auto tb_us = sim::Rng::Lognormal::fromMeanCv(10.0, 0.3);
     double sink = 0;
     for (auto _ : state)
-        sink += rng.lognormal(10.0, 0.3);
+        sink += rng.lognormal(tb_us);
     benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RngLognormal);
 

@@ -22,7 +22,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-bench}
 OUT=${1:-BENCH_simcore.json}
-FILTER=${FILTER:-'BM_EventQueueScheduleRun|BM_EventQueueCancelHalf|BM_IsolatedRun|BM_MultiprogrammedDssRun|BM_ProcessReplay|BM_WorkloadIssueLoop|BM_PredictorUpdate'}
+FILTER=${FILTER:-'BM_EventQueueScheduleRun|BM_EventQueueCancelHalf|BM_EventQueueRearm|BM_RngLognormal|BM_IsolatedRun|BM_MultiprogrammedDssRun|BM_ProcessReplay|BM_WorkloadIssueLoop|BM_PredictorUpdate'}
 JOBS=${JOBS:-$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)}
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
@@ -34,12 +34,13 @@ cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_micro_simcore \
     exit 1
 }
 
-# The workload-layer benchmarks must exist in the binary: a silently
-# missing BM_ProcessReplay (renamed, gated out, filtered away) would
-# leave the committed baseline stale without anyone noticing.
+# The workload-layer and completion-cycle benchmarks must exist in
+# the binary: a silently missing BM_ProcessReplay (renamed, gated out,
+# filtered away) would leave the committed baseline stale without
+# anyone noticing.
 for bench in BM_ProcessReplay BM_WorkloadIssueLoop \
     BM_MultiprogrammedDssRun BM_ContendedSwitch \
-    BM_PredictorUpdate; do
+    BM_PredictorUpdate BM_EventQueueRearm; do
     "$BUILD_DIR/bench/bench_micro_simcore" --benchmark_list_tests \
         | grep -qx "$bench" || {
         echo "error: $bench missing from the gbench listing" >&2
@@ -47,7 +48,12 @@ for bench in BM_ProcessReplay BM_WorkloadIssueLoop \
     }
 done
 
+# Record what the numbers were measured on next to gbench's own
+# context (host name, CPU count and caches).
+CPU_MODEL=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null \
+    | head -1 | tr -d ',' || true)
 "$BUILD_DIR/bench/bench_micro_simcore" \
+    --benchmark_context="gpump_build_type=Release,cpu_model=${CPU_MODEL:-unknown}" \
     --benchmark_filter="$FILTER" \
     --benchmark_repetitions="${REPS:-3}" \
     --benchmark_report_aggregates_only=true \
@@ -67,7 +73,8 @@ print(f"{sys.argv[1]}: strict JSON ok ({len(text)} bytes)")
 
 ctx = data.get("context", {})
 print(f"host: {ctx.get('host_name', '?')}  "
-      f"cpus: {ctx.get('num_cpus', '?')}  date: {ctx.get('date', '?')}")
+      f"cpu: {ctx.get('cpu_model', '?')} x{ctx.get('num_cpus', '?')}  "
+      f"build: {ctx.get('gpump_build_type', '?')}  date: {ctx.get('date', '?')}")
 for b in data.get("benchmarks", []):
     if not b["name"].endswith("_median"):
         continue

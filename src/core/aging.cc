@@ -185,9 +185,9 @@ namespace {
          "run on top of exclusive-mode PPQ instead of shared mode"},
     };
     d.factory = [](const sim::Config &cfg) {
-        double interval_us = cfg.getDouble("ppq_aging.interval_us",
-                                           500.0);
-        if (interval_us <= 0)
+        sim::SimTime interval = cfg.getMicroseconds(
+            "ppq_aging.interval_us", sim::microseconds(500.0));
+        if (interval <= 0)
             sim::fatal("ppq_aging.interval_us must be positive");
         int step = cfg.getInt32("ppq_aging.step", 1);
         int max_boost = cfg.getInt32("ppq_aging.max_boost", 1000);
@@ -196,7 +196,7 @@ namespace {
                        "be >= 0");
         bool exclusive = cfg.getBool("ppq_aging.exclusive", false);
         return std::make_unique<PpqAgingPolicy>(
-            sim::microseconds(interval_us), step, max_boost, exclusive);
+            interval, step, max_boost, exclusive);
     };
     policyRegistry().add(std::move(d));
     return true;

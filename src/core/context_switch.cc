@@ -28,7 +28,8 @@ ContextSwitchMechanism::beginPreemption(gpu::Sm *sm)
     // in completion order; the trap routine stores (and the PTBQ
     // receives) them in issue order, so re-sort by issue sequence.
     sm->completionEvent.cancel();
-    std::vector<gpu::ResidentTb> halted(sm->resident);
+    std::vector<gpu::ResidentTb> halted(sm->resident.begin(),
+                                        sm->resident.end());
     std::sort(halted.begin(), halted.end(),
               [](const gpu::ResidentTb &a, const gpu::ResidentTb &b) {
                   return a.seq < b.seq;

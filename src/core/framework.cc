@@ -260,8 +260,10 @@ SchedulingFramework::assignSm(gpu::Sm *sm, gpu::KernelExec *k)
     sm->state = gpu::Sm::State::Setup;
     ++k->smsHeld;
     // The SM will fill up to the kernel's occupancy; grab the timeline
-    // capacity once instead of growing it TB by TB.
-    sm->resident.reserve(static_cast<std::size_t>(k->occupancy()));
+    // capacity once instead of growing it TB by TB.  Twice the
+    // occupancy leaves the consumed prefix room to build up, so the
+    // timeline reclaims it only once per occupancy-many completions.
+    sm->resident.reserve(2 * static_cast<std::size_t>(k->occupancy()));
 
     if (residency_ != nullptr) {
         // Setup proper waits for the context's state to be in device
@@ -343,11 +345,8 @@ SchedulingFramework::issueThreadBlocks(gpu::Sm *sm)
     // Within one fill the taken blocks form (at most) two contiguous
     // segments — preempted then fresh under preempted-first issue,
     // the reverse under the fresh-first ablation — because taking a
-    // block never makes the preferred source non-empty again.  Sizing
-    // the segments up front lets every fresh-TB duration be drawn in
-    // one batched RNG call (identical draws, in the original loop's
-    // order) instead of re-deriving the lognormal's parameters per
-    // block.
+    // block never makes the preferred source non-empty again, so both
+    // segments can be sized up front.
     int slots = sm->freeSlots();
     int pre_avail = static_cast<int>(k->ptbqDepth());
     // Under the contended-switch model a preempted block may only
@@ -387,22 +386,16 @@ SchedulingFramework::issueThreadBlocks(gpu::Sm *sm)
         }
     };
     auto issue_fresh = [&] {
-        if (n_fresh <= 0)
-            return;
-        sim::SimTime base = k->profile().tbDuration();
         if (params_.tbTimeCv <= 0.0) {
+            sim::SimTime base = k->profile().tbDuration();
             for (int i = 0; i < n_fresh; ++i)
                 placeResident(sm, k, k->takeFreshTb(), base);
             return;
         }
-        auto n = static_cast<std::size_t>(n_fresh);
-        tbDurationsUs_.resize(n);
-        sim_->rng().fillLognormal(tbDurationsUs_.data(), n,
-                                  sim::toMicroseconds(base),
-                                  params_.tbTimeCv);
-        for (std::size_t i = 0; i < n; ++i) {
+        for (int i = 0; i < n_fresh; ++i) {
             auto duration = std::max<sim::SimTime>(
-                1, sim::microseconds(tbDurationsUs_[i]));
+                1, sim::microseconds(sim_->rng().lognormal(
+                       k->tbDurationUs())));
             placeResident(sm, k, k->takeFreshTb(), duration);
         }
     };
@@ -468,7 +461,7 @@ SchedulingFramework::onTbCompleted(gpu::Sm *sm)
     // The armed event always tracks the timeline head: completion is
     // a pop, not a search.
     const sim::SimTime tb_started = sm->resident.front().startedAt;
-    sm->resident.erase(sm->resident.begin());
+    sm->resident.popFront();
     k->tbEnded(true);
     ++tbsCompleted_;
     // Measurement hook: observers see the post-pop SM (resident empty

@@ -338,9 +338,6 @@ class SchedulingFramework : public gpu::KernelSink
     std::size_t buffered_ = 0;
     /** Per-SM reservation timestamps (preemption latency stat). */
     std::vector<sim::SimTime> reserveTime_;
-    /** Scratch for batched fresh-TB duration draws (issueThreadBlocks);
-     *  member so the capacity survives across waves. */
-    std::vector<double> tbDurationsUs_;
 
     sim::Scalar kernelsCompleted_;
     sim::Scalar tbsCompleted_;

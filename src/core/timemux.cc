@@ -155,11 +155,11 @@ namespace {
          "engine time slice per kernel, microseconds (> 0)"},
     };
     d.factory = [](const sim::Config &cfg) {
-        double quantum_us = cfg.getDouble("tmux.quantum_us", 200.0);
-        if (quantum_us <= 0)
+        sim::SimTime quantum = cfg.getMicroseconds(
+            "tmux.quantum_us", sim::microseconds(200.0));
+        if (quantum <= 0)
             sim::fatal("tmux.quantum_us must be positive");
-        return std::make_unique<TimeMuxPolicy>(
-            sim::microseconds(quantum_us));
+        return std::make_unique<TimeMuxPolicy>(quantum);
     };
     policyRegistry().add(std::move(d));
     return true;

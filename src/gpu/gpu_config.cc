@@ -20,18 +20,14 @@ GpuParams::fromConfig(const sim::Config &cfg)
         cfg.getInt32("gpu.max_threads_per_sm", p.maxThreadsPerSm);
     p.maxTbSlotsPerSm =
         cfg.getInt32("gpu.max_tb_slots_per_sm", p.maxTbSlotsPerSm);
-    p.smSetupLatency = sim::microseconds(
-        cfg.getDouble("gpu.sm_setup_us",
-                      sim::toMicroseconds(p.smSetupLatency)));
-    p.contextLoadLatency = sim::microseconds(
-        cfg.getDouble("gpu.context_load_us",
-                      sim::toMicroseconds(p.contextLoadLatency)));
-    p.pipelineDrainLatency = sim::microseconds(
-        cfg.getDouble("gpu.pipeline_drain_us",
-                      sim::toMicroseconds(p.pipelineDrainLatency)));
-    p.commandSubmitLatency = sim::microseconds(
-        cfg.getDouble("gpu.command_submit_us",
-                      sim::toMicroseconds(p.commandSubmitLatency)));
+    p.smSetupLatency =
+        cfg.getMicroseconds("gpu.sm_setup_us", p.smSetupLatency);
+    p.contextLoadLatency =
+        cfg.getMicroseconds("gpu.context_load_us", p.contextLoadLatency);
+    p.pipelineDrainLatency = cfg.getMicroseconds(
+        "gpu.pipeline_drain_us", p.pipelineDrainLatency);
+    p.commandSubmitLatency = cfg.getMicroseconds(
+        "gpu.command_submit_us", p.commandSubmitLatency);
     p.tbTimeCv = cfg.getDouble("gpu.tb_time_cv", p.tbTimeCv);
     p.numHwQueues = cfg.getInt32("gpu.num_hw_queues", p.numHwQueues);
 

@@ -24,6 +24,11 @@ KernelExec::assign(sim::KsrIndex ksr, CommandPtr cmd,
     cmd_ = std::move(cmd);
     occupancy_ = maxTbsPerSm(*cmd_->profile, params);
     ctxBytesPerTb_ = cmd_->profile->contextBytesPerTb();
+    if (params.tbTimeCv > 0.0) {
+        tbDurationUs_ = sim::Rng::Lognormal::fromMeanCv(
+            sim::toMicroseconds(cmd_->profile->tbDuration()),
+            params.tbTimeCv);
+    }
     totalTbs_ = cmd_->profile->numThreadBlocks;
     ptbqCapacity_ = ptbq_capacity;
     nextFresh_ = 0;

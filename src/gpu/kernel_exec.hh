@@ -17,6 +17,7 @@
 
 #include "gpu/command.hh"
 #include "gpu/gpu_config.hh"
+#include "sim/random.hh"
 #include "sim/types.hh"
 
 namespace gpump {
@@ -77,6 +78,13 @@ class KernelExec
     int occupancy() const { return occupancy_; }
     /** Context bytes to save/restore per thread block. */
     std::int64_t contextBytesPerTb() const { return ctxBytesPerTb_; }
+    /** Distribution of fresh thread-block durations in microseconds:
+     *  the profile mean at GpuParams::tbTimeCv, solved once per
+     *  launch.  Meaningful only when tbTimeCv > 0. */
+    const sim::Rng::Lognormal &tbDurationUs() const
+    {
+        return tbDurationUs_;
+    }
     int totalTbs() const { return totalTbs_; }
     /** @} */
 
@@ -162,6 +170,7 @@ class KernelExec
     CommandPtr cmd_;
     int occupancy_;
     std::int64_t ctxBytesPerTb_;
+    sim::Rng::Lognormal tbDurationUs_;
     int totalTbs_;
     int ptbqCapacity_;
     int nextFresh_ = 0;

@@ -27,17 +27,28 @@ Sm::freeSlots() const
     return occ > used ? occ - used : 0;
 }
 
-void
-Sm::insertResident(const ResidentTb &tb)
+ResidentTimeline::const_iterator
+ResidentTimeline::insert(const ResidentTb &tb)
 {
+    if (tbs_.size() == tbs_.capacity() && head_ > 0) {
+        tbs_.erase(tbs_.begin(),
+                   tbs_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+    }
     auto pos = std::upper_bound(
-        resident.begin(), resident.end(), tb,
+        tbs_.begin() + static_cast<std::ptrdiff_t>(head_), tbs_.end(), tb,
         [](const ResidentTb &a, const ResidentTb &b) {
             if (a.endAt != b.endAt)
                 return a.endAt < b.endAt;
             return a.seq < b.seq;
         });
-    auto ins = resident.insert(pos, tb);
+    return tbs_.insert(pos, tb);
+}
+
+void
+Sm::insertResident(const ResidentTb &tb)
+{
+    auto ins = resident.insert(tb);
     // The drain/preempt paths walk `resident` front-to-back assuming
     // (endAt, seq) order; an out-of-order insert silently reorders
     // preemption victims.

@@ -20,6 +20,7 @@
 #ifndef GPUMP_GPU_SM_HH
 #define GPUMP_GPU_SM_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -51,6 +52,59 @@ struct ResidentTb
      *  same-instant completions firing in issue order across SMs,
      *  exactly as when every TB owned its own event. */
     std::uint64_t seq;
+};
+
+/**
+ * An SM's resident thread blocks in (endAt, seq) order: the per-SM
+ * completion timeline.
+ *
+ * Every completion takes the head, so the blocks sit contiguously
+ * behind a head offset: popping the head advances the offset instead
+ * of shifting every remaining block, and the consumed prefix is
+ * reclaimed only when an insert finds the storage full.  With room
+ * for about twice the occupancy reserved, that happens at most once
+ * per occupancy-many pops, so pops stay amortized O(1) and the
+ * steady state never allocates.
+ */
+class ResidentTimeline
+{
+  public:
+    using const_iterator = std::vector<ResidentTb>::const_iterator;
+
+    const_iterator begin() const
+    {
+        return tbs_.begin() + static_cast<std::ptrdiff_t>(head_);
+    }
+    const_iterator end() const { return tbs_.end(); }
+    std::size_t size() const { return tbs_.size() - head_; }
+    bool empty() const { return head_ == tbs_.size(); }
+    /** The next block to complete.  @pre !empty() */
+    const ResidentTb &front() const { return tbs_[head_]; }
+    /** The last block to complete.  @pre !empty() */
+    const ResidentTb &back() const { return tbs_.back(); }
+
+    /** Insert @p tb at its (endAt, seq) position.  Occupancy is small
+     *  (<= a few tens), so ordered insert beats a heap.
+     *  @return where @p tb landed. */
+    const_iterator insert(const ResidentTb &tb);
+    /** Remove the head.  @pre !empty() */
+    void popFront()
+    {
+        if (++head_ == tbs_.size())
+            clear();
+    }
+    void clear()
+    {
+        tbs_.clear();
+        head_ = 0;
+    }
+    /** Make room for @p n blocks, consumed prefix included. */
+    void reserve(std::size_t n) { tbs_.reserve(n); }
+
+  private:
+    std::vector<ResidentTb> tbs_;
+    /** Blocks before this index have completed (consumed prefix). */
+    std::size_t head_ = 0;
 };
 
 /** One streaming multiprocessor. */
@@ -90,7 +144,7 @@ class Sm
     bool reserved = false;
     /** Thread blocks resident right now, ordered by (endAt, seq);
      *  the front one is the next to complete. */
-    std::vector<ResidentTb> resident;
+    ResidentTimeline resident;
     /** Pending setup / save-completion event. */
     sim::EventQueue::Handle pendingEvent;
     /** The single armed completion event of the timeline (fires for
@@ -105,8 +159,7 @@ class Sm
     std::uint64_t setupEpoch = 0;
 
     /** Insert an issued TB into the timeline, keeping (endAt, seq)
-     *  order.  Occupancy is small (<= a few tens), so ordered insert
-     *  beats a heap. */
+     *  order. */
     void insertResident(const ResidentTb &tb);
     /** Context whose state (context id register, base page table
      *  register) is loaded; persists across kernels of the same

@@ -14,9 +14,8 @@ PcieParams::fromConfig(const sim::Config &cfg)
     p.burstBytes = cfg.getInt("pcie.burst_bytes", p.burstBytes);
     p.bytesPerLanePerClock =
         cfg.getDouble("pcie.bytes_per_lane_per_clock", p.bytesPerLanePerClock);
-    p.setupLatency = sim::microseconds(
-        cfg.getDouble("pcie.setup_latency_us",
-                      sim::toMicroseconds(p.setupLatency)));
+    p.setupLatency =
+        cfg.getMicroseconds("pcie.setup_latency_us", p.setupLatency);
     if (p.clockHz <= 0 || p.lanes <= 0 || p.burstBytes <= 0)
         sim::fatal("invalid PCIe parameters (clock/lanes/burst must be > 0)");
     return p;

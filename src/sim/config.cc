@@ -114,6 +114,25 @@ Config::getInt32(const std::string &key, std::int32_t def) const
     return static_cast<std::int32_t>(v);
 }
 
+SimTime
+Config::getMicroseconds(const std::string &key, SimTime def) const
+{
+    if (!has(key))
+        return def;
+    double us = getDouble(key, 0.0);
+    if (us < 0)
+        fatal("config key '%s' is a duration and must be >= 0 "
+              "(got %s us)",
+              key.c_str(), getString(key, "").c_str());
+    // microseconds() rounds us * 1e3 + 0.5 down to an int64; 2^63
+    // is the first value that cast cannot represent.
+    if (us * 1e3 + 0.5 >= 0x1p63)
+        fatal("config key '%s' value %s us overflows the simulated "
+              "clock (nanoseconds in 64 bits)",
+              key.c_str(), getString(key, "").c_str());
+    return microseconds(us);
+}
+
 bool
 Config::getBool(const std::string &key, bool def) const
 {

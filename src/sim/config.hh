@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/types.hh"
+
 namespace gpump {
 namespace sim {
 
@@ -68,6 +70,10 @@ class Config
      *  std::int32_t range raises fatal() instead of wrapping. */
     std::int32_t getInt32(const std::string &key, std::int32_t def) const;
     bool getBool(const std::string &key, bool def) const;
+    /** A duration given in microseconds, as SimTime nanoseconds.  A
+     *  negative value, or one whose nanosecond count does not fit
+     *  SimTime, raises fatal() instead of reaching the model. */
+    SimTime getMicroseconds(const std::string &key, SimTime def) const;
     /** @} */
 
     /**

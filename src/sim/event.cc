@@ -96,6 +96,7 @@ EventQueue::compactIfWorthIt()
     heap_.erase(live_end, heap_.end());
     std::make_heap(heap_.begin(), heap_.end(), FiresAfter());
     deadEntries_ = 0;
+    spentRoot_ = false; // a spent root was dead and went with the rest
 }
 
 void
@@ -103,6 +104,29 @@ EventQueue::popFront()
 {
     std::pop_heap(heap_.begin(), heap_.end(), FiresAfter());
     heap_.pop_back();
+}
+
+void
+EventQueue::siftDownRoot()
+{
+    const std::size_t n = heap_.size();
+    const Entry e = heap_.front();
+    std::size_t hole = 0;
+    for (;;) {
+        std::size_t child = 2 * hole + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n &&
+            keyBefore(heap_[child + 1].keyHi, heap_[child + 1].keyLo,
+                      heap_[child].keyHi, heap_[child].keyLo))
+            ++child;
+        if (!keyBefore(heap_[child].keyHi, heap_[child].keyLo, e.keyHi,
+                       e.keyLo))
+            break;
+        heap_[hole] = heap_[child];
+        hole = child;
+    }
+    heap_[hole] = e;
 }
 
 const EventQueue::Entry *
@@ -115,6 +139,7 @@ EventQueue::peekFront()
         releaseSlot(e.slot);
         popFront();
         --deadEntries_;
+        spentRoot_ = false; // a spent root is the root while it exists
     }
     return nullptr;
 }
@@ -147,22 +172,36 @@ EventQueue::doSchedule(SimTime when, std::uint64_t seq, Callback &&cb,
                  priority);
     GPUMP_ASSERT(seq <= maxSeq, "sequence space exhausted");
 
-    std::uint32_t slot = acquireSlot(std::move(cb));
-    std::uint32_t gen = slots_[slot].gen;
     std::uint64_t key_lo =
         (static_cast<std::uint64_t>(
              static_cast<std::uint32_t>(priority + priorityBias))
          << 48) |
         seq;
-    heap_.push_back(
-        Entry{static_cast<std::uint64_t>(when), key_lo, slot, gen});
-    std::push_heap(heap_.begin(), heap_.end(), FiresAfter());
-    // The heap property holds after every push.  O(n) — audit builds
-    // trade throughput for machine-checked structure.
+    std::uint32_t slot;
+    if (spentRoot_) {
+        // First schedule from a firing callback: take over the spent
+        // root.  Its slot goes back to the free list and comes straight
+        // out again, and one sift-down replaces a pop plus a push.
+        spentRoot_ = false;
+        --deadEntries_;
+        releaseSlot(heap_.front().slot);
+        slot = acquireSlot(std::move(cb));
+        heap_.front() = Entry{static_cast<std::uint64_t>(when), key_lo,
+                              slot, slots_[slot].gen};
+        siftDownRoot();
+    } else {
+        slot = acquireSlot(std::move(cb));
+        heap_.push_back(Entry{static_cast<std::uint64_t>(when), key_lo,
+                              slot, slots_[slot].gen});
+        std::push_heap(heap_.begin(), heap_.end(), FiresAfter());
+    }
+    // The heap property holds after every push and root replacement.
+    // O(n) — audit builds trade throughput for machine-checked
+    // structure.
     GPUMP_AUDIT(std::is_heap(heap_.begin(), heap_.end(), FiresAfter()),
-                "event heap out of order after a push (when=%lld)",
+                "event heap out of order after a schedule (when=%lld)",
                 static_cast<long long>(when));
-    return Handle(this, slot, gen);
+    return Handle(this, slot, slots_[slot].gen);
 }
 
 EventQueue::Handle
@@ -190,13 +229,24 @@ EventQueue::step()
     GPUMP_AUDIT(slots_[top.slot].callback != nullptr,
                 "front entry's slot %u has no callback "
                 "(generation bookkeeping corrupt)", top.slot);
-    popFront(); // consume before the callback can mutate the queue
     now_ = top.when();
     ++slots_[top.slot].gen; // the event is no longer pending
     Callback cb = std::move(slots_[top.slot].callback);
-    releaseSlot(top.slot);
+    // Leave the consumed entry at the root, dead, for the callback's
+    // first schedule to take over (doSchedule).  Its key is forced to
+    // the minimum so nothing the callback schedules can rise above it.
+    heap_.front().keyHi = 0;
+    heap_.front().keyLo = 0;
+    ++deadEntries_;
+    spentRoot_ = true;
     ++executed_;
     cb();
+    if (spentRoot_) { // the callback scheduled nothing
+        spentRoot_ = false;
+        --deadEntries_;
+        releaseSlot(heap_.front().slot);
+        popFront();
+    }
     return true;
 }
 

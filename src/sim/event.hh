@@ -214,7 +214,9 @@ class EventCallback
  * referencing slots by index.  Cancellation bumps the slot's
  * generation (invalidating the entry and every outstanding handle);
  * dead entries are skipped when they reach the top, or swept eagerly
- * when they come to outnumber live ones.
+ * when they come to outnumber live ones.  A firing event's entry
+ * stays at the root until its callback's first schedule overwrites
+ * it, so the common "fire, re-arm" cycle costs one sift-down.
  */
 class EventQueue
 {
@@ -415,13 +417,20 @@ class EventQueue
     const Entry *peekFront();
     /** Remove the top entry. */
     void popFront();
+    /** Restore the heap property after the root entry was replaced. */
+    void siftDownRoot();
 
     SimTime now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t executed_ = 0;
-    /** Entries whose event was cancelled but not yet swept; live
-     *  events are the remaining entries (pending()). */
+    /** Entries whose event was cancelled (or, the spent root, ran)
+     *  but not yet swept; live events are the remaining entries
+     *  (pending()). */
     std::size_t deadEntries_ = 0;
+    /** True while the entry of the event step() is running sits dead
+     *  at the root with its slot unreleased, for the callback's first
+     *  schedule to take over.  Cleared by whatever removes it. */
+    bool spentRoot_ = false;
 
     /** Binary heap under FiresAfter: heap_.front() fires next. */
     std::vector<Entry> heap_;

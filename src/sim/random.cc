@@ -123,9 +123,9 @@ Rng::normal()
 {
     // Box-Muller; both uniforms are drawn every call and a zero u1 is
     // remapped (not redrawn), so the raw-draw stream consumed per
-    // sample is fixed — the invariant the batched fill* APIs and the
-    // reproducibility contract rely on — and the result is finite for
-    // every possible draw.
+    // sample is fixed — the invariant fillExponential, Lognormal and
+    // the reproducibility contract rely on — and the result is finite
+    // for every possible draw.
     double u1 = uniform();
     double u2 = uniform();
     return boxMuller(u1, u2);
@@ -137,6 +137,21 @@ Rng::normal(double mean, double stddev)
     return mean + stddev * normal();
 }
 
+Rng::Lognormal
+Rng::Lognormal::fromMeanCv(double mean, double cv)
+{
+    GPUMP_ASSERT(mean > 0.0, "lognormal: mean must be positive");
+    GPUMP_ASSERT(cv > 0.0, "lognormal: cv must be positive");
+    double sigma2 = std::log(1.0 + cv * cv);
+    return Lognormal{std::log(mean) - 0.5 * sigma2, std::sqrt(sigma2)};
+}
+
+double
+Rng::lognormal(const Lognormal &dist)
+{
+    return std::exp(normal(dist.mu, dist.sigma));
+}
+
 double
 Rng::lognormal(double mean, double cv)
 {
@@ -144,11 +159,7 @@ Rng::lognormal(double mean, double cv)
     GPUMP_ASSERT(cv >= 0.0, "lognormal: cv must be non-negative");
     if (cv == 0.0)
         return mean;
-    // For LogN(mu, sigma^2): E = exp(mu + sigma^2/2),
-    // CV^2 = exp(sigma^2) - 1.  Solve for (mu, sigma).
-    double sigma2 = std::log(1.0 + cv * cv);
-    double mu = std::log(mean) - 0.5 * sigma2;
-    return std::exp(normal(mu, std::sqrt(sigma2)));
+    return lognormal(Lognormal::fromMeanCv(mean, cv));
 }
 
 double
@@ -156,27 +167,6 @@ Rng::exponential(double mean)
 {
     GPUMP_ASSERT(mean > 0.0, "exponential: mean must be positive");
     return -mean * std::log(nonzero(uniform()));
-}
-
-void
-Rng::fillLognormal(double *out, std::size_t n, double mean, double cv)
-{
-    GPUMP_ASSERT(mean > 0.0, "lognormal: mean must be positive");
-    GPUMP_ASSERT(cv >= 0.0, "lognormal: cv must be non-negative");
-    if (cv == 0.0) {
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = mean;
-        return;
-    }
-    // The (mu, sigma) solve — two logs and a square root per sample
-    // in the sequential path — is hoisted out of the loop; each
-    // sample then runs exactly the arithmetic lognormal() runs, so
-    // the outputs are bit-identical to n sequential calls.
-    double sigma2 = std::log(1.0 + cv * cv);
-    double mu = std::log(mean) - 0.5 * sigma2;
-    double sigma = std::sqrt(sigma2);
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = std::exp(normal(mu, sigma));
 }
 
 void

@@ -10,12 +10,11 @@
  *
  * Every distribution consumes a FIXED number of raw draws per sample
  * (uniform/exponential: 1, normal/lognormal: 2).  That invariant is
- * what makes the batched fill* APIs below bit-identical to sequential
- * single-sample calls: a batch of n samples consumes exactly the
- * draws the n sequential calls would have, in the same order, and
- * performs the same per-sample arithmetic — only the per-call
- * parameter setup (the lognormal's (mu, sigma) solve, the normal's
- * scaling) is hoisted out of the loop.
+ * what makes fillExponential bit-identical to sequential
+ * exponential() calls, and a Lognormal solved once bit-identical to
+ * lognormal(mean, cv) re-solved per sample: either way the same draws
+ * are consumed in the same order and run through the same per-sample
+ * arithmetic — only the per-call parameter setup is hoisted.
  */
 
 #ifndef GPUMP_SIM_RANDOM_HH
@@ -85,18 +84,36 @@ class Rng
      * return, so the logarithm — and therefore normal(), lognormal()
      * and every duration sampled from them — can never be infinite.
      * The remap (rather than a rejection loop) keeps the per-sample
-     * draw count fixed, which the batched fill* APIs rely on.
+     * draw count fixed, which fillExponential and Lognormal rely on.
      */
     static double boxMuller(double u1, double u2);
 
     /**
-     * Lognormal parameterised by its *linear-domain* mean and
-     * coefficient of variation.
+     * A lognormal's log-domain parameters (mu, sigma), solved once
+     * from its *linear-domain* mean and coefficient of variation.
      *
      * This is the natural parameterisation for thread-block durations:
      * the mean is the calibrated duration from the kernel profile and
-     * the CV expresses run-to-run variability.  cv == 0 degenerates to
-     * the deterministic mean.
+     * the CV expresses run-to-run variability.  A kernel solves its
+     * distribution once per launch and draws every thread-block
+     * duration from it.
+     */
+    struct Lognormal
+    {
+        double mu = 0.0;
+        double sigma = 0.0;
+
+        /** For LogN(mu, sigma^2): E = exp(mu + sigma^2/2) and
+         *  CV^2 = exp(sigma^2) - 1.  @pre mean > 0, cv > 0 */
+        static Lognormal fromMeanCv(double mean, double cv);
+    };
+
+    /** One sample of @p dist: exp(normal(mu, sigma)). */
+    double lognormal(const Lognormal &dist);
+
+    /**
+     * Lognormal by linear-domain mean and CV: the Lognormal solve
+     * plus one draw.  cv == 0 degenerates to the deterministic mean.
      *
      * @pre mean > 0, cv >= 0
      */
@@ -105,20 +122,13 @@ class Rng
     /** Exponential with the given mean. @pre mean > 0 */
     double exponential(double mean);
 
-    /** @name Batched draws
-     * Fill out[0..n) with samples.  Each produces the exact bit
-     * pattern the corresponding n sequential single-sample calls
-     * would have produced (same raw-draw consumption, same per-sample
-     * arithmetic), while hoisting the per-call parameter setup out of
-     * the loop — the issue loop's amortization win when sampling a
-     * wave of thread-block durations from one kernel profile.
-     * @{ */
-    /** @pre mean > 0, cv >= 0 */
-    void fillLognormal(double *out, std::size_t n, double mean,
-                       double cv);
-    /** @pre mean > 0 */
+    /**
+     * Fill out[0..n) with exponential samples: the exact bit patterns
+     * n sequential exponential() calls would produce, with the
+     * argument check hoisted out of the loop (serve arrival streams).
+     * @pre mean > 0
+     */
     void fillExponential(double *out, std::size_t n, double mean);
-    /** @} */
 
     /**
      * Fork a child generator with an independent stream.

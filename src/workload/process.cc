@@ -8,10 +8,10 @@ namespace workload {
 Process::Process(sim::Simulation &sim, sim::ProcessId id,
                  const trace::BenchmarkSpec *spec, int priority,
                  HostCpu &cpu, gpu::GpuContext &ctx, gpu::Stream &stream,
-                 gpu::CommandPool &pool, double launch_overhead_us)
+                 gpu::CommandPool &pool, sim::SimTime launch_overhead)
     : sim_(&sim), id_(id), spec_(spec), priority_(priority), cpu_(&cpu),
       ctx_(&ctx), stream_(&stream), pool_(&pool),
-      launchOverhead_(sim::microseconds(launch_overhead_us))
+      launchOverhead_(launch_overhead)
 {
     GPUMP_ASSERT(spec != nullptr, "process without a benchmark");
     GPUMP_ASSERT(!spec->ops.empty(), "benchmark %s has an empty trace",

@@ -84,12 +84,12 @@ class Process
      * @param ctx      this process's GPU context.
      * @param stream   this process's stream.
      * @param pool     command pool (recycled command allocations).
-     * @param launch_overhead_us CPU cost of a kernel-launch API call.
+     * @param launch_overhead CPU cost of a kernel-launch API call.
      */
     Process(sim::Simulation &sim, sim::ProcessId id,
             const trace::BenchmarkSpec *spec, int priority, HostCpu &cpu,
             gpu::GpuContext &ctx, gpu::Stream &stream,
-            gpu::CommandPool &pool, double launch_overhead_us);
+            gpu::CommandPool &pool, sim::SimTime launch_overhead);
 
     sim::ProcessId id() const { return id_; }
     const trace::BenchmarkSpec &spec() const { return *spec_; }

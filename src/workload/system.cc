@@ -125,8 +125,8 @@ System::System(const SystemSpec &spec, const sim::Config &overrides)
     hostCpu_ = std::make_unique<HostCpu>(*sim_,
                                          CpuParams::fromConfig(cfg));
 
-    double launch_overhead_us =
-        cfg.getDouble("cpu.kernel_launch_overhead_us", 3.0);
+    sim::SimTime launch_overhead = cfg.getMicroseconds(
+        "cpu.kernel_launch_overhead_us", sim::microseconds(3.0));
     std::int64_t scratch_bytes =
         cfg.getInt("process.scratch_bytes", 32ll * 1024 * 1024);
     if (scratch_bytes < 0) {
@@ -160,7 +160,7 @@ System::System(const SystemSpec &spec, const sim::Config &overrides)
             gpuParams_.commandSubmitLatency);
         auto process = std::make_unique<Process>(
             *sim_, static_cast<sim::ProcessId>(i), &bench, priority,
-            *hostCpu_, *ctx, *stream, cmdPool_, launch_overhead_us);
+            *hostCpu_, *ctx, *stream, cmdPool_, launch_overhead);
         if (!spec_.arrivalSchedules.empty()) {
             int backlog = spec_.admissionBacklogs.empty()
                 ? 0

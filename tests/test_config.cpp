@@ -7,10 +7,13 @@
 #include "memory/pcie.hh"
 #include "sim/config.hh"
 #include "sim/logging.hh"
+#include "tests/test_util.hh"
 #include "workload/host_cpu.hh"
+#include "workload/system.hh"
 
 using namespace gpump;
 using sim::Config;
+using test::fatalMessageOf;
 
 TEST(Config, DefaultsWhenAbsent)
 {
@@ -96,6 +99,48 @@ TEST(Config, HostAndBusCountsBeyondIntAreFatal)
     Config lanes;
     lanes.parse("pcie.lanes=4294967328");
     EXPECT_THROW(memory::PcieParams::fromConfig(lanes), sim::FatalError);
+}
+
+TEST(Config, MicrosecondsConvertOnlyRepresentableDurations)
+{
+    Config c;
+    EXPECT_EQ(c.getMicroseconds("absent", 1234), 1234);
+    c.set("d", 2.5);
+    EXPECT_EQ(c.getMicroseconds("d", 0), 2500);
+    c.set("d", 0.0);
+    EXPECT_EQ(c.getMicroseconds("d", 7), 0);
+    // 9.2e15 us is 9.2e18 ns, just inside the int64 nanosecond clock.
+    c.set("d", 9.2e15);
+    EXPECT_EQ(c.getMicroseconds("d", 0), sim::microseconds(9.2e15));
+    for (double v : {-1.0, -1e-9, 9.3e15, 1e300}) {
+        c.set("d", v);
+        std::string msg = fatalMessageOf([&] { c.getMicroseconds("d", 0); });
+        EXPECT_NE(msg.find("'d'"), std::string::npos) << v << ": " << msg;
+    }
+}
+
+TEST(Config, HostAndBusDurationsRejectNegativeAndOverflowingValues)
+{
+    for (const char *v : {"-1", "1e300"}) {
+        Config pcie;
+        pcie.set("pcie.setup_latency_us", std::string(v));
+        std::string msg = fatalMessageOf(
+            [&] { memory::PcieParams::fromConfig(pcie); });
+        EXPECT_NE(msg.find("pcie.setup_latency_us"), std::string::npos)
+            << v << ": " << msg;
+
+        Config cpu;
+        cpu.set("cpu.kernel_launch_overhead_us", std::string(v));
+        workload::SystemSpec spec;
+        spec.benchmarks = {"sgemm"};
+        msg = fatalMessageOf([&] { workload::System system(spec, cpu); });
+        EXPECT_NE(msg.find("cpu.kernel_launch_overhead_us"),
+                  std::string::npos)
+            << v << ": " << msg;
+    }
+    EXPECT_EQ(memory::PcieParams::fromConfig(Config()).setupLatency,
+              memory::PcieParams().setupLatency);
+    EXPECT_EQ(memory::PcieParams().setupLatency, sim::microseconds(2.0));
 }
 
 TEST(Config, BoolSpellings)

@@ -6,6 +6,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/event.hh"
@@ -484,4 +487,196 @@ TEST(EventQueueProperty, RandomInterleavingsMatchReferenceModel)
         EXPECT_FALSE(q.step());
         EXPECT_TRUE(q.empty());
     }
+}
+
+namespace {
+
+/**
+ * Reference model for EventQueue driven from inside firing callbacks:
+ * every live event's (time, priority, seq) key in an ordered set, so
+ * the next event to fire is the set's first element.
+ */
+class CallbackModel
+{
+  public:
+    explicit CallbackModel(std::uint64_t seed) : lcg_(seed) {}
+
+    EventQueue q;
+    /** Set once a check failed; stops the round without cascading. */
+    bool failed = false;
+    /** Callbacks stop scheduling and cancelling (drain phase). */
+    bool quiet = false;
+    /** Compactions triggered before the firing callback's first
+     *  schedule, i.e. while its entry was still the spent root. */
+    int compactionsWhileSpent = 0;
+
+    std::size_t alive() const { return live_.size(); }
+
+    std::uint64_t rnd(std::uint64_t mod)
+    {
+        lcg_ = lcg_ * 6364136223846793005ull + 1442695040888963407ull;
+        return (lcg_ >> 33) % mod;
+    }
+
+    /** Reserve a sequence number to arm some later event with. */
+    void reserve()
+    {
+        std::uint64_t seq = q.reserveSeq();
+        if (seq != seqCounter_++)
+            fail("reserveSeq out of step with the model");
+        reserved_.push_back(seq);
+    }
+
+    /** Schedule one event at @p when, with an older reserved sequence
+     *  when @p reserved and one is available. */
+    void add(sim::SimTime when, bool reserved)
+    {
+        const int prios[] = {sim::prioCompletion, sim::prioDriver,
+                             sim::prioPolicy, sim::prioDefault};
+        int priority = prios[rnd(4)];
+        int id = static_cast<int>(keys_.size());
+        auto cb = [this, id] { fire(id); };
+        std::uint64_t seq;
+        if (reserved && !reserved_.empty()) {
+            std::size_t pick = rnd(reserved_.size());
+            seq = reserved_[pick];
+            reserved_.erase(reserved_.begin() +
+                            static_cast<std::ptrdiff_t>(pick));
+            handles_.push_back(q.scheduleWithSeq(when, seq, cb, priority));
+        } else {
+            seq = seqCounter_++;
+            handles_.push_back(q.schedule(when, cb, priority));
+        }
+        keys_.push_back(Key{when, priority, seq, id});
+        live_.insert(keys_.back());
+        checkPending("after a schedule");
+    }
+
+  private:
+    using Key = std::tuple<sim::SimTime, int, std::uint64_t, int>;
+
+    void fail(const std::string &what)
+    {
+        if (!failed)
+            ADD_FAILURE() << what;
+        failed = true;
+    }
+
+    void checkPending(const char *where)
+    {
+        if (q.pending() != live_.size()) {
+            fail(std::string("pending() disagrees with the model ") +
+                 where + ": " + std::to_string(q.pending()) + " vs " +
+                 std::to_string(live_.size()));
+        }
+    }
+
+    void fire(int id)
+    {
+        if (failed)
+            return;
+        const Key &key = keys_[static_cast<std::size_t>(id)];
+        if (live_.empty() || std::get<3>(*live_.begin()) != id ||
+            q.now() != std::get<0>(key)) {
+            fail("event " + std::to_string(id) +
+                 " fired out of the model's order");
+            return;
+        }
+        live_.erase(live_.begin());
+        checkPending("in a firing callback");
+        if (quiet)
+            return;
+
+        bool scheduled = false;
+        bool cancel_first = rnd(2) == 0;
+        if (cancel_first)
+            cancelSome(scheduled);
+        for (std::uint64_t n = rnd(3); n > 0; --n) {
+            sim::SimTime delay =
+                rnd(3) == 0 ? 0 : static_cast<sim::SimTime>(rnd(40));
+            add(q.now() + delay, rnd(3) == 0);
+            scheduled = true;
+        }
+        if (!cancel_first)
+            cancelSome(scheduled);
+        if (rnd(4) == 0)
+            reserve();
+        checkPending("at the end of a firing callback");
+    }
+
+    /** Cancel a few handles (run, cancelled or live alike), or now and
+     *  then a burst of live ones big enough to compact the queue. */
+    void cancelSome(bool scheduled)
+    {
+        if (rnd(8) != 0) {
+            for (std::uint64_t n = rnd(3); n > 0; --n)
+                cancel(rnd(handles_.size()));
+            return;
+        }
+        std::size_t entries = q.heapEntries();
+        std::vector<std::size_t> victims; // about 3 in 5 live events
+        for (const Key &k : live_) {
+            if (rnd(5) < 3)
+                victims.push_back(static_cast<std::size_t>(std::get<3>(k)));
+        }
+        for (std::size_t pick : victims)
+            cancel(pick);
+        if (!scheduled && q.heapEntries() < entries)
+            ++compactionsWhileSpent;
+    }
+
+    void cancel(std::size_t pick)
+    {
+        bool live = live_.erase(keys_[pick]) != 0;
+        if (handles_[pick].cancel() != live)
+            fail("cancel() disagrees with the model");
+        if (handles_[pick].pending())
+            fail("a cancelled handle still reads pending");
+        checkPending("after a cancel");
+    }
+
+    std::uint64_t lcg_;
+    std::uint64_t seqCounter_ = 0; ///< mirrors the queue's counter
+    std::vector<Key> keys_;        ///< by event id
+    std::set<Key> live_;           ///< firing order of live events
+    std::vector<EventQueue::Handle> handles_;
+    std::vector<std::uint64_t> reserved_; ///< reserved, not yet armed
+};
+
+} // namespace
+
+/**
+ * The reference-model property, driven from inside firing callbacks:
+ * each schedules 0-2 events (some at now, some with an older reserved
+ * sequence) and cancels pending ones, now and then in bursts that
+ * compact the queue while the firing event's entry is still the spent
+ * heap root.  Every firing and every pending() must match the model.
+ */
+TEST(EventQueueProperty, CallbacksThatScheduleAndCancelMatchReferenceModel)
+{
+    int compactions_while_spent = 0;
+    for (std::uint64_t round = 0; round < 16; ++round) {
+        CallbackModel m(0x9e3779b97f4a7c15ull + round);
+        for (int step = 0; step < 2000 && !m.failed; ++step) {
+            // Keep enough events pending that a cancel burst reaches
+            // the compaction threshold.
+            while (m.alive() < 100) {
+                m.add(m.q.now() + static_cast<sim::SimTime>(m.rnd(200)),
+                      m.rnd(4) == 0);
+            }
+            if (m.rnd(8) == 0)
+                m.reserve();
+            ASSERT_TRUE(m.q.step());
+            ASSERT_EQ(m.q.pending(), m.alive());
+        }
+        m.quiet = true;
+        while (m.alive() > 0 && !m.failed)
+            ASSERT_TRUE(m.q.step());
+        EXPECT_FALSE(m.failed) << "round " << round;
+        EXPECT_FALSE(m.q.step());
+        EXPECT_TRUE(m.q.empty());
+        compactions_while_spent += m.compactionsWhileSpent;
+    }
+    EXPECT_GT(compactions_while_spent, 50)
+        << "the spent-root compaction path was barely exercised";
 }

@@ -310,3 +310,69 @@ TEST(Framework, CompletionTimelineKeepsQueuePressureBounded)
            "being coalesced per SM";
     EXPECT_GT(peak, 2u) << "probe never saw the engine busy";
 }
+
+TEST(ResidentTimeline, RandomInsertsAndPopsMatchSortedReference)
+{
+    // The timeline against a vector kept sorted by (endAt, seq): random
+    // inserts (ties on endAt included), head pops and clears.  Eight
+    // cells hold at most six blocks, so inserts keep meeting full
+    // storage with a consumed prefix; reclaiming it must keep every
+    // block in the one buffer, which is never reallocated.
+    auto before = [](const gpu::ResidentTb &a, const gpu::ResidentTb &b) {
+        return a.endAt != b.endAt ? a.endAt < b.endAt : a.seq < b.seq;
+    };
+    auto same = [](const gpu::ResidentTb &a, const gpu::ResidentTb &b) {
+        return a.tbIndex == b.tbIndex && a.startedAt == b.startedAt &&
+            a.endAt == b.endAt && a.seq == b.seq;
+    };
+    constexpr std::size_t capacity = 8;
+    gpu::ResidentTimeline timeline;
+    timeline.reserve(capacity);
+    std::vector<gpu::ResidentTb> ref;
+    const gpu::ResidentTb *storage = nullptr;
+    std::uint64_t lcg = 12345, seq = 0;
+    auto rnd = [&lcg](std::uint64_t mod) {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        return (lcg >> 33) % mod;
+    };
+    int pops = 0, clears = 0;
+    for (int op = 0; op < 20000; ++op) {
+        std::uint64_t what = rnd(100);
+        if (what < 2) {
+            timeline.clear();
+            ref.clear();
+            ++clears;
+        } else if (what < 50 && ref.size() < capacity - 2) {
+            sim::SimTime now = op;
+            gpu::ResidentTb tb{op, now,
+                               now + static_cast<sim::SimTime>(rnd(12)),
+                               seq++};
+            auto at = timeline.insert(tb);
+            ASSERT_TRUE(same(*at, tb));
+            ref.insert(std::upper_bound(ref.begin(), ref.end(), tb, before),
+                       tb);
+            if (storage == nullptr)
+                storage = &*at;
+        } else if (!ref.empty()) {
+            timeline.popFront();
+            ref.erase(ref.begin());
+            ++pops;
+        }
+        ASSERT_EQ(timeline.size(), ref.size()) << "op " << op;
+        ASSERT_EQ(timeline.empty(), ref.empty());
+        ASSERT_TRUE(std::equal(timeline.begin(), timeline.end(),
+                               ref.begin(), ref.end(), same))
+            << "op " << op;
+        if (!ref.empty()) {
+            ASSERT_TRUE(same(timeline.front(), ref.front()));
+            ASSERT_TRUE(same(timeline.back(), ref.back()));
+            ASSERT_GE(&timeline.front(), storage) << "op " << op;
+            ASSERT_LT(&timeline.back(), storage + capacity)
+                << "the timeline reallocated instead of reclaiming its "
+                   "consumed prefix (op "
+                << op << ")";
+        }
+    }
+    EXPECT_GT(pops, 5000);
+    EXPECT_GT(clears, 100);
+}

@@ -61,6 +61,43 @@ TEST(GpuConfig, InvalidConfigIsFatal)
     }
 }
 
+TEST(GpuConfig, DurationKeysRejectNegativeAndOverflowingValues)
+{
+    // Each used to reach the event queue as a negative delay (or, at
+    // 1e300, as an out-of-range double-to-int64 cast) and panic there
+    // without naming the key.
+    for (const char *key : {"gpu.sm_setup_us", "gpu.context_load_us",
+                             "gpu.pipeline_drain_us",
+                             "gpu.command_submit_us"}) {
+        for (const char *v : {"-1", "1e300"}) {
+            sim::Config cfg;
+            cfg.set(key, std::string(v));
+            std::string msg = test::fatalMessageOf(
+                [&] { GpuParams::fromConfig(cfg); });
+            EXPECT_NE(msg.find(key), std::string::npos)
+                << key << "=" << v << ": " << msg;
+        }
+    }
+
+    // Defaults and in-range overrides convert exactly as before.
+    GpuParams def;
+    GpuParams same = GpuParams::fromConfig(sim::Config());
+    EXPECT_EQ(same.smSetupLatency, def.smSetupLatency);
+    EXPECT_EQ(same.contextLoadLatency, def.contextLoadLatency);
+    EXPECT_EQ(same.pipelineDrainLatency, def.pipelineDrainLatency);
+    EXPECT_EQ(same.commandSubmitLatency, def.commandSubmitLatency);
+    EXPECT_EQ(def.smSetupLatency, sim::microseconds(1.0));
+    EXPECT_EQ(def.commandSubmitLatency, sim::microseconds(5.0));
+    sim::Config cfg;
+    cfg.parse("gpu.sm_setup_us=2.5");
+    cfg.parse("gpu.context_load_us=0");
+    cfg.parse("gpu.pipeline_drain_us=0.0004");
+    GpuParams p = GpuParams::fromConfig(cfg);
+    EXPECT_EQ(p.smSetupLatency, 2500);
+    EXPECT_EQ(p.contextLoadLatency, 0);
+    EXPECT_EQ(p.pipelineDrainLatency, 0);
+}
+
 TEST(GpuConfig, SharedMemoryConfigSelection)
 {
     GpuParams p;

@@ -24,22 +24,9 @@
 
 using namespace gpump;
 using test::DeviceRig;
+using test::fatalMessageOf;
 
 namespace {
-
-/** Fatal-message helper: run @p fn, return the FatalError text. */
-template <typename Fn>
-std::string
-fatalMessageOf(Fn &&fn)
-{
-    try {
-        fn();
-    } catch (const sim::FatalError &e) {
-        return e.what();
-    }
-    ADD_FAILURE() << "expected sim::FatalError";
-    return "";
-}
 
 /** A synthetic (Sm, KernelExec) pair for driving the observer hooks
  *  directly. */

@@ -198,45 +198,66 @@ TEST(Rng, ExponentialMean)
 
 TEST(Rng, BatchedDrawsMatchSequentialBitForBit)
 {
-    // The fill* APIs must produce the exact stream sequential calls
-    // produce: same raw-draw consumption, same per-sample arithmetic
-    // (only the per-call parameter setup is hoisted).  Checked with
-    // EXPECT_EQ on doubles, i.e. bit-for-bit.
+    // A hoisted parameter setup must not change the stream: a
+    // Lognormal solved once, and fillExponential, produce what the
+    // re-solving single-sample calls produce, with the same raw-draw
+    // consumption.  Checked with EXPECT_EQ on doubles, i.e.
+    // bit-for-bit.
     constexpr std::size_t n = 4096;
-    std::vector<double> batched(n), sequential(n);
+    std::vector<double> hoisted(n), sequential(n), formula(n);
 
+    const struct
     {
-        Rng a(13), b(13);
-        a.fillLognormal(batched.data(), n, 8.7, 0.4);
-        for (auto &v : sequential)
-            v = b.lognormal(8.7, 0.4);
-        EXPECT_EQ(batched, sequential);
+        std::uint64_t seed;
+        double mean, cv;
+    } cases[] = {{13, 8.7, 0.4}, {29, 0.25, 0.25}, {31, 1234.5, 1.5},
+                 {37, 3.0, 1e-3}};
+    for (const auto &c : cases) {
+        Rng a(c.seed), b(c.seed), ref(c.seed);
+        const Rng::Lognormal dist = Rng::Lognormal::fromMeanCv(c.mean, c.cv);
+        // The solve the simulator has always run, written out.
+        const double sigma2 = std::log(1.0 + c.cv * c.cv);
+        const double mu = std::log(c.mean) - 0.5 * sigma2;
+        const double sigma = std::sqrt(sigma2);
+        for (std::size_t i = 0; i < n; ++i) {
+            hoisted[i] = a.lognormal(dist);
+            sequential[i] = b.lognormal(c.mean, c.cv);
+            formula[i] = std::exp(ref.normal(mu, sigma));
+        }
+        EXPECT_EQ(hoisted, sequential) << "mean " << c.mean << " cv " << c.cv;
+        EXPECT_EQ(hoisted, formula) << "mean " << c.mean << " cv " << c.cv;
+        EXPECT_EQ(a.next(), b.next()) << "draw counts diverged";
     }
     {
-        // cv == 0 degenerates to the constant mean in both paths.
+        // cv == 0 degenerates to the constant mean without drawing.
         Rng a(17), b(17);
-        a.fillLognormal(batched.data(), n, 3.0, 0.0);
-        for (auto &v : sequential)
-            v = b.lognormal(3.0, 0.0);
-        EXPECT_EQ(batched, sequential);
-        EXPECT_EQ(a.next(), b.next()) << "neither path may draw";
+        EXPECT_EQ(a.lognormal(3.0, 0.0), 3.0);
+        EXPECT_EQ(a.next(), b.next()) << "a zero-cv draw consumed the stream";
     }
     {
         Rng a(19), b(19);
-        a.fillExponential(batched.data(), n, 3.0);
+        a.fillExponential(hoisted.data(), n, 3.0);
         for (auto &v : sequential)
             v = b.exponential(3.0);
-        EXPECT_EQ(batched, sequential);
+        EXPECT_EQ(hoisted, sequential);
     }
 
-    // Interleaving batched and sequential draws continues one stream.
+    // Interleaving per-kernel draws of two kernels with the
+    // re-solving path continues one stream.
     Rng interleaved(23), plain(23);
-    double chunk[16];
-    interleaved.fillLognormal(chunk, 16, 2.0, 0.3);
-    double after_batch = interleaved.lognormal(2.0, 0.3);
-    for (int i = 0; i < 16; ++i)
-        plain.lognormal(2.0, 0.3);
-    EXPECT_EQ(after_batch, plain.lognormal(2.0, 0.3));
+    const Rng::Lognormal k1 = Rng::Lognormal::fromMeanCv(2.0, 0.3);
+    const Rng::Lognormal k2 = Rng::Lognormal::fromMeanCv(40.0, 0.25);
+    for (std::size_t i = 0; i < n; ++i) {
+        bool first = i % 3 != 0;
+        double x = interleaved.lognormal(first ? k1 : k2);
+        double y = first ? plain.lognormal(2.0, 0.3)
+                         : plain.lognormal(40.0, 0.25);
+        ASSERT_EQ(x, y) << "draw " << i;
+        if (i % 7 == 0) {
+            ASSERT_EQ(interleaved.exponential(5.0), plain.exponential(5.0));
+        }
+    }
+    EXPECT_EQ(interleaved.lognormal(k1), plain.lognormal(2.0, 0.3));
 }
 
 TEST(Rng, BoxMullerZeroDrawStaysFinite)
@@ -289,5 +310,7 @@ TEST(Rng, InvalidArgumentsPanic)
                  sim::PanicError);
     EXPECT_THROW(r.lognormal(-1.0, 0.5), sim::PanicError);
     EXPECT_THROW(r.lognormal(1.0, -0.5), sim::PanicError);
+    EXPECT_THROW(Rng::Lognormal::fromMeanCv(0.0, 0.5), sim::PanicError);
+    EXPECT_THROW(Rng::Lognormal::fromMeanCv(1.0, 0.0), sim::PanicError);
     EXPECT_THROW(r.exponential(0.0), sim::PanicError);
 }

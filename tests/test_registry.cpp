@@ -20,26 +20,14 @@
 #include "core/preemption.hh"
 #include "harness/runner.hh"
 #include "sim/logging.hh"
+#include "tests/test_util.hh"
 #include "workload/system.hh"
 
 using namespace gpump;
 using namespace gpump::core;
+using test::fatalMessageOf;
 
 namespace {
-
-/** Fatal-message helper: run @p fn, return the FatalError text. */
-template <typename Fn>
-std::string
-fatalMessageOf(Fn &&fn)
-{
-    try {
-        fn();
-    } catch (const sim::FatalError &e) {
-        return e.what();
-    }
-    ADD_FAILURE() << "expected sim::FatalError";
-    return "";
-}
 
 struct Dummy
 {
@@ -284,6 +272,29 @@ TEST(SchemeRegistry, IllTypedTunableValueIsRejected)
     other.set("gpu.num_sms", static_cast<std::int64_t>(4));
     other.set("unclaimed.whatever", "fine");
     EXPECT_NO_THROW(makePolicy("fcfs", other));
+}
+
+TEST(SchemeRegistry, DurationTunablesRejectNegativeAndOverflowingValues)
+{
+    // A negative duration, or one whose nanoseconds overflow the
+    // simulated clock, is refused by name at construction instead of
+    // surfacing later as an internal panic.
+    for (const auto &[policy, key] :
+         {std::pair<const char *, const char *>{"ppq_aging",
+                                                "ppq_aging.interval_us"},
+          {"tmux", "tmux.quantum_us"}}) {
+        for (const char *v : {"-1", "1e300", "0"}) {
+            sim::Config cfg;
+            cfg.set(key, std::string(v));
+            std::string msg =
+                fatalMessageOf([&] { makePolicy(policy, cfg); });
+            EXPECT_NE(msg.find(key), std::string::npos)
+                << key << "=" << v << ": " << msg;
+        }
+        sim::Config ok;
+        ok.set(key, std::string("2.5"));
+        EXPECT_NO_THROW(makePolicy(policy, ok)) << key;
+    }
 }
 
 TEST(SchemeRegistry, SchemeLabelsNeverCollideAcrossRegistry)

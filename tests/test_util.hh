@@ -1,12 +1,15 @@
 /**
  * @file
- * Shared test fixtures: synthetic kernel profiles and a miniature
- * device rig (dispatcher + engines + framework) that tests drive by
- * enqueueing commands directly, without the workload layer.
+ * Shared test fixtures: synthetic kernel profiles, a miniature device
+ * rig (dispatcher + engines + framework) that tests drive by
+ * enqueueing commands directly, without the workload layer, and a
+ * helper that captures a FatalError's message.
  */
 
 #ifndef GPUMP_TESTS_TEST_UTIL_HH
 #define GPUMP_TESTS_TEST_UTIL_HH
+
+#include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
@@ -19,11 +22,27 @@
 #include "gpu/transfer_engine.hh"
 #include "memory/gpu_memory.hh"
 #include "memory/pcie.hh"
+#include "sim/logging.hh"
 #include "sim/simulation.hh"
 #include "trace/kernel_profile.hh"
 
 namespace gpump {
 namespace test {
+
+/** Run @p fn and return the text of the sim::FatalError it raises
+ *  (a test failure, and "", when it raises none). */
+template <typename Fn>
+std::string
+fatalMessageOf(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const sim::FatalError &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "expected sim::FatalError";
+    return "";
+}
 
 /** A synthetic kernel profile with direct control of the knobs that
  *  matter to scheduling tests. */
