@@ -15,7 +15,9 @@ namespace exec {
 
 namespace {
 
-/** First line of every entry file; bump with the wire version. */
+/** First line of every entry file; bump when the entry layout
+ *  changes.  A payload of another wire version already reads as a
+ *  miss (decodeResult rejects it), so a wire bump alone needs none. */
 constexpr const char *cacheMagic = "gpump-exec-cache v1";
 
 } // namespace

@@ -197,6 +197,7 @@ class Coordinator
     void handleLine(std::size_t si, const std::string &line);
     void onDeath(std::size_t si, const char *why);
     void runLocal(std::size_t idx);
+    void accept(std::size_t idx, RunResult r);
     void finish(std::size_t idx, RunResult r);
     void killAll();
     void windDown();
@@ -299,15 +300,26 @@ Coordinator::spawn(std::size_t si, bool respawn)
     }
 }
 
+/** Take in @p r as request @p idx's result, from a worker, the cache
+ *  or an in-process run.  A decoded result carries no identity
+ *  (wire.hh), so it is stamped from the request here. */
+void
+Coordinator::accept(std::size_t idx, RunResult r)
+{
+    r.index = idx;
+    r.tag = requests_[idx].tag;
+    r.scheme = requests_[idx].scheme;
+    results_[idx] = std::move(r);
+    have_[idx] = 1;
+    ++completed_;
+}
+
 void
 Coordinator::finish(std::size_t idx, RunResult r)
 {
     if (have_[idx])
         return; // defensive: never double-complete a request
-    r.index = idx;
-    results_[idx] = std::move(r);
-    have_[idx] = 1;
-    ++completed_;
+    accept(idx, std::move(r));
     if (cache_) {
         cache_->store(keys_[idx], results_[idx]);
         if (opt_.testAbortAfterResults >= 0 &&
@@ -534,12 +546,8 @@ Coordinator::run(ExecStats *stats)
             keys_.push_back(requestKey(runner_.baseConfig(), req));
         for (std::size_t i = 0; i < total; ++i) {
             RunResult r;
-            if (cache_->lookup(keys_[i], r)) {
-                r.index = i;
-                results_[i] = std::move(r);
-                have_[i] = 1;
-                ++completed_;
-            }
+            if (cache_->lookup(keys_[i], r))
+                accept(i, std::move(r));
         }
         stats_.cacheHits = completed_;
         std::fprintf(stderr,

@@ -1,6 +1,7 @@
 #include "harness/exec/wire.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -156,7 +157,7 @@ class Parser
         JsonValue v;
         v.type = JsonValue::Type::Number;
         v.text = s_.substr(start, pos_ - start);
-        // Validate the token now so asInt64/asDouble can trust it.
+        // Validate the token now, whichever accessor reads it later.
         char *end = nullptr;
         std::strtod(v.text.c_str(), &end);
         if (v.text.empty() || end != v.text.c_str() + v.text.size())
@@ -269,19 +270,29 @@ JsonValue::asInt64(const char *what) const
     if (type != Type::Number)
         sim::fatal("wire: field %s is not a number", what);
     char *end = nullptr;
+    errno = 0;
     long long v = std::strtoll(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size())
-        sim::fatal("wire: field %s is not an integer ('%s')", what,
+    if (end != text.c_str() + text.size() || errno == ERANGE)
+        sim::fatal("wire: field %s is not a 64-bit integer ('%s')", what,
                    text.c_str());
     return static_cast<std::int64_t>(v);
 }
 
-double
-JsonValue::asDouble(const char *what) const
+std::uint64_t
+JsonValue::asUint64(const char *what) const
 {
     if (type != Type::Number)
         sim::fatal("wire: field %s is not a number", what);
-    return std::strtod(text.c_str(), nullptr);
+    // strtoull would negate a leading '-' into a huge value.
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+    if (text[0] == '-' || end != text.c_str() + text.size() ||
+        errno == ERANGE)
+        sim::fatal("wire: field %s is not an unsigned 64-bit integer "
+                   "('%s')",
+                   what, text.c_str());
+    return static_cast<std::uint64_t>(v);
 }
 
 const std::string &
@@ -314,7 +325,7 @@ std::string
 encodeHexDouble(double value)
 {
     if (std::isnan(value))
-        return "nan";
+        return std::signbit(value) ? "-nan" : "nan";
     if (std::isinf(value))
         return value > 0 ? "inf" : "-inf";
     return sim::strformat("%a", value);
@@ -323,8 +334,8 @@ encodeHexDouble(double value)
 double
 parseHexDouble(const std::string &text, const char *what)
 {
-    // strtod accepts hexfloat, "nan", "inf" and "-inf" — exactly the
-    // encodeHexDouble() vocabulary.
+    // strtod accepts hexfloat, "nan", "-nan", "inf" and "-inf" —
+    // exactly the encodeHexDouble() vocabulary.
     char *end = nullptr;
     double v = std::strtod(text.c_str(), &end);
     if (text.empty() || end != text.c_str() + text.size())
@@ -341,135 +352,190 @@ namespace {
 
 /** Format bump whenever the encoding changes shape: a cache entry
  *  from another version must read as a miss, not misdecode. */
-constexpr std::int64_t wireVersion = 1;
+constexpr std::int64_t wireVersion = 2;
 
-std::string
-hexArray(const std::vector<double> &values)
+/** A run's outcome fields in wire order: everything but the request
+ *  identity.  Both codec directions walk this one list, so a field
+ *  added here travels both ways.  @p Result is RunResult or
+ *  const RunResult. */
+template <typename Result, typename Visit>
+void
+visitOutcome(Result &r, Visit &v)
 {
-    std::string out = "[";
-    for (std::size_t i = 0; i < values.size(); ++i)
-        out += (i ? "," : "") + jsonQuote(encodeHexDouble(values[i]));
-    out += ']';
-    return out;
+    v("ntt", r.metrics.ntt);
+    v("antt", r.metrics.antt);
+    v("stp", r.metrics.stp);
+    v("fairness", r.metrics.fairness);
+    v("isolated_us", r.isolatedUs);
+    v("turnaround_us", r.sys.meanTurnaroundUs);
+    v("latency_us", r.sys.meanLatencyUs);
+    v("dropped", r.sys.droppedRequests);
+    v("runs", r.sys.runs);
+    v("end_time", r.sys.endTime);
+    v("events", r.sys.eventsExecuted);
+    v("kernels", r.sys.kernelsCompleted);
+    v("preemptions", r.sys.preemptions);
+    v("ctx_bytes", r.sys.contextBytesSaved);
+    v("max_ptbq", r.sys.maxPtbqDepth);
+    v("wall_seconds", r.wallSeconds);
+    v("serving", r.servingRun);
+    if (r.servingRun) {
+        v("classes", r.serving.classes);
+        v("window_fairness", r.serving.windowFairness);
+        v("window_us", r.serving.windowUs);
+    }
 }
 
-std::string
-intArray(const std::vector<std::int64_t> &values)
+/** The fields of one serving class, in wire order. */
+template <typename Class, typename Visit>
+void
+visitClass(Class &c, Visit &v)
 {
-    std::string out = "[";
-    for (std::size_t i = 0; i < values.size(); ++i)
-        out += (i ? "," : "") + std::to_string(values[i]);
-    out += ']';
-    return out;
+    v("name", c.name);
+    v("requests", c.requests);
+    v("completed", c.completed);
+    v("dropped", c.dropped);
+    v("misses", c.deadlineMisses);
+    v("n", c.latency.n);
+    v("mean", c.latency.mean);
+    v("p50", c.latency.p50);
+    v("p99", c.latency.p99);
+    v("p999", c.latency.p999);
+    v("max", c.latency.max);
+    v("miss_rate", c.missRate);
+    v("tput", c.throughputPerSec);
+    v("goodput", c.goodputPerSec);
 }
 
-std::vector<double>
-decodeHexArray(const JsonValue &v, const char *what)
+/** Appends each visited field to the JSON object being built in
+ *  `out`.  Doubles become hexfloat strings, run records
+ *  [start,end,release] triples, classes nested objects. */
+struct Writer
 {
-    if (v.type != JsonValue::Type::Array)
-        sim::fatal("wire: field %s is not an array", what);
-    std::vector<double> out;
-    out.reserve(v.items.size());
-    for (const JsonValue &e : v.items)
-        out.push_back(parseHexDouble(e.asString(what), what));
-    return out;
-}
+    std::string &out;
 
-std::vector<std::int64_t>
-decodeIntArray(const JsonValue &v, const char *what)
+    template <typename T>
+    void operator()(const char *key, const T &value)
+    {
+        comma();
+        out += '"';
+        out += key;
+        out += "\":";
+        put(value);
+    }
+
+    /** Separates an element from the one before it: every value ends
+     *  in a digit, quote, bracket, brace or letter, never in an
+     *  opening bracket or brace. */
+    void comma()
+    {
+        if (out.back() != '{' && out.back() != '[')
+            out += ',';
+    }
+
+    void put(double v) { out += jsonQuote(encodeHexDouble(v)); }
+    void put(std::int64_t v) { out += std::to_string(v); }
+    void put(std::uint64_t v) { out += std::to_string(v); }
+    void put(bool v) { out += v ? "true" : "false"; }
+    void put(const std::string &v) { out += jsonQuote(v); }
+
+    void put(const workload::RunRecord &rec)
+    {
+        put(std::vector<sim::SimTime>{rec.start, rec.end, rec.release});
+    }
+
+    void put(const serve::ClassMetrics &c)
+    {
+        out += '{';
+        visitClass(c, *this);
+        out += '}';
+    }
+
+    template <typename T>
+    void put(const std::vector<T> &values)
+    {
+        out += '[';
+        for (const T &v : values) {
+            comma();
+            put(v);
+        }
+        out += ']';
+    }
+};
+
+/** Fills each visited field from the parsed object `obj`; raises
+ *  fatal() on a missing field or a value of the wrong type or range. */
+struct Reader
 {
-    if (v.type != JsonValue::Type::Array)
-        sim::fatal("wire: field %s is not an array", what);
-    std::vector<std::int64_t> out;
-    out.reserve(v.items.size());
-    for (const JsonValue &e : v.items)
-        out.push_back(e.asInt64(what));
-    return out;
-}
+    const JsonValue &obj;
+
+    template <typename T>
+    void operator()(const char *key, T &value) const
+    {
+        get(obj.get(key, key), value, key);
+    }
+
+    static void get(const JsonValue &j, double &v, const char *what)
+    {
+        v = parseHexDouble(j.asString(what), what);
+    }
+    static void get(const JsonValue &j, std::int64_t &v, const char *what)
+    {
+        v = j.asInt64(what);
+    }
+    static void get(const JsonValue &j, std::uint64_t &v, const char *what)
+    {
+        v = j.asUint64(what);
+    }
+    static void get(const JsonValue &j, bool &v, const char *what)
+    {
+        v = j.asBool(what);
+    }
+    static void get(const JsonValue &j, std::string &v, const char *what)
+    {
+        v = j.asString(what);
+    }
+
+    static void get(const JsonValue &j, workload::RunRecord &rec,
+                    const char *what)
+    {
+        std::vector<sim::SimTime> t;
+        get(j, t, what);
+        if (t.size() != 3)
+            sim::fatal("wire: field %s: run record is not a triple", what);
+        rec = {t[0], t[1], t[2]};
+    }
+
+    static void get(const JsonValue &j, serve::ClassMetrics &c,
+                    const char *what)
+    {
+        if (j.type != JsonValue::Type::Object)
+            sim::fatal("wire: field %s: class is not an object", what);
+        Reader nested{j};
+        visitClass(c, nested);
+    }
+
+    template <typename T>
+    static void get(const JsonValue &j, std::vector<T> &values,
+                    const char *what)
+    {
+        if (j.type != JsonValue::Type::Array)
+            sim::fatal("wire: field %s is not an array", what);
+        values.resize(j.items.size());
+        for (std::size_t i = 0; i < values.size(); ++i)
+            get(j.items[i], values[i], what);
+    }
+};
 
 } // namespace
 
 std::string
 encodeResult(const RunResult &r)
 {
-    std::string out = "{";
-    out += "\"v\":" + std::to_string(wireVersion);
-    out += ",\"index\":" + std::to_string(r.index);
-    out += ",\"tag\":" + jsonQuote(r.tag);
-    out += ",\"policy\":" + jsonQuote(r.scheme.policy);
-    out += ",\"mechanism\":" + jsonQuote(r.scheme.mechanism);
-    out += ",\"transfer\":" + jsonQuote(r.scheme.transferPolicy);
-    out += ",\"ntt\":" + hexArray(r.metrics.ntt);
-    out += ",\"antt\":" + jsonQuote(encodeHexDouble(r.metrics.antt));
-    out += ",\"stp\":" + jsonQuote(encodeHexDouble(r.metrics.stp));
-    out += ",\"fairness\":" +
-        jsonQuote(encodeHexDouble(r.metrics.fairness));
-    out += ",\"isolated_us\":" + hexArray(r.isolatedUs);
-    out += ",\"turnaround_us\":" + hexArray(r.sys.meanTurnaroundUs);
-    out += ",\"latency_us\":" + hexArray(r.sys.meanLatencyUs);
-    out += ",\"dropped\":" + intArray(r.sys.droppedRequests);
-    // Per-process run records as [start, end, release] triples: the
-    // full SystemResult survives the hop, not just its aggregates.
-    out += ",\"runs\":[";
-    for (std::size_t p = 0; p < r.sys.runs.size(); ++p) {
-        out += (p ? ",[" : "[");
-        const auto &recs = r.sys.runs[p];
-        for (std::size_t i = 0; i < recs.size(); ++i) {
-            out += (i ? ",[" : "[");
-            out += std::to_string(recs[i].start) + "," +
-                std::to_string(recs[i].end) + "," +
-                std::to_string(recs[i].release) + "]";
-        }
-        out += ']';
-    }
-    out += ']';
-    out += ",\"end_time\":" + std::to_string(r.sys.endTime);
-    out += ",\"events\":" + std::to_string(r.sys.eventsExecuted);
-    out += ",\"kernels\":" + std::to_string(r.sys.kernelsCompleted);
-    out += ",\"preemptions\":" + std::to_string(r.sys.preemptions);
-    out += ",\"ctx_bytes\":" +
-        jsonQuote(encodeHexDouble(r.sys.contextBytesSaved));
-    out += ",\"max_ptbq\":" +
-        jsonQuote(encodeHexDouble(r.sys.maxPtbqDepth));
-    out += ",\"wall_seconds\":" +
-        jsonQuote(encodeHexDouble(r.wallSeconds));
-    out += ",\"serving\":";
-    out += r.servingRun ? "true" : "false";
-    if (r.servingRun) {
-        out += ",\"classes\":[";
-        for (std::size_t i = 0; i < r.serving.classes.size(); ++i) {
-            const serve::ClassMetrics &c = r.serving.classes[i];
-            out += (i ? ",{" : "{");
-            out += "\"name\":" + jsonQuote(c.name);
-            out += ",\"requests\":" + std::to_string(c.requests);
-            out += ",\"completed\":" + std::to_string(c.completed);
-            out += ",\"dropped\":" + std::to_string(c.dropped);
-            out += ",\"misses\":" + std::to_string(c.deadlineMisses);
-            out += ",\"n\":" + std::to_string(c.latency.n);
-            out += ",\"mean\":" +
-                jsonQuote(encodeHexDouble(c.latency.mean));
-            out += ",\"p50\":" +
-                jsonQuote(encodeHexDouble(c.latency.p50));
-            out += ",\"p99\":" +
-                jsonQuote(encodeHexDouble(c.latency.p99));
-            out += ",\"p999\":" +
-                jsonQuote(encodeHexDouble(c.latency.p999));
-            out += ",\"max\":" +
-                jsonQuote(encodeHexDouble(c.latency.max));
-            out += ",\"miss_rate\":" +
-                jsonQuote(encodeHexDouble(c.missRate));
-            out += ",\"tput\":" +
-                jsonQuote(encodeHexDouble(c.throughputPerSec));
-            out += ",\"goodput\":" +
-                jsonQuote(encodeHexDouble(c.goodputPerSec));
-            out += '}';
-        }
-        out += ']';
-        out += ",\"window_fairness\":" +
-            jsonQuote(encodeHexDouble(r.serving.windowFairness));
-        out += ",\"window_us\":" +
-            jsonQuote(encodeHexDouble(r.serving.windowUs));
-    }
+    std::string out = "{\"v\":" + std::to_string(wireVersion) +
+        ",\"index\":" + std::to_string(r.index);
+    Writer writer{out};
+    visitOutcome(r, writer);
     out += '}';
     return out;
 }
@@ -490,108 +556,9 @@ decodeResult(const JsonValue &v)
 
     RunResult r;
     r.index = static_cast<std::size_t>(
-        v.get("index", "index").asInt64("index"));
-    r.tag = v.get("tag", "tag").asString("tag");
-    r.scheme.policy = v.get("policy", "policy").asString("policy");
-    r.scheme.mechanism =
-        v.get("mechanism", "mechanism").asString("mechanism");
-    r.scheme.transferPolicy =
-        v.get("transfer", "transfer").asString("transfer");
-    r.metrics.ntt = decodeHexArray(v.get("ntt", "ntt"), "ntt");
-    r.metrics.antt =
-        parseHexDouble(v.get("antt", "antt").asString("antt"), "antt");
-    r.metrics.stp =
-        parseHexDouble(v.get("stp", "stp").asString("stp"), "stp");
-    r.metrics.fairness = parseHexDouble(
-        v.get("fairness", "fairness").asString("fairness"), "fairness");
-    r.isolatedUs =
-        decodeHexArray(v.get("isolated_us", "isolated_us"),
-                       "isolated_us");
-    r.sys.meanTurnaroundUs = decodeHexArray(
-        v.get("turnaround_us", "turnaround_us"), "turnaround_us");
-    r.sys.meanLatencyUs =
-        decodeHexArray(v.get("latency_us", "latency_us"), "latency_us");
-    r.sys.droppedRequests =
-        decodeIntArray(v.get("dropped", "dropped"), "dropped");
-
-    const JsonValue &runs = v.get("runs", "runs");
-    if (runs.type != JsonValue::Type::Array)
-        sim::fatal("wire: field runs is not an array");
-    r.sys.runs.reserve(runs.items.size());
-    for (const JsonValue &proc : runs.items) {
-        if (proc.type != JsonValue::Type::Array)
-            sim::fatal("wire: runs entry is not an array");
-        std::vector<workload::RunRecord> recs;
-        recs.reserve(proc.items.size());
-        for (const JsonValue &rec : proc.items) {
-            if (rec.type != JsonValue::Type::Array ||
-                rec.items.size() != 3)
-                sim::fatal("wire: run record is not a triple");
-            workload::RunRecord rr;
-            rr.start = rec.items[0].asInt64("run.start");
-            rr.end = rec.items[1].asInt64("run.end");
-            rr.release = rec.items[2].asInt64("run.release");
-            recs.push_back(rr);
-        }
-        r.sys.runs.push_back(std::move(recs));
-    }
-
-    r.sys.endTime = v.get("end_time", "end_time").asInt64("end_time");
-    r.sys.eventsExecuted = static_cast<std::uint64_t>(
-        v.get("events", "events").asInt64("events"));
-    r.sys.kernelsCompleted = static_cast<std::uint64_t>(
-        v.get("kernels", "kernels").asInt64("kernels"));
-    r.sys.preemptions = static_cast<std::uint64_t>(
-        v.get("preemptions", "preemptions").asInt64("preemptions"));
-    r.sys.contextBytesSaved = parseHexDouble(
-        v.get("ctx_bytes", "ctx_bytes").asString("ctx_bytes"),
-        "ctx_bytes");
-    r.sys.maxPtbqDepth = parseHexDouble(
-        v.get("max_ptbq", "max_ptbq").asString("max_ptbq"), "max_ptbq");
-    r.wallSeconds = parseHexDouble(
-        v.get("wall_seconds", "wall_seconds").asString("wall_seconds"),
-        "wall_seconds");
-    r.servingRun = v.get("serving", "serving").asBool("serving");
-    if (r.servingRun) {
-        const JsonValue &classes = v.get("classes", "classes");
-        if (classes.type != JsonValue::Type::Array)
-            sim::fatal("wire: field classes is not an array");
-        for (const JsonValue &e : classes.items) {
-            if (e.type != JsonValue::Type::Object)
-                sim::fatal("wire: class entry is not an object");
-            serve::ClassMetrics c;
-            c.name = e.get("name", "class.name").asString("class.name");
-            c.requests = e.get("requests", "class.requests")
-                             .asInt64("class.requests");
-            c.completed = e.get("completed", "class.completed")
-                              .asInt64("class.completed");
-            c.dropped = e.get("dropped", "class.dropped")
-                            .asInt64("class.dropped");
-            c.deadlineMisses =
-                e.get("misses", "class.misses").asInt64("class.misses");
-            c.latency.n = e.get("n", "class.n").asInt64("class.n");
-            auto hex = [&e](const char *key) {
-                return parseHexDouble(e.get(key, key).asString(key),
-                                      key);
-            };
-            c.latency.mean = hex("mean");
-            c.latency.p50 = hex("p50");
-            c.latency.p99 = hex("p99");
-            c.latency.p999 = hex("p999");
-            c.latency.max = hex("max");
-            c.missRate = hex("miss_rate");
-            c.throughputPerSec = hex("tput");
-            c.goodputPerSec = hex("goodput");
-            r.serving.classes.push_back(std::move(c));
-        }
-        r.serving.windowFairness = parseHexDouble(
-            v.get("window_fairness", "window_fairness")
-                .asString("window_fairness"),
-            "window_fairness");
-        r.serving.windowUs = parseHexDouble(
-            v.get("window_us", "window_us").asString("window_us"),
-            "window_us");
-    }
+        v.get("index", "index").asUint64("index"));
+    Reader reader{v};
+    visitOutcome(r, reader);
     return r;
 }
 

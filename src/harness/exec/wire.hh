@@ -9,12 +9,15 @@
  *  - a minimal strict JSON reader (harness emits JSON everywhere but
  *    until now never had to parse it back).  Numeric tokens keep
  *    their raw spelling so 64-bit integers round-trip exactly;
- *  - encodeResult()/decodeResult(): a complete, *bit-exact*
- *    serialization of harness::RunResult.  Doubles travel as hexfloat
- *    strings ("0x1.91eb8p+1", "nan", "-inf"), which round-trip every
- *    binary64 value by construction — the merge-side output must be
- *    byte-identical to an in-process run, so "close enough" decimal
- *    formatting is not an option.
+ *  - encodeResult()/decodeResult(): a *bit-exact* serialization of a
+ *    run's outcome.  One field list, walked in both directions, names
+ *    every outcome field of harness::RunResult; the request identity
+ *    (tag, scheme) is not on the wire, because the receiver already
+ *    holds the request.  Doubles travel as hexfloat strings
+ *    ("0x1.91eb8p+1", "-nan", "-inf"), which keep every bit but a
+ *    NaN's payload — the merge-side output must be byte-identical to
+ *    an in-process run, so "close enough" decimal formatting is not
+ *    an option.
  */
 
 #ifndef GPUMP_HARNESS_EXEC_WIRE_HH
@@ -59,8 +62,10 @@ struct JsonValue
      *  naming @p what (the field being decoded). @{ */
     const JsonValue &get(const std::string &key,
                          const char *what) const;
+    /** Integers out of the type's range are fatal, never clamped;
+     *  asUint64() also rejects a leading '-'. */
     std::int64_t asInt64(const char *what) const;
-    double asDouble(const char *what) const;
+    std::uint64_t asUint64(const char *what) const;
     const std::string &asString(const char *what) const;
     bool asBool(const char *what) const;
     /** @} */
@@ -74,22 +79,24 @@ struct JsonValue
 JsonValue parseJson(const std::string &text);
 
 /** @name Exact double <-> string
- * Hexfloat spelling ("%a"), with "nan"/"inf"/"-inf" for the
+ * Hexfloat spelling ("%a"), with "nan"/"-nan"/"inf"/"-inf" for the
  * non-finite values; parseHexDouble() inverts encodeHexDouble()
- * bit-exactly for every binary64 value. @{ */
+ * bit-exactly for every non-NaN binary64 value.  A NaN keeps its sign
+ * (x86 arithmetic makes "-nan"), not its payload bits. @{ */
 std::string encodeHexDouble(double value);
 /** Raises fatal() when @p text is not a number. */
 double parseHexDouble(const std::string &text, const char *what);
 /** @} */
 
-/** Serialize @p result as one JSON line (no trailing newline).
- *  Everything a bench or report can read out of a RunResult is
- *  included: metrics, baselines, the full SystemResult (run records
- *  too) and serving metrics. */
+/** Serialize @p result as one JSON line (no trailing newline): the
+ *  index, then everything a bench or report reads out of a run's
+ *  outcome — metrics, baselines, the full SystemResult (run records
+ *  too), wall time and serving metrics.  Not the tag or the scheme. */
 std::string encodeResult(const RunResult &result);
 
 /** Inverse of encodeResult(); raises fatal() on malformed or
- *  version-mismatched input. */
+ *  version-mismatched input.  The decoded result carries no tag or
+ *  scheme: whoever takes it in stamps them from the request. */
 RunResult decodeResult(const std::string &line);
 
 /** Decode from an already-parsed document (the coordinator parses

@@ -272,14 +272,14 @@ writeResultsJsonl(const std::string &path, const Batch &batch,
                 JsonObject o;
                 o.add("suite", batch.name)
                     .add("index", static_cast<std::int64_t>(idx))
-                    .add("tag", r.tag)
+                    .add("tag", req.tag)
                     .add("size", static_cast<std::int64_t>(
                                      batch.sizes[si]))
                     .add("plan", static_cast<std::int64_t>(pi))
                     .add("scheme", batch.schemes[ci].name)
-                    .add("label", r.scheme.label())
-                    .add("policy_doc", policyDocOf(r.scheme))
-                    .add("mechanism_doc", mechanismDocOf(r.scheme))
+                    .add("label", req.scheme.label())
+                    .add("policy_doc", policyDocOf(req.scheme))
+                    .add("mechanism_doc", mechanismDocOf(req.scheme))
                     .add("benchmarks", req.plan.benchmarks)
                     .add("seed",
                          sim::strformat("%llu",

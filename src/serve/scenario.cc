@@ -51,12 +51,16 @@ ScenarioSpec::fingerprint() const
             std::to_string(static_cast<int>(a.kind)) + "," +
             hex(a.ratePerSec) + "," + hex(a.burstMeanUs) + "," +
             hex(a.idleMeanUs);
-        if (!a.traceUs.empty()) {
+        // A trace file keys on the offsets makeTimeline reads from it,
+        // rendered like an inline trace: rewriting the file changes
+        // the key, and an inline trace of the same offsets shares it.
+        std::vector<double> trace = a.traceUs;
+        if (trace.empty() && a.kind == ArrivalSpec::Kind::Trace)
+            trace = readArrivalTrace(a.traceFile);
+        if (!trace.empty()) {
             out += ",trace:";
-            for (std::size_t i = 0; i < a.traceUs.size(); ++i)
-                out += (i ? " " : "") + hex(a.traceUs[i]);
-        } else if (!a.traceFile.empty()) {
-            out += ",file:" + a.traceFile;
+            for (std::size_t i = 0; i < trace.size(); ++i)
+                out += (i ? " " : "") + hex(trace[i]);
         }
         out += "}";
     }

@@ -76,9 +76,7 @@ struct ScenarioSpec
      *  (tenants, arrival processes, horizon, seed; no newlines).
      *  Equal scenarios have equal fingerprints — the serving arm of
      *  the multi-process executor's work-unit key (harness/exec).
-     *  Trace-file arrivals key on the file *path*, not its contents;
-     *  callers who rewrite trace files between sweeps must use a
-     *  fresh cache directory. */
+     *  A trace file is read and keyed on its offsets. */
     std::string fingerprint() const;
 };
 

@@ -13,9 +13,12 @@
 #include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,7 +31,9 @@
 #include "harness/exec/wire.hh"
 #include "harness/interrupt.hh"
 #include "harness/suite.hh"
+#include "serve/arrival.hh"
 #include "sim/logging.hh"
+#include "sim/random.hh"
 
 using namespace gpump;
 using namespace gpump::harness;
@@ -37,9 +42,9 @@ namespace {
 
 /** The small grid shared by the executor tests (2 schemes x 3 plans). */
 Batch
-smallGrid()
+smallGrid(const std::string &name = "grid")
 {
-    Suite suite("grid");
+    Suite suite(name);
     suite.sizes({2})
         .uniform(/*count=*/3, /*base_seed=*/20140614)
         .minReplays(1)
@@ -48,14 +53,16 @@ smallGrid()
     return suite.build();
 }
 
-/** Canonical rendering of a result for cross-run comparison:
+/** Canonical rendering of a result for cross-run comparison: its
+ *  identity, which the wire leaves out, then its wire payload.
  *  wallSeconds is host-timing noise (explicitly outside the
  *  determinism contract), everything else must match bit-for-bit. */
 std::string
 canon(RunResult r)
 {
     r.wallSeconds = 0.0;
-    return exec::encodeResult(r);
+    return r.tag + "|" + r.scheme.policy + "/" + r.scheme.mechanism +
+        "/" + r.scheme.transferPolicy + "|" + exec::encodeResult(r);
 }
 
 std::vector<std::string>
@@ -131,6 +138,157 @@ fullResult()
     return r;
 }
 
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
+
+/** The bytes writeResultsJsonl writes for @p results. */
+std::string
+jsonlRows(const TempDir &dir, const Batch &batch,
+          const std::vector<RunResult> &results)
+{
+    return readFile(writeResultsJsonl((dir.path / "rows.jsonl").string(),
+                                      batch, results));
+}
+
+/** A double that is often one a lossy codec would mangle: NaN of
+ *  either sign, an infinity, a signed zero, a denormal, DBL_MAX, or
+ *  any bit pattern at all (NaN payloads included). */
+double
+randomDouble(sim::Rng &rng)
+{
+    using lim = std::numeric_limits<double>;
+    const double special[] = {lim::quiet_NaN(),   -lim::quiet_NaN(),
+                              lim::infinity(),    -lim::infinity(),
+                              0.0,                -0.0,
+                              lim::denorm_min(),  -lim::denorm_min(),
+                              lim::max(),         -lim::max()};
+    const std::uint64_t n = std::size(special);
+    std::uint64_t pick = rng.uniformInt(2 * n);
+    if (pick < n)
+        return special[pick];
+    std::uint64_t bits = rng.next();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    return v;
+}
+
+std::int64_t
+randomInt64(sim::Rng &rng)
+{
+    switch (rng.uniformInt(std::uint64_t{4})) {
+      case 0: return std::numeric_limits<std::int64_t>::min();
+      case 1: return std::numeric_limits<std::int64_t>::max();
+      case 2: return rng.uniformInt(std::int64_t{-5}, std::int64_t{5});
+      default: return static_cast<std::int64_t>(rng.next());
+    }
+}
+
+std::uint64_t
+randomUint64(sim::Rng &rng)
+{
+    switch (rng.uniformInt(std::uint64_t{4})) {
+      case 0: return std::numeric_limits<std::uint64_t>::max();
+      case 1: return std::uint64_t{1} << 63;
+      case 2: return rng.uniformInt(std::uint64_t{5});
+      default: return rng.next();
+    }
+}
+
+/** 0-3 elements drawn by @p draw. */
+template <typename T, typename Draw>
+std::vector<T>
+randomVector(sim::Rng &rng, Draw draw)
+{
+    std::vector<T> out(rng.uniformInt(std::uint64_t{4}));
+    for (T &v : out)
+        v = draw(rng);
+    return out;
+}
+
+/** A RunResult with every outcome field random: empty and non-empty
+ *  vectors, 0-3 processes of 0-3 run records, serving on or off with
+ *  0-3 classes whose names need JSON escaping, extreme integers. */
+RunResult
+randomResult(sim::Rng &rng)
+{
+    const char name_chars[] = {'a', 'Z', '"', '\\', '\n', '\t', '\r',
+                               '\0', '\x01', '\x1f', '\x7f', '/',
+                               ' ', '\xe9'};
+    auto name = [&name_chars](sim::Rng &g) {
+        std::string s;
+        for (std::uint64_t n = g.uniformInt(std::uint64_t{6}); n > 0; --n)
+            s += name_chars[g.uniformInt(std::size(name_chars))];
+        return s;
+    };
+
+    RunResult r;
+    r.metrics.ntt = randomVector<double>(rng, randomDouble);
+    r.metrics.antt = randomDouble(rng);
+    r.metrics.stp = randomDouble(rng);
+    r.metrics.fairness = randomDouble(rng);
+    r.isolatedUs = randomVector<double>(rng, randomDouble);
+    r.sys.meanTurnaroundUs = randomVector<double>(rng, randomDouble);
+    r.sys.meanLatencyUs = randomVector<double>(rng, randomDouble);
+    r.sys.droppedRequests = randomVector<std::int64_t>(rng, randomInt64);
+    r.sys.runs = randomVector<std::vector<workload::RunRecord>>(
+        rng, [](sim::Rng &g) {
+            return randomVector<workload::RunRecord>(g, [](sim::Rng &h) {
+                return workload::RunRecord{randomInt64(h), randomInt64(h),
+                                           randomInt64(h)};
+            });
+        });
+    r.sys.endTime = randomInt64(rng);
+    r.sys.eventsExecuted = randomUint64(rng);
+    r.sys.kernelsCompleted = randomUint64(rng);
+    r.sys.preemptions = randomUint64(rng);
+    r.sys.contextBytesSaved = randomDouble(rng);
+    r.sys.maxPtbqDepth = randomDouble(rng);
+    r.wallSeconds = randomDouble(rng);
+    r.servingRun = rng.uniformInt(std::uint64_t{2}) == 1;
+    if (r.servingRun) {
+        r.serving.classes = randomVector<serve::ClassMetrics>(
+            rng, [&name](sim::Rng &g) {
+                serve::ClassMetrics c;
+                c.name = name(g);
+                c.requests = randomInt64(g);
+                c.completed = randomInt64(g);
+                c.dropped = randomInt64(g);
+                c.deadlineMisses = randomInt64(g);
+                c.latency.n = randomInt64(g);
+                c.latency.mean = randomDouble(g);
+                c.latency.p50 = randomDouble(g);
+                c.latency.p99 = randomDouble(g);
+                c.latency.p999 = randomDouble(g);
+                c.latency.max = randomDouble(g);
+                c.missRate = randomDouble(g);
+                c.throughputPerSec = randomDouble(g);
+                c.goodputPerSec = randomDouble(g);
+                return c;
+            });
+        r.serving.windowFairness = randomDouble(rng);
+        r.serving.windowUs = randomDouble(rng);
+    }
+    return r;
+}
+
+/** @p line with the value of its first @p key field replaced by the
+ *  raw token @p token. */
+std::string
+withToken(const std::string &line, const std::string &key,
+          const std::string &token)
+{
+    std::size_t at = line.find("\"" + key + "\":");
+    EXPECT_NE(at, std::string::npos) << key;
+    at += key.size() + 3;
+    return line.substr(0, at) + token +
+        line.substr(line.find_first_of(",}", at));
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -156,10 +314,19 @@ TEST(ExecWire, HexDoubleRoundTripsEveryValueClass)
         EXPECT_EQ(std::signbit(back), std::signbit(v));
         EXPECT_EQ(back, v) << exec::encodeHexDouble(v);
     }
-    double nan_back = exec::parseHexDouble(
-        exec::encodeHexDouble(std::numeric_limits<double>::quiet_NaN()),
-        "test");
-    EXPECT_TRUE(std::isnan(nan_back));
+    // A NaN keeps its sign: on x86, 0.0/0.0 computed at run time sets
+    // it, and an in-process table cell prints that NaN as "-nan".
+    volatile double zero = 0.0;
+    const double nans[] = {zero / zero,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::quiet_NaN()};
+    for (double nan : nans) {
+        double back =
+            exec::parseHexDouble(exec::encodeHexDouble(nan), "test");
+        EXPECT_TRUE(std::isnan(back));
+        EXPECT_EQ(std::signbit(back), std::signbit(nan))
+            << exec::encodeHexDouble(nan);
+    }
     EXPECT_THROW(exec::parseHexDouble("bogus", "test"),
                  sim::FatalError);
     EXPECT_THROW(exec::parseHexDouble("", "test"), sim::FatalError);
@@ -174,7 +341,8 @@ TEST(ExecWire, ResultRoundTripsBitExactIncludingServing)
     // byte-for-byte — string equality sidesteps NaN != NaN while still
     // asserting bit-exactness of every field.
     EXPECT_EQ(exec::encodeResult(back), line);
-    EXPECT_EQ(back.tag, r.tag);
+    // Identity does not travel: the receiver stamps it from the request.
+    EXPECT_TRUE(back.tag.empty());
     EXPECT_EQ(back.sys.runs, r.sys.runs);
     EXPECT_EQ(back.sys.endTime, r.sys.endTime);
     ASSERT_EQ(back.serving.classes.size(), 1u);
@@ -196,6 +364,166 @@ TEST(ExecWire, RejectsMalformedAndVersionMismatch)
     EXPECT_TRUE(exec::tryDecodeResult(line, out));
     EXPECT_FALSE(
         exec::tryDecodeResult(line.substr(0, line.size() / 2), out));
+}
+
+TEST(ExecWire, IntegersKeepTheirExactValueOrFailToDecode)
+{
+    using i64 = std::numeric_limits<std::int64_t>;
+    using u64 = std::numeric_limits<std::uint64_t>;
+    RunResult r = fullResult();
+    r.sys.endTime = i64::min();
+    r.sys.runs = {{{i64::min(), i64::max(), -1}}};
+    r.sys.droppedRequests = {i64::min(), i64::max()};
+    r.sys.eventsExecuted = u64::max();
+    r.sys.kernelsCompleted = std::uint64_t{1} << 63;
+    r.sys.preemptions = 0;
+    r.serving.classes[0].requests = i64::min();
+    RunResult back = exec::decodeResult(exec::encodeResult(r));
+    EXPECT_EQ(back.sys.endTime, i64::min());
+    EXPECT_EQ(back.sys.runs, r.sys.runs);
+    EXPECT_EQ(back.sys.droppedRequests, r.sys.droppedRequests);
+    EXPECT_EQ(back.sys.eventsExecuted, u64::max());
+    EXPECT_EQ(back.sys.kernelsCompleted, std::uint64_t{1} << 63);
+    EXPECT_EQ(back.sys.preemptions, 0u);
+    EXPECT_EQ(back.serving.classes[0].requests, i64::min());
+
+    // A token beyond its field's range, or negative in an unsigned
+    // field, fails the decode instead of being clamped or wrapped.
+    const std::string line = exec::encodeResult(fullResult());
+    RunResult out;
+    for (const char *key : {"events", "kernels", "preemptions"}) {
+        EXPECT_TRUE(exec::tryDecodeResult(
+            withToken(line, key, "18446744073709551615"), out));
+        EXPECT_FALSE(exec::tryDecodeResult(
+            withToken(line, key, "18446744073709551616"), out))
+            << key;
+        EXPECT_FALSE(exec::tryDecodeResult(withToken(line, key, "-1"), out))
+            << key;
+        EXPECT_FALSE(exec::tryDecodeResult(withToken(line, key, "-0"), out))
+            << key;
+    }
+    EXPECT_TRUE(exec::tryDecodeResult(
+        withToken(line, "end_time", "-9223372036854775808"), out));
+    EXPECT_FALSE(exec::tryDecodeResult(
+        withToken(line, "end_time", "9223372036854775808"), out));
+    EXPECT_FALSE(exec::tryDecodeResult(
+        withToken(line, "end_time", "99999999999999999999"), out));
+    EXPECT_FALSE(exec::tryDecodeResult(
+        withToken(line, "end_time", "-99999999999999999999"), out));
+}
+
+TEST(ExecWire, RandomResultsRoundTripAndWriteTheSameJsonl)
+{
+    sim::Rng rng(20140614);
+    std::vector<RunResult> plain, served, plain_back, served_back;
+    for (int i = 0; i < 1200; ++i) {
+        RunResult r = randomResult(rng);
+        const std::string line = exec::encodeResult(r);
+        RunResult back = exec::decodeResult(line);
+        ASSERT_EQ(exec::encodeResult(back), line);
+        (r.servingRun ? served : plain).push_back(std::move(r));
+        (back.servingRun ? served_back : plain_back)
+            .push_back(std::move(back));
+    }
+    ASSERT_FALSE(plain.empty());
+    ASSERT_FALSE(served.empty());
+
+    // The JSONL row is written by hand, not from the field list: a
+    // field the decoder dropped or bent would change its bytes.
+    Suite plain_suite("plain");
+    plain_suite.sizes({2})
+        .uniform(static_cast<int>(plain.size()), 1)
+        .scheme("FCFS", {"fcfs", "context_switch", "fcfs"});
+    Batch plain_batch = plain_suite.build();
+
+    std::vector<serve::ScenarioSpec> scenarios(served.size());
+    for (std::size_t i = 0; i < scenarios.size(); ++i) {
+        scenarios[i].name = "s" + std::to_string(i);
+        serve::TenantSpec t;
+        t.benchmark = "mri-q";
+        scenarios[i].tenants.push_back(t);
+    }
+    Suite serving_suite("served");
+    serving_suite.serving(scenarios).scheme(
+        "FCFS", {"fcfs", "context_switch", "fcfs"});
+    Batch serving_batch = serving_suite.build();
+
+    TempDir dir("gpump_exec_rows");
+    const std::string plain_rows = jsonlRows(dir, plain_batch, plain);
+    EXPECT_EQ(jsonlRows(dir, plain_batch, plain_back), plain_rows);
+    const std::string served_rows = jsonlRows(dir, serving_batch, served);
+    EXPECT_NE(served_rows.find("\"latency_p99_us\""), std::string::npos);
+    EXPECT_EQ(jsonlRows(dir, serving_batch, served_back), served_rows);
+}
+
+TEST(ExecFuzz, MutatedPayloadsAndCacheEntriesFailCleanly)
+{
+    RunResult plain = fullResult();
+    plain.servingRun = false;
+    const std::string payloads[] = {exec::encodeResult(fullResult()),
+                                    exec::encodeResult(plain)};
+    TempDir dir("gpump_exec_fuzz");
+    exec::ResultCache cache(dir.str());
+    const std::string key = "cfg{fuzz};plan{fuzz}";
+    cache.store(key, fullResult());
+    const std::string entry_path =
+        (dir.path / (exec::hashKey(key) + ".entry")).string();
+    const std::string entry = readFile(entry_path);
+
+    // Every truncation, then seeded single-byte flips, inserts and
+    // deletes (1,700 per input, 5,100 in all).
+    sim::Rng rng(20140614);
+    auto mutants = [&rng](const std::string &in) {
+        std::vector<std::string> out;
+        for (std::size_t n = 0; n < in.size(); ++n)
+            out.push_back(in.substr(0, n));
+        for (int i = 0; i < 1700; ++i) {
+            std::string m = in;
+            std::size_t at = rng.uniformInt(std::uint64_t{m.size()});
+            auto byte = static_cast<char>(
+                1 + rng.uniformInt(std::uint64_t{255}));
+            switch (rng.uniformInt(std::uint64_t{3})) {
+              case 0: m[at] = static_cast<char>(m[at] ^ byte); break;
+              case 1: m.insert(at, 1, byte); break;
+              default: m.erase(at, 1);
+            }
+            out.push_back(std::move(m));
+        }
+        return out;
+    };
+
+    for (const std::string &payload : payloads) {
+        for (const std::string &m : mutants(payload)) {
+            try {
+                exec::decodeResult(m);
+            } catch (const sim::FatalError &) {
+                // The only way decodeResult may refuse its input.
+            } catch (const std::exception &e) {
+                ADD_FAILURE() << "decodeResult threw '" << e.what()
+                              << "' on " << m;
+            }
+            RunResult out;
+            EXPECT_NO_THROW(exec::tryDecodeResult(m, out)) << m;
+        }
+    }
+
+    std::size_t hits = 0;
+    for (const std::string &m : mutants(entry)) {
+        {
+            std::ofstream os(entry_path, std::ios::binary | std::ios::trunc);
+            os << m;
+        }
+        RunResult out;
+        bool hit = false;
+        EXPECT_NO_THROW(hit = cache.lookup(key, out)) << m;
+        if (!hit)
+            continue;
+        ++hits;
+        // A hit needs the key line intact.
+        std::size_t line2 = m.find('\n') + 1;
+        EXPECT_EQ(m.substr(line2, m.find('\n', line2) - line2), key) << m;
+    }
+    EXPECT_GT(hits, 0u); // the loop reached the decode, not just the key
 }
 
 // ---------------------------------------------------------------------
@@ -280,6 +608,36 @@ TEST(ExecCache, RequestKeyCoversEverythingThatChangesAResult)
     sim::Config other;
     other.set("gpu.num_sms", std::int64_t{4});
     EXPECT_NE(k0, exec::requestKey(other, batch.requests[0]));
+}
+
+TEST(ExecCache, RequestKeyCoversTraceFileContents)
+{
+    TempDir dir("gpump_exec_tracekey");
+    const std::string path = (dir.path / "arrivals.txt").string();
+    serve::writeArrivalTrace(path, {100.0, 2500.0});
+
+    serve::TenantSpec tenant;
+    tenant.benchmark = "mri-q";
+    tenant.arrivals.kind = serve::ArrivalSpec::Kind::Trace;
+    tenant.arrivals.traceFile = path;
+    auto from_file = std::make_shared<serve::ScenarioSpec>();
+    from_file->tenants.push_back(tenant);
+    RunRequest req;
+    req.serving = from_file;
+    const sim::Config base;
+    const std::string before = exec::requestKey(base, req);
+
+    // Rewriting the file between sweeps must not serve old results.
+    serve::writeArrivalTrace(path, {100.0, 2600.0});
+    const std::string after = exec::requestKey(base, req);
+    EXPECT_NE(before, after);
+
+    // An inline trace of the same offsets shares the file's key.
+    auto inline_trace = std::make_shared<serve::ScenarioSpec>(*from_file);
+    inline_trace->tenants[0].arrivals.traceFile.clear();
+    inline_trace->tenants[0].arrivals.traceUs = {100.0, 2600.0};
+    req.serving = inline_trace;
+    EXPECT_EQ(exec::requestKey(base, req), after);
 }
 
 TEST(ExecCache, StaleEntriesAreDetected)
@@ -441,6 +799,50 @@ TEST(ExecCoordinator, StrictModeFailsOnStaleCacheEntries)
     Runner strict(sim::Config(), /*jobs=*/1);
     EXPECT_THROW(exec::runBatch(strict, batch.requests, opt),
                  sim::FatalError);
+}
+
+TEST(ExecCoordinator, SharedCacheServesResultsUnderTheRequestsIdentity)
+{
+    // Two benches that run one grid under different suite names (as
+    // fig7_dss and fig8_antt_curves do) share a cache directory.
+    Batch first = smallGrid("first");
+    Batch second = smallGrid("second");
+    TempDir dir("gpump_exec_shared");
+    exec::ExecOptions opt;
+    opt.workers = 2;
+    opt.cacheDir = dir.str();
+
+    Runner computing(sim::Config(), /*jobs=*/1);
+    computing.setExec(opt);
+    auto computed = computing.run(first.requests);
+
+    Runner serving(sim::Config(), /*jobs=*/1);
+    exec::ExecStats stats;
+    auto cached = exec::runBatch(serving, second.requests, opt, &stats);
+    ASSERT_EQ(stats.cacheHits, second.requests.size());
+
+    for (std::size_t i = 0; i < second.requests.size(); ++i) {
+        EXPECT_EQ(computed[i].tag, first.requests[i].tag);
+        EXPECT_EQ(cached[i].index, i);
+        EXPECT_EQ(cached[i].tag, second.requests[i].tag);
+        EXPECT_EQ(cached[i].scheme.policy,
+                  second.requests[i].scheme.policy);
+        EXPECT_EQ(cached[i].scheme.mechanism,
+                  second.requests[i].scheme.mechanism);
+        EXPECT_EQ(cached[i].scheme.transferPolicy,
+                  second.requests[i].scheme.transferPolicy);
+    }
+
+    // Its rows equal an uncached run's; zeroing the wall time on both
+    // sides blanks the two host-timing columns.
+    Runner plain(sim::Config(), /*jobs=*/1);
+    auto uncached = plain.run(second.requests);
+    for (RunResult &r : cached)
+        r.wallSeconds = 0.0;
+    for (RunResult &r : uncached)
+        r.wallSeconds = 0.0;
+    EXPECT_EQ(jsonlRows(dir, second, cached),
+              jsonlRows(dir, second, uncached));
 }
 
 // ---------------------------------------------------------------------
