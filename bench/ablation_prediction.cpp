@@ -32,7 +32,7 @@ using namespace gpump::bench;
 int
 main(int argc, char **argv)
 {
-    harness::Args args(argc, argv);
+    harness::Args args(argc, argv, BenchOptions::flags());
     BenchOptions opt = BenchOptions::fromArgs(args,
                                               "ablation_prediction");
 

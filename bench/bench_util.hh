@@ -1,8 +1,7 @@
 /**
  * @file
  * Shared helpers for the figure-regeneration benches: common CLI
- * options, Class 1/2 lookups, thread-safe progress reporting and
- * table emission.
+ * options, Class 1/2 lookups, progress reporting and table emission.
  */
 
 #ifndef GPUMP_BENCH_BENCH_UTIL_HH
@@ -40,16 +39,14 @@ struct BenchOptions
     int replays = 3;
     std::uint64_t seed = 20140614; // ISCA 2014
     bool csv = false;
-    /** Worker threads for the batch runner (--jobs=N; default 1). */
+    /** Parallelism of the batch (--jobs=N; default 1): 1 runs it in
+     *  process, N > 1 across N forked workers with crash isolation
+     *  and requeue/retry (DESIGN.md §10).  Results merge in request
+     *  order, so output is byte-identical for any job count. */
     int jobs = 1;
     /** JSON-lines output path; empty = disabled.  Bare --jsonl picks
      *  results/<bench>.jsonl. */
     std::string jsonl;
-    /** Forked worker processes (--workers=N; default 0 = in-process
-     *  thread pool).  Results are merged in request order, so output
-     *  is byte-identical to --jobs for any worker count; workers add
-     *  crash isolation and requeue/retry (DESIGN.md §10). */
-    int workers = 0;
     /** On-disk result cache directory (--cache-dir=PATH; empty =
      *  off).  Completed runs are persisted under their request
      *  fingerprint, so rerunning an interrupted sweep against the
@@ -61,11 +58,25 @@ struct BenchOptions
     double timeoutSec = 0.0;
 
     /**
+     * The flags fromArgs reads, plus @p own, the flags a bench reads
+     * itself.  A bench hands the list to harness::Args, which rejects
+     * every other flag.
+     */
+    static std::vector<std::string> flags(std::vector<std::string> own = {})
+    {
+        std::vector<std::string> f{
+            "quick", "sizes", "per-bench", "workloads", "replays", "seed",
+            "csv",   "jobs",  "cache-dir", "timeout",   "jsonl"};
+        f.insert(f.end(), own.begin(), own.end());
+        return f;
+    }
+
+    /**
      * Parse from args: --quick shrinks everything for smoke runs;
      * --sizes/--per-bench/--workloads/--replays/--seed/--csv/--jobs/
-     * --workers/--cache-dir/--timeout/--jsonl[=path] override.
-     * --jobs/--workers share one validator: anything but an integer
-     * in [1, INT_MAX] is fatal.  @p bench_name names the default JSONL
+     * --cache-dir/--timeout/--jsonl[=path] override.  --jobs accepts
+     * only an integer in [1, INT_MAX], and --timeout only a finite
+     * number of seconds >= 0.  @p bench_name names the default JSONL
      * file.
      */
     static BenchOptions fromArgs(const harness::Args &args,
@@ -85,7 +96,6 @@ struct BenchOptions
             args.flagInt("seed", static_cast<std::int64_t>(o.seed)));
         o.csv = args.hasFlag("csv");
         o.jobs = args.flagPositiveInt("jobs", o.jobs);
-        o.workers = args.flagPositiveInt("workers", o.workers);
         o.cacheDir = args.flag("cache-dir", "");
         o.timeoutSec = args.flagDouble("timeout", o.timeoutSec);
         if (o.timeoutSec < 0.0)
@@ -96,13 +106,11 @@ struct BenchOptions
         return o;
     }
 
-    /** Apply the multi-process backend options (--workers/
-     *  --cache-dir/--timeout) to @p runner; --jobs is passed at its
-     *  construction. */
+    /** Apply the forked executor's options (--cache-dir/--timeout)
+     *  to @p runner; --jobs is passed at its construction. */
     void configureRunner(harness::Runner &runner) const
     {
         harness::exec::ExecOptions ex;
-        ex.workers = workers;
         ex.cacheDir = cacheDir;
         ex.requestTimeoutSec = timeoutSec;
         runner.setExec(ex);
@@ -181,13 +189,12 @@ groupName(int idx)
 }
 
 /**
- * Thread-safe, jobs-aware progress meter for Runner::setProgress.
+ * Progress meter for Runner::setProgress.
  *
- * `done` comes from the Runner's atomic completion counter (runs
- * finish out of order under --jobs), and each update is a single
- * fprintf so concurrent lines never interleave.  stderr only: stdout
- * stays machine-clean.  Each line carries the finished run's
- * simulator throughput so perf regressions show up mid-campaign.
+ * `done` counts completed runs (under --jobs=N they finish out of
+ * request order).  stderr only: stdout stays machine-clean.  Each
+ * line carries the finished run's simulator throughput so perf
+ * regressions show up mid-campaign.
  */
 inline harness::Runner::ProgressFn
 progressMeter(std::string what)

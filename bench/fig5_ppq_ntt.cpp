@@ -40,7 +40,7 @@ using namespace gpump::bench;
 int
 main(int argc, char **argv)
 {
-    harness::Args args(argc, argv);
+    harness::Args args(argc, argv, BenchOptions::flags({"mechanism"}));
     BenchOptions opt = BenchOptions::fromArgs(args, "fig5_ppq_ntt");
 
     // The second preemptive column defaults to the paper's

@@ -27,7 +27,7 @@ using namespace gpump::bench;
 int
 main(int argc, char **argv)
 {
-    harness::Args args(argc, argv);
+    harness::Args args(argc, argv, BenchOptions::flags());
     BenchOptions opt = BenchOptions::fromArgs(args, "fig6_ppq_stp");
 
     harness::Suite suite("fig6");

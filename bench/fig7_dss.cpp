@@ -30,7 +30,7 @@ using namespace gpump::bench;
 int
 main(int argc, char **argv)
 {
-    harness::Args args(argc, argv);
+    harness::Args args(argc, argv, BenchOptions::flags());
     BenchOptions opt = BenchOptions::fromArgs(args, "fig7_dss");
 
     harness::Suite suite("fig7");

@@ -25,7 +25,7 @@ using namespace gpump::bench;
 int
 main(int argc, char **argv)
 {
-    harness::Args args(argc, argv);
+    harness::Args args(argc, argv, BenchOptions::flags());
     BenchOptions opt = BenchOptions::fromArgs(args, "fig8_antt_curves");
 
     harness::Suite suite("fig8");

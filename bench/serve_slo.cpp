@@ -86,7 +86,8 @@ scenarioAt(int load_pct, double horizon_mult, std::uint64_t seed,
 int
 main(int argc, char **argv)
 {
-    harness::Args args(argc, argv);
+    harness::Args args(argc, argv,
+                       BenchOptions::flags({"loads", "horizon-mult"}));
     BenchOptions opt = BenchOptions::fromArgs(args, "serve_slo");
 
     std::vector<int> loads{30, 60, 90, 120};
@@ -104,7 +105,7 @@ main(int argc, char **argv)
     // The load factors are anchored on the isolated service times;
     // these are pure functions of (benchmark, replays, config), so
     // the generated timelines — and with them the whole bench output
-    // — stay bit-identical for any --jobs/--workers.
+    // — stay bit-identical for any --jobs.
     const double latency_iso =
         runner.isolatedTimeUs(kLatencyBench, opt.replays);
     const double batch_a_iso =

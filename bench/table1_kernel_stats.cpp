@@ -25,7 +25,7 @@ using namespace gpump;
 int
 main(int argc, char **argv)
 {
-    harness::Args args(argc, argv);
+    harness::Args args(argc, argv, {"csv", "jsonl"});
     gpu::GpuParams params = gpu::GpuParams::fromConfig(args.config());
     sim::StatRegistry reg;
     memory::GpuMemory gmem(

@@ -24,7 +24,7 @@ using namespace gpump;
 int
 main(int argc, char **argv)
 {
-    harness::Args args(argc, argv);
+    harness::Args args(argc, argv, {"csv", "jsonl"});
     const sim::Config &cfg = args.config();
     auto gpu_params = gpu::GpuParams::fromConfig(cfg);
     auto pcie = memory::PcieParams::fromConfig(cfg);

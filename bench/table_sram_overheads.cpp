@@ -21,7 +21,7 @@ using namespace gpump;
 int
 main(int argc, char **argv)
 {
-    harness::Args args(argc, argv);
+    harness::Args args(argc, argv, {"csv", "jsonl"});
     gpu::GpuParams params = gpu::GpuParams::fromConfig(args.config());
     core::FrameworkSramCosts c = core::frameworkSramCosts(params);
 

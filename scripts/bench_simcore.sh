@@ -37,12 +37,12 @@ cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_micro_simcore \
 # The workload-layer and completion-cycle benchmarks must exist in
 # the binary: a silently missing BM_ProcessReplay (renamed, gated out,
 # filtered away) would leave the committed baseline stale without
-# anyone noticing.
+# anyone noticing.  A benchmark with arguments lists as NAME/ARG.
 for bench in BM_ProcessReplay BM_WorkloadIssueLoop \
     BM_MultiprogrammedDssRun BM_ContendedSwitch \
-    BM_PredictorUpdate BM_EventQueueRearm; do
+    BM_PredictorUpdate BM_EventQueueRearm BM_RunnerBatch; do
     "$BUILD_DIR/bench/bench_micro_simcore" --benchmark_list_tests \
-        | grep -qx "$bench" || {
+        | grep -qE "^$bench(/|\$)" || {
         echo "error: $bench missing from the gbench listing" >&2
         exit 1
     }

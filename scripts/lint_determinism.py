@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Determinism lint for the gpump source tree (DESIGN.md §12).
 
-The simulator's headline guarantee is byte-identical output across
---jobs x --workers (DESIGN.md §4/§10).  The goldens and
+The simulator's headline guarantee is byte-identical output for any
+--jobs: the in-process --jobs=1 run equals --jobs=N on forked workers
+(DESIGN.md §4/§10).  The goldens and
 `cmp` checks in CI catch a violation *after* it changed the numbers;
 this lint rejects the constructs that cause violations at review time,
 before any golden moves.

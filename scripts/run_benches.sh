@@ -15,7 +15,6 @@ if [ ! -d "$BUILD_DIR/bench" ]; then
 fi
 
 JOBS=${JOBS:-$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)}
-WORKERS=${WORKERS:-$JOBS}
 
 # Each bench gets a scratch result cache under one temp root: a bench
 # that dies mid-sweep (OOM kill, Ctrl-C) can be rerun by hand against
@@ -33,14 +32,15 @@ for bin in "$BUILD_DIR"/bench/bench_*; do
     [ -x "$bin" ] || continue
     ran=$((ran + 1))
     name=$(basename "$bin")
-    # The figure/table benches run their batches on the multi-process
-    # executor (forked workers + resumable result cache; output is
-    # byte-identical to --jobs for any worker count); micro_simcore is
-    # Google Benchmark and rejects foreign flags.
-    jobs_flag="--jobs=$JOBS --workers=$WORKERS --cache-dir=$CACHE_ROOT/$name"
+    # The figure benches run their batches on $JOBS forked workers
+    # with a resumable result cache (output is byte-identical for any
+    # job count).  The table benches simulate nothing and take no
+    # batch flags, and micro_simcore is Google Benchmark; both reject
+    # foreign flags.
+    jobs_flag="--jobs=$JOBS --cache-dir=$CACHE_ROOT/$name"
     extra_flags=""
     case "$name" in
-        *micro*) jobs_flag="" ;;
+        *micro*|*table*) jobs_flag="" ;;
         # The serving sweep also lands its per-run records (per-class
         # p99/miss/goodput vs load) as JSONL for replotting.
         *serve*) extra_flags="--jsonl=$OUT_DIR/$name.jsonl" ;;

@@ -11,7 +11,7 @@
  * to a no-op, so an observer implements only what it needs, and the
  * list is empty in every default assembly.  The list is per-System
  * state, never shared, so observation keeps runs deterministic for
- * any --jobs/--workers partitioning.
+ * any --jobs partitioning.
  *
  * Contract for implementations:
  *  - no re-entrancy: hooks must not call back into scheduling

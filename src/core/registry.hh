@@ -93,8 +93,8 @@ std::string nearestOf(const std::string &needle,
  * (scheduling policies or preemption mechanisms).
  *
  * Registration normally happens from static registrar objects at
- * program start; lookups run concurrently from the batch runner's
- * worker threads, so every accessor takes the registry mutex.
+ * program start; a program that runs Systems on several threads looks
+ * schemes up concurrently, so every accessor takes the registry mutex.
  * Descriptors are never removed, so pointers returned by find()/at()
  * stay valid for the life of the process.
  */

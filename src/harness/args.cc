@@ -1,11 +1,14 @@
 #include "harness/args.hh"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
 
 #include "core/policy.hh"
 #include "core/preemption.hh"
+#include "core/registry.hh"
 #include "sim/logging.hh"
 
 namespace gpump {
@@ -54,7 +57,7 @@ printSchemes(std::ostream &os)
           "transfer} and tune with bare key=value arguments.\n";
 }
 
-Args::Args(int argc, char **argv)
+Args::Args(int argc, char **argv, const std::vector<std::string> &flags)
 {
     for (int i = 1; i < argc; ++i) {
         std::string tok = argv[i];
@@ -70,6 +73,21 @@ Args::Args(int argc, char **argv)
                        "or key=value)",
                        tok.c_str());
         }
+    }
+    for (const auto &kv : flags_) {
+        const std::string &name = kv.first;
+        if (name == "list-schemes" ||
+            std::find(flags.begin(), flags.end(), name) != flags.end())
+            continue;
+        std::string near = core::nearestOf(name, flags);
+        if (!near.empty())
+            sim::fatal("unknown flag --%s; did you mean --%s?",
+                       name.c_str(), near.c_str());
+        std::string known = "--list-schemes";
+        for (const std::string &f : flags)
+            known += ", --" + f;
+        sim::fatal("unknown flag --%s (this program reads %s)",
+                   name.c_str(), known.c_str());
     }
     if (hasFlag("list-schemes")) {
         printSchemes(std::cout);
@@ -177,8 +195,8 @@ Args::flagDouble(const std::string &name, double def) const
         return def;
     char *end = nullptr;
     double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
-        sim::fatal("flag --%s expects a number, got '%s'",
+    if (end == it->second.c_str() || *end != '\0' || !std::isfinite(v))
+        sim::fatal("flag --%s expects a finite number, got '%s'",
                    name.c_str(), it->second.c_str());
     return v;
 }

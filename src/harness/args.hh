@@ -3,8 +3,9 @@
  * Minimal command-line handling for benches and examples.
  *
  * Every experiment binary accepts:
- *  - "--name=value" flags (consumed by the binary itself, e.g.
- *    --workloads=20);
+ *  - "--name=value" flags, each one the binary reads itself (e.g.
+ *    --workloads=20); the binary declares them to the Args
+ *    constructor, and any other flag is fatal;
  *  - bare "key=value" tokens, forwarded into the simulation Config so
  *    any model parameter can be overridden without recompiling;
  *  - "--list-schemes", handled right here in the Args constructor:
@@ -32,10 +33,12 @@ namespace harness {
 class Args
 {
   public:
-    /** Parse argv; raises fatal() on malformed tokens.  A
+    /** Parse argv; raises fatal() on malformed tokens and on any
+     *  flag other than --list-schemes and those named in @p flags
+     *  (the message suggests the nearest declared flag).  A
      *  --list-schemes flag is handled immediately: the scheme
      *  registries are printed to stdout and the process exits 0. */
-    Args(int argc, char **argv);
+    Args(int argc, char **argv, const std::vector<std::string> &flags = {});
 
     /** Config overrides collected from bare key=value tokens. */
     const sim::Config &config() const { return config_; }
@@ -51,9 +54,9 @@ class Args
     std::int32_t flagInt32(const std::string &name,
                            std::int32_t def) const;
     /** flagInt that additionally rejects values outside [1, INT_MAX]
-     *  — the shared validator for parallelism degrees (--jobs,
-     *  --workers), so every bench fails with the same message. */
+     *  — the validator for parallelism degrees (--jobs). */
     int flagPositiveInt(const std::string &name, int def) const;
+    /** A finite number: nan and ±inf are fatal. */
     double flagDouble(const std::string &name, double def) const;
     /** Comma-separated integer list, e.g. --sizes=2,4,6,8; an item
      *  outside the int range is fatal. */

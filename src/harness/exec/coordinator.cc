@@ -420,7 +420,7 @@ Coordinator::handleLine(std::size_t si, const std::string &line)
         JsonValue msg = parseJson(line);
         if (const JsonValue *type = msg.find("type")) {
             // Request failure: deterministic, so never retried — it
-            // aborts the batch exactly like the thread pool does.
+            // aborts the batch exactly as an in-process run does.
             const std::string &t = type->asString("message type");
             if (t != "error")
                 sim::fatal("exec: unexpected message type '%s'",

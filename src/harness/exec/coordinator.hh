@@ -7,8 +7,8 @@
  * ships work assignments and wire-encoded RunResults over pipes, and
  * merges results *by request position*, so the returned vector — and
  * therefore every table and JSONL line derived from it — is
- * byte-identical to the in-process `--jobs` thread pool for any
- * worker count.
+ * byte-identical to an in-process `--jobs=1` run for any worker
+ * count.
  *
  * Robustness is the point of the subsystem:
  *  - a worker that exits, is killed, or trips the per-request
@@ -23,8 +23,8 @@
  *    fingerprint, so rerunning an interrupted sweep resumes from
  *    where it stopped;
  *  - a sim::FatalError raised *by a request* is not retried (it is
- *    deterministic): the batch aborts with that error, matching the
- *    thread-pool contract.
+ *    deterministic): the batch aborts with that error, as it does
+ *    in process.
  */
 
 #ifndef GPUMP_HARNESS_EXEC_COORDINATOR_HH

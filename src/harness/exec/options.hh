@@ -20,9 +20,8 @@ namespace exec {
 /** Configuration of one exec::runBatch campaign. */
 struct ExecOptions
 {
-    /** Forked worker processes; 0 = multi-process backend disabled
-     *  (unless cacheDir is set, in which case it runs with
-     *  max(1, Runner jobs) workers). */
+    /** Forked worker processes; 0 = max(1, Runner::jobs()).
+     *  Runner::run leaves it 0; only direct runBatch callers set it. */
     int workers = 0;
 
     /** On-disk result cache directory; empty = no cache.  Keyed by
@@ -40,8 +39,8 @@ struct ExecOptions
     /** Requeue attempts per request after worker deaths/timeouts
      *  before the coordinator falls back to executing it in-process.
      *  (A request that *fails* — sim::FatalError — is never retried:
-     *  the failure is deterministic and aborts the batch, matching
-     *  the in-process thread pool.) */
+     *  the failure is deterministic and aborts the batch, as it does
+     *  in process.) */
     int maxRetries = 2;
 
     /** Consecutive deaths of one worker slot (without an intervening
@@ -73,10 +72,6 @@ struct ExecOptions
      *  mid-run for resume tests.  (GPUMP_EXEC_TEST_ABORT_AFTER) */
     int testAbortAfterResults = -1;
     /** @} */
-
-    /** True when runBatch should be used instead of the in-process
-     *  thread pool. */
-    bool enabled() const { return workers > 0 || !cacheDir.empty(); }
 
     /** Overlay the GPUMP_EXEC_TEST_KILL_AFTER /
      *  GPUMP_EXEC_TEST_ABORT_AFTER / GPUMP_EXEC_CACHE_STRICT

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <exception>
-#include <thread>
 #include <utility>
 
 #include "core/policy.hh"
@@ -80,19 +79,12 @@ IsolatedBaselineCache::timeUs(const std::string &benchmark,
 }
 
 Runner::Runner(sim::Config base, int jobs)
-    : base_(std::move(base))
+    : base_(std::move(base)), jobs_(jobs < 1 ? 1 : jobs)
 {
-    setJobs(jobs);
-}
-
-void
-Runner::setJobs(int jobs)
-{
-    jobs_ = jobs < 1 ? 1 : jobs;
 }
 
 RunResult
-Runner::execute(const RunRequest &request)
+Runner::runOne(const RunRequest &request)
 {
     sim::Config cfg = base_;
     cfg.merge(request.overrides);
@@ -148,12 +140,6 @@ Runner::execute(const RunRequest &request)
     return out;
 }
 
-RunResult
-Runner::runOne(const RunRequest &request)
-{
-    return execute(request);
-}
-
 double
 Runner::isolatedTimeUs(const std::string &benchmark, int minReplays)
 {
@@ -163,75 +149,28 @@ Runner::isolatedTimeUs(const std::string &benchmark, int minReplays)
 std::vector<RunResult>
 Runner::run(const std::vector<RunRequest> &requests)
 {
-    // Multi-process backend: --workers and/or --cache-dir hand the
-    // whole batch to the exec coordinator.  Same request-order merge,
-    // so the results are byte-identical to the thread pool below.
-    if (exec_.enabled())
+    // Parallel or cached batches go to the exec coordinator, which
+    // forks max(1, jobs) workers and merges by request position, so
+    // its results equal the loop below byte for byte.
+    if (jobs_ > 1 || !exec_.cacheDir.empty())
         return exec::runBatch(*this, requests, exec_);
 
-    std::vector<RunResult> results(requests.size());
-    if (requests.empty())
-        return results;
-
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-    std::atomic<bool> failed{false};
-    std::mutex error_mutex;
-    std::exception_ptr first_error;
-
-    auto worker = [&] {
-        for (;;) {
-            // Claim the next unexecuted request; results are stored
-            // by request position, never by completion order.  A
-            // failure anywhere aborts the rest of the batch.
-            if (failed.load(std::memory_order_relaxed) ||
-                interruptRequested())
-                return;
-            std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= requests.size())
-                return;
-            try {
-                results[i] = execute(requests[i]);
-                results[i].index = i;
-            } catch (...) {
-                failed.store(true, std::memory_order_relaxed);
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!first_error)
-                    first_error = std::current_exception();
-                continue;
-            }
-            std::size_t d = done.fetch_add(1,
-                                           std::memory_order_relaxed) +
-                1;
-            if (progress_)
-                progress_(d, requests.size(), requests[i], results[i]);
+    std::vector<RunResult> results;
+    results.reserve(requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        if (interruptRequested()) {
+            int sig = interruptSignal();
+            throw InterruptedError(
+                sim::strformat("batch interrupted by signal %d after "
+                               "%zu/%zu requests",
+                               sig, i, requests.size()),
+                sig);
         }
-    };
-
-    std::size_t pool = static_cast<std::size_t>(jobs_);
-    if (pool > requests.size())
-        pool = requests.size();
-    if (pool <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(pool);
-        for (std::size_t t = 0; t < pool; ++t)
-            threads.emplace_back(worker);
-        for (auto &t : threads)
-            t.join();
-    }
-
-    if (first_error)
-        std::rethrow_exception(first_error);
-    if (interruptRequested()) {
-        int sig = interruptSignal();
-        throw InterruptedError(
-            sim::strformat(
-                "batch interrupted by signal %d after %zu/%zu requests",
-                sig, done.load(std::memory_order_relaxed),
-                requests.size()),
-            sig);
+        results.push_back(runOne(requests[i]));
+        results.back().index = i;
+        if (progress_)
+            progress_(i + 1, requests.size(), requests[i],
+                      results.back());
     }
     return results;
 }

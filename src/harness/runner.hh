@@ -1,23 +1,23 @@
 /**
  * @file
- * Batch runner: execute many (plan, scheme) simulation requests
- * across a thread pool, deterministically.
+ * Batch runner: execute many (plan, scheme) simulation requests,
+ * deterministically.
  *
  * The harness API is declarative: benches describe *what* to run as a
  * list of RunRequest values (usually produced by a harness::Suite
- * grid) and hand the whole batch to a Runner.  The Runner executes
- * requests on up to `jobs` worker threads — every request constructs
- * its own workload::System, and the sim layer keeps no global mutable
- * state — and returns results *in request order*, so the output of a
- * batch is bit-identical for any job count.
+ * grid) and hand the whole batch to a Runner.  At one job the Runner
+ * executes the requests in the calling thread; at `jobs` > 1 it hands
+ * the batch to `jobs` forked worker processes (harness/exec).  Every
+ * request constructs its own workload::System, and results come back
+ * *in request order*, so the output of a batch is bit-identical for
+ * any job count.
  *
  * Determinism contract:
  *  - each request's simulation is seeded solely by its plan.seed (the
  *    per-run RNG forks from there; see DESIGN.md §3), so a run's
- *    result does not depend on which thread executes it or when;
- *  - isolated baselines are memoized in a thread-safe cache keyed by
- *    (benchmark, replays, config); concurrent first access computes
- *    the value exactly once;
+ *    result does not depend on which process executes it or when;
+ *  - isolated baselines are memoized per (benchmark, replays,
+ *    config), and each value is a pure function of that key;
  *  - results are collected into a vector indexed by request position,
  *    never by completion order.
  */
@@ -123,7 +123,7 @@ struct RunResult
      * contract (and from bit-identity comparisons); everything else
      * in a RunResult is a pure function of the request.
      * @{ */
-    /** Wall-clock seconds Runner::execute spent in System::run. */
+    /** Wall-clock seconds Runner::runOne spent in System::run. */
     double wallSeconds = 0.0;
     /** Simulator throughput over sys.eventsExecuted; quiet NaN when
      *  the run took no measurable wall time (unknown rate, not zero).
@@ -144,7 +144,8 @@ struct RunResult
  * The isolated execution time of a benchmark (the denominator of
  * every Eyerman-Eeckhout metric) depends only on the benchmark, the
  * replay count and the config, so it is computed once per distinct
- * key and shared across all runs of a batch.  Concurrent first access
+ * key and process and shared by every run there; a forked worker
+ * starts with the entries its parent held.  Concurrent first access
  * is serialized through a shared_future: exactly one thread computes,
  * the others wait and observe the same value.
  */
@@ -172,7 +173,8 @@ class IsolatedBaselineCache
 };
 
 /**
- * Executes batches of RunRequests across a thread pool.
+ * Executes batches of RunRequests, in process or across forked
+ * workers.
  *
  * One Runner corresponds to one experiment campaign: it owns the base
  * config and the isolated-baseline cache shared by every request.
@@ -182,10 +184,10 @@ class Runner
   public:
     /**
      * Progress callback: invoked after each completed request with
-     * the number of completed requests so far (from an atomic
-     * counter), the batch size, the request that just finished and
-     * its result (e.g. for throughput reporting).  Called from
-     * worker threads; must be thread-safe.
+     * the number of completed requests so far, the batch size, the
+     * request that just finished and its result (e.g. for throughput
+     * reporting).  Always called in the process that called run(),
+     * one call at a time.
      */
     using ProgressFn = std::function<void(
         std::size_t done, std::size_t total, const RunRequest &req,
@@ -193,47 +195,44 @@ class Runner
 
     /**
      * @param base config overrides applied to every simulation.
-     * @param jobs worker threads for run(); 1 = serial (in-thread).
+     * @param jobs parallelism of run(): 1 = in the calling thread,
+     *        N > 1 = N forked worker processes.
      */
     explicit Runner(sim::Config base = sim::Config(), int jobs = 1);
 
     const sim::Config &baseConfig() const { return base_; }
 
-    /** Worker threads used by run(); clamped to >= 1. */
-    void setJobs(int jobs);
+    /** Parallelism of run(), clamped to >= 1. */
     int jobs() const { return jobs_; }
 
     void setProgress(ProgressFn fn) { progress_ = std::move(fn); }
     const ProgressFn &progressFn() const { return progress_; }
 
     /**
-     * Multi-process backend (harness/exec): when the options are
-     * enabled() — worker processes requested and/or a result cache
-     * directory set — run() delegates the batch to exec::runBatch
-     * instead of the in-thread pool.  Same ordering and bit-identity
-     * contract; adds crash-isolation, requeue/retry and resumability
-     * (DESIGN.md §10).
+     * Options of the forked executor (harness/exec): the result cache
+     * directory, the per-request watchdog and the retry policy.  A
+     * cache directory sends even a one-job batch through the
+     * executor, which then runs one worker (DESIGN.md §10).
      */
     void setExec(exec::ExecOptions options)
     {
         exec_ = std::move(options);
     }
-    const exec::ExecOptions &execOptions() const { return exec_; }
 
     /**
      * Execute the whole batch and return results in request order.
      *
-     * Requests are distributed over the job pool; results are placed
-     * by request position, so the returned vector is bit-identical
-     * for any job count.  A failing request (e.g. sim::FatalError on
-     * a livelocked schedule) aborts the rest of the batch: no new
-     * requests are claimed, and the first exception is rethrown once
-     * all workers have stopped.
+     * At one job and without a cache directory the requests run in
+     * the calling thread, in order; otherwise the batch goes to
+     * exec::runBatch.  Results are placed by request position, so the
+     * returned vector is bit-identical for any job count.  A failing
+     * request (e.g. sim::FatalError on a livelocked schedule) aborts
+     * the rest of the batch and its exception is rethrown.
      *
      * Responds to installInterruptHandlers() (harness/interrupt.hh):
-     * after SIGINT/SIGTERM no new requests are claimed, in-flight
-     * runs finish, and the batch raises InterruptedError so front
-     * ends can exit non-zero without tearing output mid-record.
+     * after SIGINT/SIGTERM no new requests start and the batch raises
+     * InterruptedError, so front ends can exit non-zero without
+     * tearing output mid-record.
      */
     std::vector<RunResult> run(const std::vector<RunRequest> &requests);
 
@@ -251,8 +250,6 @@ class Runner
     IsolatedBaselineCache &baselines() { return baselines_; }
 
   private:
-    RunResult execute(const RunRequest &request);
-
     sim::Config base_;
     int jobs_ = 1;
     exec::ExecOptions exec_;

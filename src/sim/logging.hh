@@ -64,12 +64,14 @@ std::string strformat(const char *fmt, ...)
 /**
  * Process-wide logger with a verbosity threshold.
  *
- * The logger is the one piece of state shared across concurrent
- * simulation runs (harness::Runner executes independent Systems on a
- * thread pool), so it must be thread-safe: the level is atomic and
- * emission is serialized under a mutex so lines from different runs
- * never interleave.  The interesting output still goes through the
- * stats package, not the log.
+ * The logger is the one piece of state shared by every simulation in
+ * a process.  A program that runs independent Systems on several
+ * threads shares it between them, so it is thread-safe: the level is
+ * atomic and emission is serialized under a mutex so lines from
+ * different runs never interleave.  (harness::Runner runs one System
+ * at a time per process; its parallel batches use forked workers.)
+ * The interesting output still goes through the stats package, not
+ * the log.
  */
 class Logger
 {

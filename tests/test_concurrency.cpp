@@ -2,13 +2,13 @@
  * Concurrency stress tests, written to run under ThreadSanitizer (the
  * ci tsan job builds the suite with -DGPUMP_SANITIZE=thread).
  *
- * The simulator itself is single-threaded by design; the only code
- * that runs concurrently is the harness layer (Runner's job pool and
- * the memoizing baseline cache) and the process-wide Logger.  These
- * tests drive exactly those seams harder than the functional suite
- * does — maximum pool sizes, deliberate first-access herds, level
- * flips racing emission — so a data race shows up as a TSan report
- * here rather than as a once-a-month flaky batch result.
+ * The simulator itself is single-threaded by design, and
+ * harness::Runner parallelizes a batch with forked processes.  What
+ * stays thread-safe, for programs that run Systems on several
+ * threads, is the memoizing baseline cache and the process-wide
+ * Logger.  These tests drive exactly those seams — deliberate
+ * first-access herds, level flips racing emission — so a data race
+ * shows up as a TSan report here rather than as a flaky result.
  */
 
 #include <gtest/gtest.h>
@@ -18,72 +18,11 @@
 #include <thread>
 #include <vector>
 
-#include "harness/suite.hh"
+#include "harness/runner.hh"
 #include "sim/logging.hh"
 
 using namespace gpump;
 using namespace gpump::harness;
-
-namespace {
-
-/** Grid with enough requests and distinct benchmarks that an 8-job
- *  runner keeps every worker busy at once. */
-Batch
-contentionGrid()
-{
-    Suite suite("stress");
-    suite.sizes({4})
-        .uniform(/*count=*/3, /*base_seed=*/20140614)
-        .minReplays(1)
-        .scheme("FCFS", {"fcfs", "context_switch", "fcfs"})
-        .scheme("DSS-CS", {"dss", "context_switch", "fcfs"});
-    return suite.build();
-}
-
-} // namespace
-
-TEST(ConcurrencyStress, JobsBitIdenticalUnderContention)
-{
-    // jobs=8 batch workers all sharing one memoizing cache: the
-    // heaviest thread shape the harness supports.  The determinism
-    // contract says the results must still be bit-identical to the
-    // fully serial run.
-    Batch batch = contentionGrid();
-
-    Runner serial(sim::Config(), /*jobs=*/1);
-    auto expected = serial.run(batch.requests);
-
-    Runner stressed(sim::Config(), /*jobs=*/8);
-    auto actual = stressed.run(batch.requests);
-
-    ASSERT_EQ(expected.size(), actual.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(expected[i].metrics.antt, actual[i].metrics.antt) << i;
-        EXPECT_EQ(expected[i].metrics.stp, actual[i].metrics.stp) << i;
-        EXPECT_EQ(expected[i].metrics.ntt, actual[i].metrics.ntt) << i;
-        EXPECT_EQ(expected[i].isolatedUs, actual[i].isolatedUs) << i;
-        EXPECT_EQ(expected[i].sys.meanTurnaroundUs,
-                  actual[i].sys.meanTurnaroundUs)
-            << i;
-        EXPECT_EQ(expected[i].sys.endTime, actual[i].sys.endTime) << i;
-        EXPECT_EQ(expected[i].sys.eventsExecuted,
-                  actual[i].sys.eventsExecuted)
-            << i;
-    }
-
-    // Every distinct benchmark across the whole batch computed its
-    // isolated baseline exactly once, no matter how many of the 8
-    // workers raced for it.
-    std::vector<std::string> distinct;
-    for (const auto &req : batch.requests) {
-        for (const auto &b : req.plan.benchmarks) {
-            if (std::find(distinct.begin(), distinct.end(), b) ==
-                distinct.end())
-                distinct.push_back(b);
-        }
-    }
-    EXPECT_EQ(stressed.baselines().computations(), distinct.size());
-}
 
 TEST(ConcurrencyStress, BaselineCacheFirstAccessHerd)
 {

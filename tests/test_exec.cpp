@@ -659,10 +659,10 @@ TEST(ExecCache, StaleEntriesAreDetected)
 // Coordinator: identity and crash recovery
 // ---------------------------------------------------------------------
 
-TEST(ExecCoordinator, WorkersMatchThreadPoolByteForByte)
+TEST(ExecCoordinator, WorkersMatchInProcessRunByteForByte)
 {
     Batch batch = smallGrid();
-    Runner plain(sim::Config(), /*jobs=*/2);
+    Runner plain(sim::Config(), /*jobs=*/1);
     auto expected = canonAll(plain.run(batch.requests));
 
     Runner runner(sim::Config(), /*jobs=*/1);
@@ -853,52 +853,55 @@ TEST(ExecFlags, ParallelismFlagsRejectNonPositiveValues)
 {
     auto argsFor = [](const char *flag) {
         const char *argv[] = {"prog", flag};
-        return Args(2, const_cast<char **>(argv));
+        return Args(2, const_cast<char **>(argv), {"jobs"});
     };
     EXPECT_THROW(argsFor("--jobs=0").flagPositiveInt("jobs", 1),
                  sim::FatalError);
-    EXPECT_THROW(argsFor("--workers=-3").flagPositiveInt("workers", 0),
+    EXPECT_THROW(argsFor("--jobs=-3").flagPositiveInt("jobs", 1),
                  sim::FatalError);
     EXPECT_THROW(argsFor("--jobs=zap").flagPositiveInt("jobs", 1),
                  sim::FatalError);
     // Oversized values must not wrap when narrowed to int.
     EXPECT_THROW(argsFor("--jobs=4294967297").flagPositiveInt("jobs", 1),
                  sim::FatalError);
-    EXPECT_THROW(
-        argsFor("--workers=2147483648").flagPositiveInt("workers", 0),
-        sim::FatalError);
+    EXPECT_THROW(argsFor("--jobs=2147483648").flagPositiveInt("jobs", 1),
+                 sim::FatalError);
     EXPECT_THROW(argsFor("--jobs=99999999999999999999")
                      .flagPositiveInt("jobs", 1),
                  sim::FatalError);
-    EXPECT_EQ(argsFor("--workers=2147483647").flagPositiveInt("workers", 0),
+    EXPECT_EQ(argsFor("--jobs=2147483647").flagPositiveInt("jobs", 1),
               2147483647);
     EXPECT_EQ(argsFor("--jobs=8").flagPositiveInt("jobs", 1), 8);
-    // Absent flag: default passes through unvalidated (0 means "off"
-    // for --workers).
-    EXPECT_EQ(argsFor("--jobs=8").flagPositiveInt("workers", 0), 0);
+    // Absent flag: the default passes through unvalidated.
+    const char *argv[] = {"prog"};
+    EXPECT_EQ(Args(1, const_cast<char **>(argv)).flagPositiveInt("jobs", 0),
+              0);
 }
 
 TEST(ExecInterrupt, RunnerStopsCleanlyAndReportsTheSignal)
 {
+    // One job runs in process, two in forked workers.
     Batch batch = smallGrid();
-    Runner runner(sim::Config(), /*jobs=*/2);
+    for (int jobs : {1, 2}) {
+        Runner runner(sim::Config(), jobs);
 
-    installInterruptHandlers();
-    ASSERT_FALSE(interruptRequested());
-    ::raise(SIGTERM); // handler records it; SA_RESETHAND re-arms dfl
-    ASSERT_TRUE(interruptRequested());
+        installInterruptHandlers();
+        ASSERT_FALSE(interruptRequested());
+        ::raise(SIGTERM); // handler records it; SA_RESETHAND re-arms dfl
+        ASSERT_TRUE(interruptRequested());
 
-    try {
-        runner.run(batch.requests);
-        FAIL() << "expected InterruptedError";
-    } catch (const InterruptedError &e) {
-        EXPECT_EQ(e.signal(), SIGTERM);
+        try {
+            runner.run(batch.requests);
+            FAIL() << "expected InterruptedError at jobs=" << jobs;
+        } catch (const InterruptedError &e) {
+            EXPECT_EQ(e.signal(), SIGTERM);
+        }
+
+        // Cleared, the same Runner completes normally.
+        clearInterruptForTesting();
+        EXPECT_EQ(runner.run(batch.requests).size(),
+                  batch.requests.size());
     }
-
-    // Cleared, the same Runner completes normally.
-    clearInterruptForTesting();
-    EXPECT_EQ(runner.run(batch.requests).size(),
-              batch.requests.size());
 }
 
 TEST(ExecInterrupt, CoordinatorStopsCleanlyAndReportsTheSignal)

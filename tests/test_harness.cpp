@@ -18,7 +18,7 @@ TEST(Args, SplitsFlagsAndConfig)
 {
     const char *argv[] = {"prog", "--workloads=20", "--csv",
                           "gpu.num_sms=8", "dss.retarget=false"};
-    Args args(5, const_cast<char **>(argv));
+    Args args(5, const_cast<char **>(argv), {"workloads", "csv"});
     EXPECT_EQ(args.flagInt("workloads", 5), 20);
     EXPECT_TRUE(args.hasFlag("csv"));
     EXPECT_EQ(args.flag("csv", ""), "true");
@@ -36,16 +36,61 @@ TEST(Args, MalformedTokenIsFatal)
 TEST(Args, FlagTypeValidation)
 {
     const char *argv[] = {"prog", "--n=abc"};
-    Args args(2, const_cast<char **>(argv));
+    Args args(2, const_cast<char **>(argv), {"n"});
     EXPECT_THROW(args.flagInt("n", 0), sim::FatalError);
     EXPECT_THROW(args.flagDouble("n", 0), sim::FatalError);
     EXPECT_THROW(args.flagIntList("n", {}), sim::FatalError);
+
+    // strtod parses these, and each would slip past a range check;
+    // the message names the flag.
+    for (const char *flag : {"--n=nan", "--n=-nan", "--n=inf", "--n=-inf",
+                             "--n=infinity", "--n=1e999"}) {
+        const char *bad[] = {"prog", flag};
+        try {
+            Args(2, const_cast<char **>(bad), {"n"}).flagDouble("n", 0);
+            ADD_FAILURE() << flag << " was accepted";
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("--n"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(Args, UnknownFlagsAreFatalAndNamed)
+{
+    // Each names the flag and, for a plausible typo, the flag meant.
+    const std::vector<std::string> known = bench::BenchOptions::flags();
+    const std::pair<const char *, const char *> cases[] = {
+        {"--workers=2", "--workers"},
+        {"--jbos=4", "did you mean --jobs?"},
+        {"--cache_dir=x", "did you mean --cache-dir?"},
+        {"--workres=2", "--workres"},
+    };
+    for (const auto &c : cases) {
+        const char *argv[] = {"prog", "--quick", c.first};
+        try {
+            Args(3, const_cast<char **>(argv), known);
+            ADD_FAILURE() << c.first << " was accepted";
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(c.second),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
+    // A binary that declares no flags (the examples) accepts none,
+    // and the table benches take no bench options.
+    const char *quick[] = {"prog", "--quick"};
+    EXPECT_THROW(Args(2, const_cast<char **>(quick)), sim::FatalError);
+    EXPECT_THROW(Args(2, const_cast<char **>(quick), {"csv", "jsonl"}),
+                 sim::FatalError);
 }
 
 TEST(Args, FlagIntList)
 {
     const char *argv[] = {"prog", "--sizes=2,4,8", "--one=6"};
-    Args args(3, const_cast<char **>(argv));
+    Args args(3, const_cast<char **>(argv), {"sizes", "one"});
     EXPECT_EQ(args.flagIntList("sizes", {}),
               (std::vector<int>{2, 4, 8}));
     EXPECT_EQ(args.flagIntList("one", {}), (std::vector<int>{6}));
@@ -53,20 +98,61 @@ TEST(Args, FlagIntList)
               (std::vector<int>{1, 2}));
 }
 
-TEST(BenchOptions, CountsBeyondIntAreFatal)
+TEST(BenchOptions, OutOfRangeValuesAreFatal)
 {
-    // A narrowing cast would run these as --replays=2, --sizes=2,2,
-    // --workloads=3 and --per-bench=1.
+    // A narrowing cast would run the counts as --replays=2,
+    // --sizes=2,2, --workloads=3 and --per-bench=1, and a nan or
+    // infinite --timeout would pass the < 0 check and turn the
+    // watchdog off.
     for (const char *flag : {"--replays=4294967298", "--sizes=2,4294967298",
                              "--workloads=4294967299",
-                             "--per-bench=-4294967295"}) {
+                             "--per-bench=-4294967295", "--timeout=nan",
+                             "--timeout=inf"}) {
         const char *argv[] = {"prog", flag};
-        Args args(2, const_cast<char **>(argv));
+        Args args(2, const_cast<char **>(argv),
+                  bench::BenchOptions::flags());
         EXPECT_THROW(bench::BenchOptions::fromArgs(args, "test"),
                      sim::FatalError)
             << flag;
     }
 }
+
+TEST(BenchOptions, EveryBenchFlagParses)
+{
+    // Every flag fromArgs reads, and those the benches read
+    // themselves (fig5's --mechanism, serve_slo's --loads and
+    // --horizon-mult), is accepted and reaches its field.
+    const char *argv[] = {"prog",          "--quick",
+                          "--sizes=2,6",   "--per-bench=2",
+                          "--workloads=4", "--replays=1",
+                          "--seed=9",      "--csv",
+                          "--jobs=3",      "--cache-dir=cache",
+                          "--timeout=1.5", "--jsonl=out.jsonl",
+                          "--mechanism=adaptive", "--loads=30,60",
+                          "--horizon-mult=5"};
+    Args args(15, const_cast<char **>(argv),
+              bench::BenchOptions::flags(
+                  {"mechanism", "loads", "horizon-mult"}));
+    auto o = bench::BenchOptions::fromArgs(args, "test");
+    EXPECT_EQ(o.sizes, (std::vector<int>{2, 6}));
+    EXPECT_EQ(o.perBench, 2);
+    EXPECT_EQ(o.workloads, 4);
+    EXPECT_EQ(o.replays, 1);
+    EXPECT_EQ(o.seed, 9u);
+    EXPECT_TRUE(o.csv);
+    EXPECT_EQ(o.jobs, 3);
+    EXPECT_EQ(o.cacheDir, "cache");
+    EXPECT_EQ(o.timeoutSec, 1.5);
+    EXPECT_EQ(o.jsonl, "out.jsonl");
+    EXPECT_EQ(args.flag("mechanism", ""), "adaptive");
+    EXPECT_EQ(args.flagIntList("loads", {}), (std::vector<int>{30, 60}));
+    EXPECT_EQ(args.flagDouble("horizon-mult", 0), 5.0);
+
+    // The table benches' two flags.
+    const char *table[] = {"prog", "--csv", "--jsonl"};
+    EXPECT_NO_THROW(Args(3, const_cast<char **>(table), {"csv", "jsonl"}));
+}
+
 
 TEST(Report, TableAlignsAndCsvEscapesNothing)
 {
