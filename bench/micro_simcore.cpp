@@ -225,6 +225,36 @@ BM_ContendedSwitch(benchmark::State &state)
 }
 BENCHMARK(BM_ContendedSwitch)->Unit(benchmark::kMillisecond);
 
+void
+BM_LargeGpu(benchmark::State &state, const char *policy, int top_priority)
+{
+    // Twelve tenants on a 208-SM GPU: every scheduling pass walks all
+    // SMs, so this is where per-SM policy and framework costs show.
+    // The first tenant runs at top_priority, the rest at 0.
+    std::uint64_t events = 0;
+    for (auto _ : state) {
+        sim::Config cfg;
+        cfg.set("gpu.num_sms", std::int64_t{208});
+        workload::SystemSpec spec;
+        for (int i = 0; i < 3; ++i) {
+            for (const char *b : {"sgemm", "histo", "spmv", "mri-q"})
+                spec.benchmarks.push_back(b);
+        }
+        spec.priorities.assign(spec.benchmarks.size(), 0);
+        spec.priorities[0] = top_priority;
+        spec.policy = policy;
+        spec.minReplays = 1;
+        workload::System system(spec, cfg);
+        auto result = system.run(sim::seconds(30.0));
+        events += result.eventsExecuted;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK_CAPTURE(BM_LargeGpu, ppq_excl, "ppq_excl", 1)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_LargeGpu, dss, "dss", 0)
+    ->Unit(benchmark::kMillisecond);
+
 /** A replay-heavy synthetic application: many short trace ops (CPU
  *  phases, async copies, small kernel launches) per execution, so the
  *  per-op replay machinery — command creation, stream submission,

@@ -63,15 +63,11 @@ class SjfPolicy : public core::SchedulingPolicy
 
     void pump()
     {
-        while (!fw_->activeQueueFull()) {
-            auto waiting = fw_->waitingBuffers();
-            if (waiting.empty())
-                break;
-            fw_->admit(waiting.front());
-        }
+        fw_->admitInArrivalOrder();
         // Smallest job first; stable on the admission order so ties
         // stay deterministic.  One context at a time, like the
-        // baseline GPU.
+        // baseline GPU: once a kernel holds SMs, only kernels of its
+        // context may join it.
         std::vector<gpu::KernelExec *> order = fw_->activeKernels();
         std::stable_sort(order.begin(), order.end(),
                          [this](const gpu::KernelExec *a,
@@ -83,13 +79,9 @@ class SjfPolicy : public core::SchedulingPolicy
             if (engine_ctx != sim::invalidContext &&
                 k->ctx() != engine_ctx)
                 continue;
-            while (fw_->unallocatedTbs(k) > 0) {
-                gpu::Sm *sm = fw_->findIdleSm();
-                if (!sm)
-                    return;
-                fw_->assignSm(sm, k);
-                engine_ctx = k->ctx();
-            }
+            if (!fw_->fillIdleSms(k))
+                return; // no idle SM left
+            engine_ctx = fw_->engineContext();
         }
     }
 

@@ -53,9 +53,6 @@ class AdaptiveMechanism : public PreemptionMechanism
 
     const char *name() const override { return "adaptive"; }
 
-    /** May context-switch, so the PTBQs must exist. */
-    bool savesContext() const override { return true; }
-
     void bind(SchedulingFramework &fw) override;
     void beginPreemption(gpu::Sm *sm) override;
 

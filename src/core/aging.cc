@@ -120,11 +120,8 @@ PpqAgingPolicy::onPreemptionComplete(gpu::Sm *sm, gpu::KernelExec *next)
     // beneficiary's aged boost earned this SM, and routing through
     // the priority-sorted scheduler would let the preempted kernel
     // take it straight back once the boost freezes.
-    if (next != nullptr && fw_->unallocatedTbs(next) > 0) {
-        fw_->assignSm(sm, next);
-    } else {
+    if (!fw_->assignToReservation(sm, next))
         PpqPolicy::onPreemptionComplete(sm, next);
-    }
     refreshService();
     armTimer();
 }

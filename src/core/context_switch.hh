@@ -27,7 +27,6 @@ class ContextSwitchMechanism : public PreemptionMechanism
 {
   public:
     const char *name() const override { return "context_switch"; }
-    bool savesContext() const override { return true; }
     void beginPreemption(gpu::Sm *sm) override;
 
   private:

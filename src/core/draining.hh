@@ -23,7 +23,6 @@ class DrainingMechanism : public PreemptionMechanism
 {
   public:
     const char *name() const override { return "draining"; }
-    bool savesContext() const override { return false; }
     void beginPreemption(gpu::Sm *sm) override;
 };
 

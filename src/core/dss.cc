@@ -43,10 +43,8 @@ void
 DssPolicy::onPreemptionComplete(gpu::Sm *sm, gpu::KernelExec *next)
 {
     // The token for this SM was paid when the reservation was made.
-    if (next != nullptr && fw_->unallocatedTbs(next) > 0) {
-        fw_->assignSm(sm, next);
+    if (fw_->assignToReservation(sm, next))
         return;
-    }
     // The beneficiary finished or no longer has work: refund the
     // paid token (unless the kernel is gone) and repartition.
     if (next != nullptr)
@@ -74,18 +72,12 @@ DssPolicy::admit()
     }
 }
 
-int
-DssPolicy::needExtra(const gpu::KernelExec *k) const
-{
-    return fw_->unallocatedTbs(k) - k->smsReserved * k->occupancy();
-}
-
 gpu::KernelExec *
 DssPolicy::findMax() const
 {
     gpu::KernelExec *best = nullptr;
     for (gpu::KernelExec *k : fw_->activeKernels()) {
-        if (needExtra(k) <= 0)
+        if (fw_->needExtra(k) <= 0)
             continue;
         if (!best || k->tokens > best->tokens)
             best = k; // admission order breaks ties
@@ -114,13 +106,8 @@ DssPolicy::pickVictim(gpu::KernelExec *k) const
     // "One of its assigned SMs" (Section 3.4): the pick is positional
     // (lowest id); the hardware has no preview of drain times.
     for (const auto &sm : fw_->sms()) {
-        if (sm->kernel != k || sm->reserved)
-            continue;
-        if (sm->state != gpu::Sm::State::Running &&
-            sm->state != gpu::Sm::State::Setup) {
-            continue;
-        }
-        return sm.get();
+        if (sm->kernel == k && sm->preemptible())
+            return sm.get();
     }
     return nullptr;
 }

@@ -68,16 +68,13 @@ class DssPolicy : public SchedulingPolicy
     void partitionLoop();
     void retargetOrphans();
 
-    /** SM capacity @p k still needs beyond held + promised SMs. */
-    int needExtra(const gpu::KernelExec *k) const;
-
     /** Token-richest kernel that still needs capacity (gainer). */
     gpu::KernelExec *findMax() const;
 
     /** Token-poorest kernel holding at least one preemptible SM. */
     gpu::KernelExec *findMin() const;
 
-    /** Cheapest preemptible SM of @p k (fewest resident TBs). */
+    /** Lowest-id preemptible SM of @p k; nullptr when none. */
     gpu::Sm *pickVictim(gpu::KernelExec *k) const;
 
     int tokensPerKernel_;

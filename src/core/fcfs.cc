@@ -9,7 +9,7 @@ namespace core {
 void
 FcfsPolicy::onCommandWaiting(sim::ContextId)
 {
-    admit();
+    fw_->admitInArrivalOrder();
     schedule();
 }
 
@@ -22,7 +22,7 @@ FcfsPolicy::onSmIdle(gpu::Sm *)
 void
 FcfsPolicy::onKernelFinished(gpu::KernelExec *)
 {
-    admit();
+    fw_->admitInArrivalOrder();
     schedule();
 }
 
@@ -31,17 +31,6 @@ FcfsPolicy::onPreemptionComplete(gpu::Sm *, gpu::KernelExec *)
 {
     // FCFS never reserves an SM; nothing can complete.
     sim::panic("FCFS policy received a preemption completion");
-}
-
-void
-FcfsPolicy::admit()
-{
-    while (!fw_->activeQueueFull()) {
-        sim::ContextId ctx = fw_->frontWaitingBuffer();
-        if (ctx == sim::invalidContext)
-            break;
-        fw_->admit(ctx);
-    }
 }
 
 namespace {
@@ -81,14 +70,8 @@ FcfsPolicy::schedule()
         return;
 
     for (gpu::KernelExec *k : active) {
-        if (k->ctx() != window_ctx)
+        if (k->ctx() != window_ctx || !fw_->fillIdleSms(k))
             break;
-        while (fw_->unallocatedTbs(k) > 0) {
-            gpu::Sm *sm = fw_->findIdleSm();
-            if (!sm)
-                return;
-            fw_->assignSm(sm, k);
-        }
     }
 }
 

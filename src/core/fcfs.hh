@@ -29,7 +29,6 @@ class FcfsPolicy : public SchedulingPolicy
     void onPreemptionComplete(gpu::Sm *sm, gpu::KernelExec *next) override;
 
   private:
-    void admit();
     void schedule();
 };
 

@@ -90,14 +90,6 @@ SchedulingFramework::offerKernel(const gpu::CommandPtr &cmd)
     return true;
 }
 
-std::vector<sim::ContextId>
-SchedulingFramework::waitingBuffers() const
-{
-    std::vector<sim::ContextId> out;
-    waitingBuffers(out);
-    return out;
-}
-
 void
 SchedulingFramework::waitingBuffers(std::vector<sim::ContextId> &out) const
 {
@@ -207,6 +199,17 @@ SchedulingFramework::admit(sim::ContextId ctx)
     return k;
 }
 
+void
+SchedulingFramework::admitInArrivalOrder()
+{
+    while (!activeQueueFull()) {
+        sim::ContextId ctx = frontWaitingBuffer();
+        if (ctx == sim::invalidContext)
+            break;
+        admit(ctx);
+    }
+}
+
 gpu::Sm *
 SchedulingFramework::findIdleSm()
 {
@@ -243,6 +246,12 @@ SchedulingFramework::unallocatedTbs(const gpu::KernelExec *k) const
             granted += sm->freeSlots();
     }
     return std::max(0, issuable - granted);
+}
+
+int
+SchedulingFramework::needExtra(const gpu::KernelExec *k) const
+{
+    return unallocatedTbs(k) - k->smsReserved * k->occupancy();
 }
 
 void
@@ -285,6 +294,35 @@ SchedulingFramework::assignSm(gpu::Sm *sm, gpu::KernelExec *k)
     }
     for (EngineObserver *o : observers_)
         o->smAssigned(*sm, *k);
+}
+
+bool
+SchedulingFramework::fillIdleSms(gpu::KernelExec *k)
+{
+    int uncovered = unallocatedTbs(k);
+    for (auto &sm : sms_) {
+        if (uncovered <= 0)
+            break;
+        if (sm->state != gpu::Sm::State::Idle || sm->reserved)
+            continue;
+        assignSm(sm.get(), k);
+        uncovered -= k->occupancy();
+    }
+    GPUMP_AUDIT(std::max(0, uncovered) == unallocatedTbs(k),
+                "fill of %s tracked %d uncovered TBs, the SMs say %d",
+                k->profile().fullName().c_str(), uncovered,
+                unallocatedTbs(k));
+    return uncovered <= 0;
+}
+
+bool
+SchedulingFramework::assignToReservation(gpu::Sm *sm,
+                                         gpu::KernelExec *next)
+{
+    if (next == nullptr || unallocatedTbs(next) <= 0)
+        return false;
+    assignSm(sm, next);
+    return true;
 }
 
 void

@@ -13,7 +13,7 @@
  * The scheduling *policy* plugs in on top: the framework calls the
  * policy on the events of interest (command waiting, SM idle, kernel
  * finished, preemption complete) and the policy drives the framework
- * through admit / assignSm / reserveSm.
+ * through admit / fillIdleSms / assignSm / reserveSm.
  */
 
 #ifndef GPUMP_CORE_FRAMEWORK_HH
@@ -106,13 +106,12 @@ class SchedulingFramework : public gpu::KernelSink
      * @{ */
     bool offerKernel(const gpu::CommandPtr &cmd) override;
 
-    /** Contexts with a buffered command, in arrival (seq) order. */
-    std::vector<sim::ContextId> waitingBuffers() const;
-    /** Allocation-free variant: clears and refills @p out (policies
-     *  keep a scratch vector across calls on the admit hot path). */
+    /** Clear @p out and fill it with the contexts holding a buffered
+     *  command, in arrival (seq) order (policies keep a scratch
+     *  vector across calls on the admit hot path). */
     void waitingBuffers(std::vector<sim::ContextId> &out) const;
-    /** The earliest-arrived buffered context — waitingBuffers()
-     *  .front() without materializing the vector — or
+    /** The earliest-arrived buffered context — the front of
+     *  waitingBuffers() without materializing the vector — or
      *  sim::invalidContext when nothing is buffered.  The admit loops
      *  of arrival-ordered policies run on every command arrival and
      *  kernel completion, so this probe must not allocate. */
@@ -132,6 +131,13 @@ class SchedulingFramework : public gpu::KernelSink
      * @pre hasBufferedCommand(ctx) and not activeQueueFull().
      */
     gpu::KernelExec *admit(sim::ContextId ctx);
+
+    /**
+     * Admit buffered commands earliest-arrived first until the active
+     * queue is full or no command waits (the arrival-ordered policies'
+     * whole admission step).
+     */
+    void admitInArrivalOrder();
 
     /** Active kernels in admission order. */
     const std::vector<gpu::KernelExec *> &activeKernels() const
@@ -162,6 +168,12 @@ class SchedulingFramework : public gpu::KernelSink
      * occupied" behaviour.
      */
     int unallocatedTbs(const gpu::KernelExec *k) const;
+
+    /** Thread blocks of @p k covered neither by granted SM capacity
+     *  nor by the SMs its pending reservations promise (negative when
+     *  over-promised).  Preempting policies reserve SMs for a kernel
+     *  only while this is positive. */
+    int needExtra(const gpu::KernelExec *k) const;
     /** @} */
 
     /** @name Scheduling operations (policy-facing)
@@ -171,6 +183,24 @@ class SchedulingFramework : public gpu::KernelSink
      * thread blocks after the setup latency.
      */
     void assignSm(gpu::Sm *sm, gpu::KernelExec *k);
+
+    /**
+     * Assign idle, unreserved SMs to @p k, lowest id first, until its
+     * unallocatedTbs() are covered.  One pass over the SMs: each
+     * assignment puts an SM in Setup, which covers exactly
+     * occupancy() more blocks.
+     * @return false when the idle SMs ran out with @p k still
+     *         uncovered, so no later kernel can get one either.
+     */
+    bool fillIdleSms(gpu::KernelExec *k);
+
+    /**
+     * Hand the vacated @p sm to its reservation target @p next while
+     * @p next still has uncovered thread blocks.
+     * @return false, assigning nothing, when @p next is null (it
+     *         finished meanwhile) or already covered.
+     */
+    bool assignToReservation(gpu::Sm *sm, gpu::KernelExec *next);
 
     /**
      * Reserve @p sm for @p next, triggering the preemption mechanism.

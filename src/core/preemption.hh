@@ -43,10 +43,6 @@ class PreemptionMechanism
     /** Mechanism name for reports (the registry's canonical name). */
     virtual const char *name() const = 0;
 
-    /** True when the mechanism saves/restores context (and therefore
-     *  needs the PTBQs to exist). */
-    virtual bool savesContext() const = 0;
-
     /**
      * Begin vacating @p sm.  The SM is already flagged reserved and
      * is in the Running state with at least one resident thread

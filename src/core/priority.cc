@@ -86,13 +86,9 @@ NpqPolicy::schedule()
     for (gpu::KernelExec *k : sortedActive()) {
         if (window != sim::invalidContext && k->ctx() != window)
             continue;
-        while (fw_->unallocatedTbs(k) > 0) {
-            gpu::Sm *sm = fw_->findIdleSm();
-            if (!sm)
-                return;
-            fw_->assignSm(sm, k);
-            window = k->ctx();
-        }
+        if (!fw_->fillIdleSms(k))
+            return;
+        window = fw_->engineContext();
     }
 }
 
@@ -128,12 +124,6 @@ PpqPolicy::onPreemptionComplete(gpu::Sm *, gpu::KernelExec *)
     scheduleWithMode();
 }
 
-int
-PpqPolicy::needExtra(const gpu::KernelExec *k) const
-{
-    return fw_->unallocatedTbs(k) - k->smsReserved * k->occupancy();
-}
-
 void
 PpqPolicy::preempt()
 {
@@ -141,7 +131,7 @@ PpqPolicy::preempt()
         // Highest-priority kernel that still needs SM capacity.
         gpu::KernelExec *hp = nullptr;
         for (gpu::KernelExec *k : sortedActive()) {
-            if (needExtra(k) > 0) {
+            if (fw_->needExtra(k) > 0) {
                 hp = k;
                 break;
             }
@@ -154,16 +144,11 @@ PpqPolicy::preempt()
         // times, so the pick is positional, not latency-aware.
         gpu::Sm *victim = nullptr;
         for (const auto &sm : fw_->sms()) {
-            if (!sm->kernel || sm->reserved)
-                continue;
-            if (effectivePriority(sm->kernel) >= effectivePriority(hp))
-                continue;
-            if (sm->state != gpu::Sm::State::Running &&
-                sm->state != gpu::Sm::State::Setup) {
-                continue;
+            if (sm->preemptible() &&
+                effectivePriority(sm->kernel) < effectivePriority(hp)) {
+                victim = sm.get();
+                break;
             }
-            victim = sm.get();
-            break;
         }
         if (!victim)
             return;
@@ -184,12 +169,8 @@ PpqPolicy::scheduleWithMode()
     for (gpu::KernelExec *k : sorted) {
         if (exclusive_ && effectivePriority(k) < top)
             break; // no back-filling below the top priority level
-        while (fw_->unallocatedTbs(k) > 0) {
-            gpu::Sm *sm = fw_->findIdleSm();
-            if (!sm)
-                return;
-            fw_->assignSm(sm, k);
-        }
+        if (!fw_->fillIdleSms(k))
+            return;
     }
 }
 

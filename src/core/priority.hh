@@ -85,10 +85,6 @@ class PpqPolicy : public NpqPolicy
     void onPreemptionComplete(gpu::Sm *sm, gpu::KernelExec *next) override;
 
   protected:
-    /** SM capacity a kernel still needs beyond what it holds or has
-     *  been promised through pending reservations. */
-    int needExtra(const gpu::KernelExec *k) const;
-
     /** Reserve lower-priority SMs for higher-priority kernels. */
     void preempt();
 

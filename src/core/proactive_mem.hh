@@ -43,7 +43,6 @@ class ProactiveMemMechanism : public PreemptionMechanism
     explicit ProactiveMemMechanism(int lookahead = 16);
 
     const char *name() const override { return "proactive_mem"; }
-    bool savesContext() const override { return true; }
 
     void bind(SchedulingFramework &fw) override;
     void beginPreemption(gpu::Sm *sm) override;

@@ -15,7 +15,7 @@ TimeMuxPolicy::TimeMuxPolicy(sim::SimTime quantum)
 void
 TimeMuxPolicy::onCommandWaiting(sim::ContextId)
 {
-    admit();
+    fw_->admitInArrivalOrder();
     schedule();
     armTimer();
 }
@@ -33,7 +33,7 @@ TimeMuxPolicy::onKernelFinished(gpu::KernelExec *)
     // clamping keeps the ring pointer valid.  If the slice owner
     // itself finished, the next kernel inherits the rest of the slice
     // (it gets the SMs anyway through the idle path).
-    admit();
+    fw_->admitInArrivalOrder();
     const auto &active = fw_->activeKernels();
     if (!active.empty())
         ringPos_ %= active.size();
@@ -45,22 +45,8 @@ TimeMuxPolicy::onKernelFinished(gpu::KernelExec *)
 void
 TimeMuxPolicy::onPreemptionComplete(gpu::Sm *sm, gpu::KernelExec *next)
 {
-    if (next != nullptr && fw_->unallocatedTbs(next) > 0) {
-        fw_->assignSm(sm, next);
-        return;
-    }
-    schedule();
-}
-
-void
-TimeMuxPolicy::admit()
-{
-    while (!fw_->activeQueueFull()) {
-        sim::ContextId ctx = fw_->frontWaitingBuffer();
-        if (ctx == sim::invalidContext)
-            break;
-        fw_->admit(ctx); // arrival order
-    }
+    if (!fw_->assignToReservation(sm, next))
+        schedule();
 }
 
 gpu::KernelExec *
@@ -80,14 +66,8 @@ TimeMuxPolicy::schedule()
         return;
     // Slice owner first, then the others in ring order (back-fill).
     for (std::size_t i = 0; i < active.size(); ++i) {
-        gpu::KernelExec *k =
-            active[(ringPos_ + i) % active.size()];
-        while (fw_->unallocatedTbs(k) > 0) {
-            gpu::Sm *sm = fw_->findIdleSm();
-            if (!sm)
-                return;
-            fw_->assignSm(sm, k);
-        }
+        if (!fw_->fillIdleSms(active[(ringPos_ + i) % active.size()]))
+            return;
     }
 }
 
@@ -128,11 +108,8 @@ TimeMuxPolicy::rotate()
 
     if (incoming != outgoing) {
         for (const auto &sm : fw_->sms()) {
-            if (sm->kernel == outgoing && !sm->reserved &&
-                (sm->state == gpu::Sm::State::Running ||
-                 sm->state == gpu::Sm::State::Setup)) {
+            if (sm->kernel == outgoing && sm->preemptible())
                 fw_->reserveSm(sm.get(), incoming);
-            }
         }
     }
     schedule();

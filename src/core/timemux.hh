@@ -47,7 +47,6 @@ class TimeMuxPolicy : public SchedulingPolicy
     std::uint64_t rotations() const { return rotations_; }
 
   private:
-    void admit();
     /** The kernel owning the current slice (ring position). */
     gpu::KernelExec *current() const;
     /** Hand idle SMs out: current first, then ring order. */

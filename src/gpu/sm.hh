@@ -173,6 +173,14 @@ class Sm
     /** True when a kernel is set up on this SM (any non-idle state). */
     bool busy() const { return state != State::Idle; }
 
+    /** True when a policy may reserve this SM: a kernel is being set
+     *  up or runs here and no reservation claims the SM yet. */
+    bool preemptible() const
+    {
+        return !reserved &&
+            (state == State::Running || state == State::Setup);
+    }
+
     /** Number of additional TBs that fit, given the current kernel's
      *  occupancy; 0 when idle or reserved. */
     int freeSlots() const;

@@ -57,9 +57,6 @@ class PredAdaptiveMechanism : public core::PreemptionMechanism,
 
     const char *name() const override { return "pred_adaptive"; }
 
-    /** May context-switch, so the PTBQs must exist. */
-    bool savesContext() const override { return true; }
-
     /** Binds the base mechanisms and registers the predictor and this
      *  mechanism as engine observers. */
     void bind(core::SchedulingFramework &fw) override;

@@ -13,28 +13,19 @@ namespace serve {
 
 namespace {
 
-/** Gap samples per fillExponential call.  The chunk size is a pure
- *  amortization knob: fill* is bit-identical to sequential draws, so
- *  the generated timeline does not depend on it. */
-constexpr std::size_t kGapChunk = 64;
-
 std::vector<sim::SimTime>
 poissonTimeline(double rate_per_sec, sim::Rng &rng, sim::SimTime horizon,
                 std::size_t max_requests)
 {
     const double mean_gap_us = 1e6 / rate_per_sec;
-    std::vector<sim::SimTime> out;
-    double gaps[kGapChunk];
-    double t_us = 0.0;
     const double horizon_us = sim::toMicroseconds(horizon);
+    std::vector<sim::SimTime> out;
+    double t_us = 0.0;
     for (;;) {
-        rng.fillExponential(gaps, kGapChunk, mean_gap_us);
-        for (std::size_t i = 0; i < kGapChunk; ++i) {
-            t_us += gaps[i];
-            if (t_us >= horizon_us || out.size() >= max_requests)
-                return out;
-            out.push_back(sim::microseconds(t_us));
-        }
+        t_us += rng.exponential(mean_gap_us);
+        if (t_us >= horizon_us || out.size() >= max_requests)
+            return out;
+        out.push_back(sim::microseconds(t_us));
     }
 }
 
@@ -86,6 +77,10 @@ traceTimeline(const ArrivalSpec &spec, sim::SimTime horizon,
                        "(%f after %f)",
                        u, prev);
         prev = u;
+        // Past the SimTime range, so past any horizon; converting it
+        // would overflow.
+        if (u * 1e3 >= static_cast<double>(sim::maxTime))
+            break;
         sim::SimTime t = sim::microseconds(u);
         if (t >= horizon || out.size() >= max_requests)
             break;
@@ -156,14 +151,15 @@ readArrivalTrace(const std::string &path)
         if (hash != std::string::npos)
             line.erase(hash);
         std::istringstream ls(line);
-        double us;
-        if (!(ls >> us)) {
-            std::string rest;
-            if (ls.clear(), ls >> rest)
-                sim::fatal("arrival trace %s:%d: malformed line",
-                           path.c_str(), lineno);
+        if ((ls >> std::ws).eof())
             continue; // blank or comment-only line
-        }
+        double us;
+        // Both a non-number and a number that overflows a double
+        // (1e999) fail this read.
+        if (!(ls >> us))
+            sim::fatal("arrival trace %s:%d: malformed or out-of-range "
+                       "offset",
+                       path.c_str(), lineno);
         std::string trailing;
         if (ls >> trailing)
             sim::fatal("arrival trace %s:%d: trailing tokens",

@@ -17,11 +17,10 @@
  *    replaying measured production arrival logs.
  *
  * Determinism contract: a timeline is a pure function of (spec, RNG
- * seed, horizon, cap).  Stochastic draws ride sim::Rng's batched
- * fill* APIs, which are bit-identical to sequential single-sample
- * calls (sim/random.hh), so generation is chunk-size-invariant and
- * regenerating from the same seed reproduces the timeline bit for
- * bit — the same contract workload::Generator's plans rely on.
+ * seed, horizon, cap).  Stochastic kinds draw one sim::Rng sample per
+ * gap or dwell in a fixed order, so regenerating from the same seed
+ * reproduces the timeline bit for bit — the same contract
+ * workload::Generator's plans rely on.
  */
 
 #ifndef GPUMP_SERVE_ARRIVAL_HH

@@ -1,6 +1,7 @@
 #include "sim/logging.hh"
 
 #include <cstdarg>
+#include <cstdio>
 #include <vector>
 
 namespace gpump {
@@ -22,18 +23,6 @@ vformat(const char *fmt, va_list args)
     return std::string(buf.data(), static_cast<size_t>(needed));
 }
 
-const char *
-levelPrefix(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::Warn: return "warn: ";
-      case LogLevel::Inform: return "info: ";
-      case LogLevel::Debug: return "debug: ";
-      case LogLevel::Trace: return "trace: ";
-      default: return "";
-    }
-}
-
 } // namespace
 
 std::string
@@ -44,52 +33,6 @@ strformat(const char *fmt, ...)
     std::string result = vformat(fmt, args);
     va_end(args);
     return result;
-}
-
-Logger &
-Logger::global()
-{
-    static Logger instance;
-    return instance;
-}
-
-void
-Logger::emit(LogLevel level, const std::string &msg)
-{
-    if (!enabled(level))
-        return;
-    std::lock_guard<std::mutex> lock(emitMutex_);
-    std::fprintf(stderr, "%s%s\n", levelPrefix(level), msg.c_str());
-}
-
-void
-warn(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    std::string msg = vformat(fmt, args);
-    va_end(args);
-    Logger::global().emit(LogLevel::Warn, msg);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    std::string msg = vformat(fmt, args);
-    va_end(args);
-    Logger::global().emit(LogLevel::Inform, msg);
-}
-
-void
-debugLog(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    std::string msg = vformat(fmt, args);
-    va_end(args);
-    Logger::global().emit(LogLevel::Debug, msg);
 }
 
 void

@@ -123,8 +123,8 @@ Rng::normal()
 {
     // Box-Muller; both uniforms are drawn every call and a zero u1 is
     // remapped (not redrawn), so the raw-draw stream consumed per
-    // sample is fixed — the invariant fillExponential, Lognormal and
-    // the reproducibility contract rely on — and the result is finite
+    // sample is fixed — the invariant Lognormal and the
+    // reproducibility contract rely on — and the result is finite
     // for every possible draw.
     double u1 = uniform();
     double u2 = uniform();
@@ -167,14 +167,6 @@ Rng::exponential(double mean)
 {
     GPUMP_ASSERT(mean > 0.0, "exponential: mean must be positive");
     return -mean * std::log(nonzero(uniform()));
-}
-
-void
-Rng::fillExponential(double *out, std::size_t n, double mean)
-{
-    GPUMP_ASSERT(mean > 0.0, "exponential: mean must be positive");
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = -mean * std::log(nonzero(uniform()));
 }
 
 Rng

@@ -10,8 +10,7 @@
  *
  * Every distribution consumes a FIXED number of raw draws per sample
  * (uniform/exponential: 1, normal/lognormal: 2).  That invariant is
- * what makes fillExponential bit-identical to sequential
- * exponential() calls, and a Lognormal solved once bit-identical to
+ * what makes a Lognormal solved once bit-identical to
  * lognormal(mean, cv) re-solved per sample: either way the same draws
  * are consumed in the same order and run through the same per-sample
  * arithmetic — only the per-call parameter setup is hoisted.
@@ -21,7 +20,6 @@
 #define GPUMP_SIM_RANDOM_HH
 
 #include <array>
-#include <cstddef>
 #include <cstdint>
 
 namespace gpump {
@@ -84,7 +82,7 @@ class Rng
      * return, so the logarithm — and therefore normal(), lognormal()
      * and every duration sampled from them — can never be infinite.
      * The remap (rather than a rejection loop) keeps the per-sample
-     * draw count fixed, which fillExponential and Lognormal rely on.
+     * draw count fixed, which Lognormal relies on.
      */
     static double boxMuller(double u1, double u2);
 
@@ -121,14 +119,6 @@ class Rng
 
     /** Exponential with the given mean. @pre mean > 0 */
     double exponential(double mean);
-
-    /**
-     * Fill out[0..n) with exponential samples: the exact bit patterns
-     * n sequential exponential() calls would produce, with the
-     * argument check hoisted out of the loop (serve arrival streams).
-     * @pre mean > 0
-     */
-    void fillExponential(double *out, std::size_t n, double mean);
 
     /**
      * Fork a child generator with an independent stream.

@@ -1,12 +1,18 @@
 /**
  * Unit tests for serve/arrival.hh: timeline determinism (regeneration
- * and chunk-size invariance), monotonicity and bounds, and the
- * arrival-trace file format round trip.
+ * and a sequential-draw reference), monotonicity and bounds, and the
+ * arrival-trace file format: round trip, rejection of malformed
+ * lines, and a seeded fuzz of the reader.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -50,10 +56,9 @@ TEST(Arrival, PoissonRegenerationIsBitIdentical)
 
 TEST(Arrival, PoissonMatchesSequentialDrawReference)
 {
-    // The generator draws gaps through the batched fillExponential;
-    // the Rng contract says that is bit-identical to sequential
-    // exponential() calls, so a hand-rolled sequential generator must
-    // reproduce the timeline exactly — chunk size is invisible.
+    // The generator draws one exponential() per gap, so a
+    // hand-rolled sequential generator must reproduce the timeline
+    // exactly.
     ArrivalSpec spec;
     spec.kind = ArrivalSpec::Kind::Poisson;
     spec.ratePerSec = 1500.0;
@@ -148,6 +153,13 @@ TEST(Arrival, InlineTraceConvertsAndCutsAtHorizon)
     EXPECT_EQ(t[1], sim::microseconds(10.5));
     EXPECT_EQ(t[2], t[1]); // simultaneous arrivals are legal
     EXPECT_EQ(t[3], sim::microseconds(99.0));
+
+    // An offset beyond the SimTime range is past every horizon too.
+    spec.traceUs = {5.0, 1e300};
+    for (sim::SimTime horizon : {sim::microseconds(100.0), sim::maxTime}) {
+        EXPECT_EQ(serve::makeTimeline(spec, rng, horizon),
+                  std::vector<sim::SimTime>{sim::microseconds(5.0)});
+    }
 }
 
 TEST(Arrival, TraceConsumesNoRandomness)
@@ -234,6 +246,22 @@ TEST(Arrival, MalformedTracesAreFatal)
     EXPECT_THROW(serve::readArrivalTrace(decreasing), sim::FatalError);
     std::remove(decreasing.c_str());
 
+    // An offset that overflows a double fails the numeric read; it
+    // must not pass for a blank line and silently drop an arrival.
+    for (const char *huge : {"1e999", "-1e999"}) {
+        std::string overflow = write(
+            "overflow.txt", (std::string("100\n") + huge + "\n200\n").c_str());
+        try {
+            serve::readArrivalTrace(overflow);
+            ADD_FAILURE() << huge << " was accepted";
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(overflow + ":2:"),
+                      std::string::npos)
+                << e.what();
+        }
+        std::remove(overflow.c_str());
+    }
+
     EXPECT_THROW(serve::readArrivalTrace("no_such_trace_file.txt"),
                  sim::FatalError);
 
@@ -244,6 +272,70 @@ TEST(Arrival, MalformedTracesAreFatal)
     EXPECT_THROW(
         serve::makeTimeline(inline_bad, rng, sim::microseconds(10.0)),
         sim::FatalError);
+}
+
+TEST(ArrivalFuzz, MutatedTraceFilesFailCleanlyOrParse)
+{
+    // Seeded byte flips, inserts and deletes of a valid trace file.
+    // The reader must either refuse the file with a FatalError or
+    // return offsets that are finite, non-negative and nondecreasing,
+    // one for every line that holds something besides a comment.
+    const std::string valid = "# offsets, us\n0\n1.5\n2.5 # note\n\n"
+                              "10\n1e3\n1234.5678\n1e300\n";
+    const std::string alphabet = "0123456789.eE+-# \t\nx";
+    const std::string path = scratchPath("fuzz.txt");
+    sim::Rng rng(20140614);
+    int accepted = 0, refused = 0;
+    for (int i = 0; i < 3000; ++i) {
+        std::string m = valid;
+        for (int edits = 1 + static_cast<int>(rng.uniformInt(
+                 std::uint64_t{3}));
+             edits > 0 && !m.empty(); --edits) {
+            std::size_t at = rng.uniformInt(std::uint64_t{m.size()});
+            char c = rng.uniformInt(std::uint64_t{4}) == 0
+                ? static_cast<char>(1 + rng.uniformInt(std::uint64_t{255}))
+                : alphabet[rng.uniformInt(std::uint64_t{alphabet.size()})];
+            switch (rng.uniformInt(std::uint64_t{3})) {
+              case 0: m[at] = c; break;
+              case 1: m.insert(at, 1, c); break;
+              default: m.erase(at, 1);
+            }
+        }
+        {
+            std::ofstream os(path, std::ios::binary | std::ios::trunc);
+            os << m;
+        }
+        std::vector<double> us;
+        try {
+            us = serve::readArrivalTrace(path);
+        } catch (const sim::FatalError &) {
+            ++refused;
+            continue;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "readArrivalTrace threw '" << e.what()
+                          << "' on:\n"
+                          << m;
+            continue;
+        }
+        ++accepted;
+        std::size_t content_lines = 0;
+        std::istringstream lines(m);
+        for (std::string line; std::getline(lines, line);) {
+            line.erase(std::min(line.find('#'), line.size()));
+            content_lines += std::any_of(line.begin(), line.end(),
+                                         [](unsigned char ch) {
+                                             return !std::isspace(ch);
+                                         });
+        }
+        EXPECT_EQ(us.size(), content_lines) << m;
+        for (std::size_t j = 0; j < us.size(); ++j) {
+            EXPECT_TRUE(std::isfinite(us[j]) && us[j] >= 0.0) << m;
+            EXPECT_GE(us[j], j > 0 ? us[j - 1] : 0.0) << m;
+        }
+    }
+    std::remove(path.c_str());
+    EXPECT_GT(accepted, 300);
+    EXPECT_GT(refused, 300);
 }
 
 TEST(Arrival, SpecValidationRejectsBadParameters)

@@ -8,9 +8,11 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/policy.hh"
 #include "core/tables.hh"
 #include "sim/logging.hh"
 #include "tests/test_util.hh"
@@ -55,7 +57,8 @@ TEST(Framework, CommandBufferHoldsOneCommandPerContext)
 
     EXPECT_EQ(rig.framework.numActiveKernels(), 13);
     EXPECT_TRUE(rig.framework.activeQueueFull());
-    auto waiting = rig.framework.waitingBuffers();
+    std::vector<sim::ContextId> waiting;
+    rig.framework.waitingBuffers(waiting);
     ASSERT_EQ(waiting.size(), 2u);
     EXPECT_EQ(waiting[0], 13);
     EXPECT_EQ(waiting[1], 14);
@@ -90,6 +93,133 @@ TEST(Framework, UnallocatedTbsAccountsGrantedCapacity)
     EXPECT_EQ(active[0]->smsHeld, 3);
     EXPECT_EQ(rig.framework.unallocatedTbs(active[0]), 0);
     rig.run();
+}
+
+namespace {
+
+/** Admits every command and grants no SM: the tests below drive the
+ *  framework's grant primitives themselves. */
+class AdmitOnlyPolicy : public core::SchedulingPolicy
+{
+  public:
+    const char *name() const override { return "admit_only"; }
+    void onCommandWaiting(sim::ContextId) override
+    {
+        fw_->admitInArrivalOrder();
+    }
+    void onSmIdle(gpu::Sm *) override {}
+    void onKernelFinished(gpu::KernelExec *) override
+    {
+        fw_->admitInArrivalOrder();
+    }
+    void onPreemptionComplete(gpu::Sm *, gpu::KernelExec *) override {}
+};
+
+/** A rig whose policy leaves every SM grant to the test. */
+struct GrantRig : DeviceRig
+{
+    GrantRig() { framework.setPolicy(std::make_unique<AdmitOnlyPolicy>()); }
+
+    /** Ids of the SMs @p k holds, ascending. */
+    std::vector<int> smsOf(const gpu::KernelExec *k) const
+    {
+        std::vector<int> ids;
+        for (const auto &sm : framework.sms()) {
+            if (sm->kernel == k)
+                ids.push_back(sm->id());
+        }
+        return ids;
+    }
+};
+
+} // namespace
+
+TEST(Framework, FillIdleSmsTakesLowestIdleSmsUntilCovered)
+{
+    GrantRig rig;
+    // Occupancy 16: a needs ceil(40/16) = 3 SMs, b one.
+    auto a_prof = test::makeProfile("a", 40, 10.0);
+    auto b_prof = test::makeProfile("b", 16, 10.0);
+    rig.launch(rig.queueFor(0), &a_prof);
+    rig.launch(rig.queueFor(1), &b_prof);
+    const auto &active = rig.framework.activeKernels();
+    ASSERT_EQ(active.size(), 2u);
+    gpu::KernelExec *a = active[0];
+    gpu::KernelExec *b = active[1];
+    ASSERT_EQ(rig.smsOf(a), std::vector<int>{});
+
+    rig.framework.assignSm(rig.framework.sm(1), b);
+    EXPECT_TRUE(rig.framework.fillIdleSms(a));
+    // SM 1 is busy, so a gets 0, 2 and 3 and stops there.
+    EXPECT_EQ(rig.smsOf(a), (std::vector<int>{0, 2, 3}));
+    EXPECT_EQ(rig.smsOf(b), std::vector<int>{1});
+    EXPECT_EQ(rig.framework.unallocatedTbs(a), 0);
+    EXPECT_EQ(rig.framework.sm(4)->state, gpu::Sm::State::Idle);
+
+    rig.run();
+    EXPECT_EQ(rig.framework.kernelsCompleted(), 2u);
+}
+
+TEST(Framework, FillIdleSmsTakesEverySmAndReportsRunningOut)
+{
+    GrantRig rig;
+    // 1000 TBs need 63 SMs; the GPU has 13.
+    auto big = test::makeProfile("big", 1000, 10.0);
+    auto small = test::makeProfile("small", 16, 10.0);
+    rig.launch(rig.queueFor(0), &big);
+    rig.launch(rig.queueFor(1), &small);
+    gpu::KernelExec *k = rig.framework.activeKernels().at(0);
+    gpu::KernelExec *other = rig.framework.activeKernels().at(1);
+
+    EXPECT_FALSE(rig.framework.fillIdleSms(k));
+    EXPECT_EQ(k->smsHeld, rig.framework.numSms());
+    EXPECT_EQ(rig.framework.unallocatedTbs(k),
+              1000 - rig.framework.numSms() * k->occupancy());
+    // No idle SM is left for anyone.
+    EXPECT_FALSE(rig.framework.fillIdleSms(other));
+    EXPECT_EQ(other->smsHeld, 0);
+}
+
+TEST(Framework, FillIdleSmsLeavesCoveredKernelAlone)
+{
+    GrantRig rig;
+    auto prof = test::makeProfile("k", 40, 10.0);
+    rig.launch(rig.queueFor(0), &prof);
+    gpu::KernelExec *k = rig.framework.activeKernels().at(0);
+
+    ASSERT_TRUE(rig.framework.fillIdleSms(k));
+    ASSERT_EQ(k->smsHeld, 3);
+    EXPECT_TRUE(rig.framework.fillIdleSms(k));
+    EXPECT_EQ(rig.smsOf(k), (std::vector<int>{0, 1, 2}));
+
+    rig.run();
+    EXPECT_EQ(rig.framework.kernelsCompleted(), 1u);
+}
+
+TEST(Framework, AssignToReservationNeedsAnUncoveredTarget)
+{
+    GrantRig rig;
+    auto covered_prof = test::makeProfile("covered", 16, 10.0);
+    auto open_prof = test::makeProfile("open", 16, 10.0);
+    rig.launch(rig.queueFor(0), &covered_prof);
+    rig.launch(rig.queueFor(1), &open_prof);
+    gpu::KernelExec *covered = rig.framework.activeKernels().at(0);
+    gpu::KernelExec *open = rig.framework.activeKernels().at(1);
+    ASSERT_TRUE(rig.framework.fillIdleSms(covered));
+    gpu::Sm *sm = rig.framework.sm(5);
+
+    // A target that finished meanwhile arrives as null.
+    EXPECT_FALSE(rig.framework.assignToReservation(sm, nullptr));
+    EXPECT_FALSE(rig.framework.assignToReservation(sm, covered));
+    EXPECT_EQ(sm->state, gpu::Sm::State::Idle);
+    EXPECT_EQ(covered->smsHeld, 1);
+
+    EXPECT_TRUE(rig.framework.assignToReservation(sm, open));
+    EXPECT_EQ(sm->kernel, open);
+    EXPECT_EQ(sm->state, gpu::Sm::State::Setup);
+
+    rig.run();
+    EXPECT_EQ(rig.framework.kernelsCompleted(), 2u);
 }
 
 TEST(Framework, PreemptedTbsIssueBeforeFreshOnes)

@@ -1,4 +1,4 @@
-/** Unit tests for logging and error reporting. */
+/** Unit tests for error reporting. */
 
 #include <gtest/gtest.h>
 
@@ -54,17 +54,4 @@ TEST(Logging, AssertMacro)
 {
     EXPECT_NO_THROW(GPUMP_ASSERT(1 + 1 == 2, "math works"));
     EXPECT_THROW(GPUMP_ASSERT(false, "must fire"), PanicError);
-}
-
-TEST(Logging, LevelsGateEmission)
-{
-    Logger &log = Logger::global();
-    LogLevel saved = log.level();
-    log.setLevel(LogLevel::Silent);
-    EXPECT_FALSE(log.enabled(LogLevel::Warn));
-    log.setLevel(LogLevel::Debug);
-    EXPECT_TRUE(log.enabled(LogLevel::Warn));
-    EXPECT_TRUE(log.enabled(LogLevel::Debug));
-    EXPECT_FALSE(log.enabled(LogLevel::Trace));
-    log.setLevel(saved);
 }

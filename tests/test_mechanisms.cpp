@@ -189,10 +189,6 @@ TEST(Mechanisms, FactoryNamesAndAliases)
     EXPECT_STREQ(core::makeMechanism("drain")->name(), "draining");
     EXPECT_STREQ(core::makeMechanism("adaptive")->name(), "adaptive");
     EXPECT_THROW(core::makeMechanism("bogus"), sim::FatalError);
-    EXPECT_TRUE(core::makeMechanism("cs")->savesContext());
-    EXPECT_FALSE(core::makeMechanism("draining")->savesContext());
-    // Adaptive may context-switch, so the PTBQs must exist.
-    EXPECT_TRUE(core::makeMechanism("adaptive")->savesContext());
 }
 
 namespace {
