@@ -10,8 +10,8 @@ namespace gpump {
 namespace core {
 
 PpqAgingPolicy::PpqAgingPolicy(sim::SimTime interval, int step,
-                               int max_boost, bool exclusive)
-    : PpqPolicy(exclusive), interval_(interval), step_(step),
+                               int max_boost)
+    : PpqPolicy(/*exclusive=*/false), interval_(interval), step_(step),
       maxBoost_(max_boost)
 {
     GPUMP_ASSERT(interval > 0, "non-positive aging interval");
@@ -178,8 +178,6 @@ namespace {
          "effective-priority boost per elapsed interval (>= 0)"},
         {"ppq_aging.max_boost", TunableType::Int, "1000",
          "cap on the total aging boost (>= 0)"},
-        {"ppq_aging.exclusive", TunableType::Bool, "false",
-         "run on top of exclusive-mode PPQ instead of shared mode"},
     };
     d.factory = [](const sim::Config &cfg) {
         sim::SimTime interval = cfg.getMicroseconds(
@@ -191,9 +189,8 @@ namespace {
         if (step < 0 || max_boost < 0)
             sim::fatal("ppq_aging.step and ppq_aging.max_boost must "
                        "be >= 0");
-        bool exclusive = cfg.getBool("ppq_aging.exclusive", false);
-        return std::make_unique<PpqAgingPolicy>(
-            interval, step, max_boost, exclusive);
+        return std::make_unique<PpqAgingPolicy>(interval, step,
+                                                max_boost);
     };
     policyRegistry().add(std::move(d));
     return true;

@@ -38,7 +38,7 @@
 namespace gpump {
 namespace core {
 
-/** PPQ with starvation-bounding priority aging. */
+/** Shared-mode PPQ with starvation-bounding priority aging. */
 class PpqAgingPolicy : public PpqPolicy
 {
   public:
@@ -46,10 +46,8 @@ class PpqAgingPolicy : public PpqPolicy
      * @param interval  waiting time per aging step (> 0).
      * @param step      effective-priority boost per elapsed interval.
      * @param max_boost cap on the total boost (>= 0).
-     * @param exclusive PPQ access mode the aging runs on top of.
      */
-    PpqAgingPolicy(sim::SimTime interval, int step, int max_boost,
-                   bool exclusive);
+    PpqAgingPolicy(sim::SimTime interval, int step, int max_boost);
 
     const char *name() const override { return "ppq_aging"; }
 

@@ -34,7 +34,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -92,11 +91,10 @@ std::string nearestOf(const std::string &needle,
  * A registry of named scheme constructors for one product kind
  * (scheduling policies or preemption mechanisms).
  *
- * Registration normally happens from static registrar objects at
- * program start; a program that runs Systems on several threads looks
- * schemes up concurrently, so every accessor takes the registry mutex.
- * Descriptors are never removed, so pointers returned by find()/at()
- * stay valid for the life of the process.
+ * Registration happens from static registrar objects at program
+ * start, and lookups later, on the program's one thread.  Descriptors
+ * are never removed, so pointers returned by find()/at() stay valid
+ * for the life of the process.
  */
 template <typename Base>
 class SchemeRegistry
@@ -179,7 +177,6 @@ class SchemeRegistry
                            d.configPrefix.c_str());
             }
         }
-        std::lock_guard<std::mutex> lock(mutex_);
         if (byName_.count(d.name) || aliases_.count(d.name)) {
             sim::fatal("duplicate %s registration '%s'", kind_.c_str(),
                        d.name.c_str());
@@ -217,7 +214,6 @@ class SchemeRegistry
     /** Alias-aware lookup; nullptr when unknown. */
     const Descriptor *find(const std::string &name) const
     {
-        std::lock_guard<std::mutex> lock(mutex_);
         auto it = byName_.find(name);
         if (it != byName_.end())
             return &it->second;
@@ -242,7 +238,6 @@ class SchemeRegistry
     /** Canonical names in sorted order (stable across calls). */
     std::vector<std::string> list() const
     {
-        std::lock_guard<std::mutex> lock(mutex_);
         std::vector<std::string> out;
         out.reserve(byName_.size());
         for (const auto &kv : byName_)
@@ -253,7 +248,6 @@ class SchemeRegistry
     /** Number of registered schemes (aliases not counted). */
     std::size_t size() const
     {
-        std::lock_guard<std::mutex> lock(mutex_);
         return byName_.size();
     }
 
@@ -290,7 +284,6 @@ class SchemeRegistry
      */
     void validate(const sim::Config &cfg) const
     {
-        std::lock_guard<std::mutex> lock(mutex_);
         for (const std::string &key : cfg.keys()) {
             auto dot = key.find('.');
             if (dot == std::string::npos)
@@ -356,7 +349,6 @@ class SchemeRegistry
   private:
     std::string joinNames() const
     {
-        std::lock_guard<std::mutex> lock(mutex_);
         std::string out;
         for (const auto &kv : byName_) {
             if (!out.empty())
@@ -367,7 +359,6 @@ class SchemeRegistry
     }
 
     std::string kind_;
-    mutable std::mutex mutex_;
     std::map<std::string, Descriptor> byName_;
     std::map<std::string, const Descriptor *> aliases_;
 };

@@ -257,8 +257,6 @@ class CommandPool
     /** Blocks ever carved from the heap; plateaus at the peak number
      *  of concurrently live commands. */
     std::size_t blocksAllocated() const { return allocated_; }
-    /** Blocks currently parked on the free list. */
-    std::size_t blocksFree() const { return free_.size(); }
     /** @} */
 
   private:

@@ -43,9 +43,6 @@ class GpuContext
     sim::ProcessId owner() const { return owner_; }
     int priority() const { return priority_; }
 
-    /** The OS may retune priorities on the fly (Section 3.3). */
-    void setPriority(int priority) { priority_ = priority; }
-
     /** @name Outstanding-command tracking (device synchronisation)
      * @{ */
     void commandEnqueued() { ++outstanding_; }

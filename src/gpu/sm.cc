@@ -9,14 +9,6 @@
 namespace gpump {
 namespace gpu {
 
-Sm::SmstState
-Sm::smstState() const
-{
-    if (reserved)
-        return SmstState::Reserved;
-    return busy() ? SmstState::Running : SmstState::Idle;
-}
-
 int
 Sm::freeSlots() const
 {
@@ -90,17 +82,6 @@ smStateName(Sm::State s)
       case Sm::State::Running: return "Running";
       case Sm::State::Draining: return "Draining";
       case Sm::State::Saving: return "Saving";
-    }
-    return "?";
-}
-
-const char *
-smstStateName(Sm::SmstState s)
-{
-    switch (s) {
-      case Sm::SmstState::Idle: return "Idle";
-      case Sm::SmstState::Running: return "Running";
-      case Sm::SmstState::Reserved: return "Reserved";
     }
     return "?";
 }

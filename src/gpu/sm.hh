@@ -12,9 +12,9 @@
  *     Idle -> Setup -> Running -> (Draining | Saving) -> ...
  *
  * Draining and Saving are the in-flight phases of the two preemption
- * mechanisms of Section 3.2.  The architectural SMST view (Idle /
- * Running / Reserved) is derived from this detailed state plus the
- * reserved flag.
+ * mechanisms of Section 3.2.  The architectural SMST entry (Idle /
+ * Running / Reserved, and the "next" kernel) is this detailed state
+ * plus the reserved flag and nextKernel.
  */
 
 #ifndef GPUMP_GPU_SM_HH
@@ -121,14 +121,6 @@ class Sm
         Saving,   ///< reserved, context being saved (mechanism 1)
     };
 
-    /** Architectural state as stored in the SMST (Section 3.3). */
-    enum class SmstState
-    {
-        Idle,
-        Running,
-        Reserved,
-    };
-
     explicit Sm(sim::SmId id) : id_(id) {}
 
     sim::SmId id() const { return id_; }
@@ -167,9 +159,6 @@ class Sm
     sim::ContextId loadedContext = sim::invalidContext;
     /** @} */
 
-    /** The SMST view of this SM. */
-    SmstState smstState() const;
-
     /** True when a kernel is set up on this SM (any non-idle state). */
     bool busy() const { return state != State::Idle; }
 
@@ -195,7 +184,6 @@ class Sm
 
 /** Printable SM state names (for logs and tests). */
 const char *smStateName(Sm::State s);
-const char *smstStateName(Sm::SmstState s);
 
 } // namespace gpu
 } // namespace gpump

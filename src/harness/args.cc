@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <limits>
+#include <optional>
 
 #include "core/policy.hh"
 #include "core/preemption.hh"
@@ -114,18 +115,16 @@ Args::flagInt(const std::string &name, std::int64_t def) const
     auto it = flags_.find(name);
     if (it == flags_.end())
         return def;
-    char *end = nullptr;
-    long long v = std::strtoll(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0')
-        sim::fatal("flag --%s expects an integer, got '%s'",
+    std::optional<std::int64_t> v = sim::parseInt(it->second);
+    if (!v)
+        sim::fatal("flag --%s expects a 64-bit integer, got '%s'",
                    name.c_str(), it->second.c_str());
-    return static_cast<std::int64_t>(v);
+    return *v;
 }
 
 std::int32_t
 Args::flagInt32(const std::string &name, std::int32_t def) const
 {
-    // flagInt saturates on overflow, so the range check catches it.
     std::int64_t v = flagInt(name, def);
     if (v < std::numeric_limits<std::int32_t>::min() ||
         v > std::numeric_limits<std::int32_t>::max())
@@ -141,16 +140,13 @@ Args::flagPositiveInt(const std::string &name, int def) const
     auto it = flags_.find(name);
     if (it == flags_.end())
         return def;
-    char *end = nullptr;
-    // strtoll saturates on overflow, so the INT_MAX bound catches it.
-    long long v = std::strtoll(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0' || v < 1 ||
-        v > std::numeric_limits<int>::max())
+    std::optional<std::int64_t> v = sim::parseInt(it->second);
+    if (!v || *v < 1 || *v > std::numeric_limits<int>::max())
         sim::fatal("flag --%s expects a positive integer up to %d, "
                    "got '%s'",
                    name.c_str(), std::numeric_limits<int>::max(),
                    it->second.c_str());
-    return static_cast<int>(v);
+    return static_cast<int>(*v);
 }
 
 std::vector<int>
@@ -167,19 +163,17 @@ Args::flagIntList(const std::string &name, std::vector<int> def) const
         std::string item = v.substr(
             pos, comma == std::string::npos ? std::string::npos
                                             : comma - pos);
-        char *end = nullptr;
-        long long n = std::strtoll(item.c_str(), &end, 0);
-        if (item.empty() || end == item.c_str() || *end != '\0') {
+        std::optional<std::int64_t> n = sim::parseInt(item);
+        if (!n) {
             sim::fatal("flag --%s expects a comma-separated integer "
                        "list, got '%s'",
                        name.c_str(), v.c_str());
         }
-        // strtoll saturates on overflow, so the int bounds catch it.
-        if (n < std::numeric_limits<int>::min() ||
-            n > std::numeric_limits<int>::max())
+        if (*n < std::numeric_limits<int>::min() ||
+            *n > std::numeric_limits<int>::max())
             sim::fatal("flag --%s item '%s' is outside the int range",
                        name.c_str(), item.c_str());
-        out.push_back(static_cast<int>(n));
+        out.push_back(static_cast<int>(*n));
         if (comma == std::string::npos)
             break;
         pos = comma + 1;

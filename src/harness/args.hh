@@ -48,6 +48,8 @@ class Args
     bool hasFlag(const std::string &name) const;
     std::string flag(const std::string &name,
                      const std::string &def) const;
+    /** An integer as sim::parseInt reads it (decimal or 0x hex);
+     *  anything else, or a value beyond 64 bits, is fatal. */
     std::int64_t flagInt(const std::string &name, std::int64_t def) const;
     /** flagInt for values held in 32 bits: anything outside the
      *  std::int32_t range is fatal instead of wrapping. */

@@ -9,7 +9,9 @@
 #include <cstring>
 #include <deque>
 #include <exception>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 
 #include <poll.h>
@@ -20,25 +22,49 @@
 #include "harness/exec/wire.hh"
 #include "harness/interrupt.hh"
 #include "harness/report.hh"
+#include "sim/config.hh"
 #include "sim/logging.hh"
 
 namespace gpump {
 namespace harness {
 namespace exec {
 
+namespace {
+
+/** Overlay environment variable @p name, when set, onto @p out as an
+ *  int; a value that is not one is fatal. */
+void
+envInt(const char *name, int &out)
+{
+    // The process is single-threaded; nothing writes the environment
+    // concurrently.
+    const char *v = std::getenv(name); // NOLINT(concurrency-mt-unsafe)
+    if (v == nullptr)
+        return;
+    std::optional<std::int64_t> n = sim::parseInt(v);
+    if (!n || *n < std::numeric_limits<int>::min() ||
+        *n > std::numeric_limits<int>::max())
+        sim::fatal("environment variable %s expects an integer, got '%s'",
+                   name, v);
+    out = static_cast<int>(*n);
+}
+
+} // namespace
+
 void
 ExecOptions::applyTestEnv()
 {
-    // getenv runs once, on the main thread, before any worker exists;
-    // nothing writes the environment concurrently.
-    // NOLINTBEGIN(concurrency-mt-unsafe)
-    if (const char *v = std::getenv("GPUMP_EXEC_TEST_KILL_AFTER"))
-        testKillAfterResults = std::atoi(v);
-    if (const char *v = std::getenv("GPUMP_EXEC_TEST_ABORT_AFTER"))
-        testAbortAfterResults = std::atoi(v);
-    if (const char *v = std::getenv("GPUMP_EXEC_CACHE_STRICT"))
-        strictCache = v[0] != '\0' && v[0] != '0';
-    // NOLINTEND(concurrency-mt-unsafe)
+    envInt("GPUMP_EXEC_TEST_KILL_AFTER", testKillAfterResults);
+    envInt("GPUMP_EXEC_TEST_ABORT_AFTER", testAbortAfterResults);
+    const char *name = "GPUMP_EXEC_CACHE_STRICT";
+    if (const char *v = std::getenv(name)) { // NOLINT(concurrency-mt-unsafe)
+        std::optional<bool> b = sim::parseBool(v);
+        if (!b)
+            sim::fatal("environment variable %s expects a boolean, got "
+                       "'%s'",
+                       name, v);
+        strictCache = *b;
+    }
 }
 
 namespace {
@@ -82,9 +108,9 @@ workerMain(Runner &runner, const std::vector<RunRequest> &requests,
     // The coordinator's interrupt handlers and pipes belong to the
     // parent: default dispositions here, so Ctrl-C on the process
     // group kills workers while the coordinator winds down cleanly.
+    // SIGPIPE stays ignored, as spawn() left it.
     std::signal(SIGINT, SIG_DFL);
     std::signal(SIGTERM, SIG_DFL);
-    std::signal(SIGPIPE, SIG_IGN);
 
     std::string buf;
     char chunk[4096];
@@ -154,6 +180,11 @@ workerMain(Runner &runner, const std::vector<RunRequest> &requests,
     ::_exit(0);
 }
 
+/** Consecutive deaths of one worker slot (without an intervening
+ *  completed result) before that slot is abandoned.  When every slot
+ *  is abandoned the remaining requests run in-process. */
+constexpr int kMaxRespawns = 3;
+
 /** One forked worker and its coordinator-side state. */
 struct Slot
 {
@@ -170,7 +201,7 @@ struct Slot
     int consecutiveFailures = 0;
     /** Do not respawn before this time (exponential backoff). */
     double respawnAt = 0.0;
-    /** Slot gave up: consecutiveFailures exceeded maxRespawns. */
+    /** Slot gave up: consecutiveFailures exceeded kMaxRespawns. */
     bool abandoned = false;
 
     bool running() const { return pid > 0; }
@@ -212,13 +243,15 @@ class Coordinator
         return false;
     }
 
-    bool allAbandoned() const
+    /** False once no worker will ever run a request: a one-job
+     *  batch starts none, and abandoned slots never come back. */
+    bool workersLeft() const
     {
         for (const Slot &s : slots_) {
             if (!s.abandoned)
-                return false;
+                return true;
         }
-        return true;
+        return false;
     }
 
     Runner &runner_;
@@ -257,6 +290,9 @@ void
 Coordinator::spawn(std::size_t si, bool respawn)
 {
     Slot &s = slots_[si];
+    // Writing to a worker that died between poll()s must surface as
+    // an error return from write(), never a fatal signal.
+    std::signal(SIGPIPE, SIG_IGN);
     int cmd[2], res[2];
     // The coordinator is single-threaded; strerror's static buffer is
     // safe here (and the process dies on this path anyway).
@@ -397,12 +433,18 @@ Coordinator::onDeath(std::size_t si, const char *why)
                      si, why);
     }
 
-    if (s.consecutiveFailures > opt_.maxRespawns) {
+    if (s.consecutiveFailures > kMaxRespawns) {
         s.abandoned = true;
         std::fprintf(stderr,
                      "[exec] worker %zu: %d consecutive failures; "
                      "abandoning the slot\n",
                      si, s.consecutiveFailures);
+        if (!workersLeft() && !pending_.empty()) {
+            std::fprintf(stderr,
+                         "[exec] no usable workers left; running %zu "
+                         "remaining requests in-process\n",
+                         pending_.size());
+        }
     } else {
         int k = s.consecutiveFailures;
         double backoff = opt_.backoffBaseSec *
@@ -533,10 +575,6 @@ Coordinator::run(ExecStats *stats)
     const std::size_t total = requests_.size();
     stats_.total = total;
 
-    // Writing to a worker that died between poll()s must surface as
-    // an error return from write(), never a fatal signal.
-    std::signal(SIGPIPE, SIG_IGN);
-
     // Resume: serve every request the cache already holds.  Keys are
     // computed up front — they also drive stale-entry detection.
     if (!opt_.cacheDir.empty()) {
@@ -560,8 +598,10 @@ Coordinator::run(ExecStats *stats)
             pending_.push_back(i);
     }
 
-    int want = opt_.workers > 0 ? opt_.workers
-                                : std::max(1, runner_.jobs());
+    // A one-job batch forks no worker: the loop below runs it here.
+    int want = opt_.workers > 0  ? opt_.workers
+        : runner_.jobs() > 1     ? runner_.jobs()
+                                 : 0;
     std::size_t nworkers =
         std::min(static_cast<std::size_t>(want), pending_.size());
     slots_.resize(nworkers);
@@ -585,22 +625,16 @@ Coordinator::run(ExecStats *stats)
         if (firstError_) {
             if (!anyInflight())
                 break;
-        } else if (slots_.empty() || allAbandoned()) {
-            // Graceful degradation: no worker will ever come back;
-            // the coordinator finishes the sweep itself.
-            if (!pending_.empty()) {
-                std::fprintf(stderr,
-                             "[exec] no usable workers left; running "
-                             "%zu remaining requests in-process\n",
-                             pending_.size());
-            }
-            while (!pending_.empty() && !firstError_) {
-                std::size_t idx = pending_.front();
-                pending_.pop_front();
-                runLocal(idx);
-            }
-            if (firstError_)
-                break;
+        } else if (!workersLeft()) {
+            // The coordinator runs the batch itself, one request per
+            // pass, so the interrupt check above runs between
+            // requests.
+            GPUMP_ASSERT(!pending_.empty(),
+                         "exec: %zu requests neither done nor queued",
+                         total - completed_);
+            std::size_t idx = pending_.front();
+            pending_.pop_front();
+            runLocal(idx);
             continue;
         }
 
@@ -707,13 +741,16 @@ Coordinator::run(ExecStats *stats)
         std::rethrow_exception(firstError_);
 
     checkStaleEntries();
-    std::fprintf(stderr,
-                 "[exec] %zu requests: %zu cached, %zu computed on %zu "
-                 "workers, %zu requeued (%zu timeouts), %zu respawns, "
-                 "%zu in-process\n",
-                 total, stats_.cacheHits, stats_.computed,
-                 slots_.size(), stats_.requeues, stats_.timeouts,
-                 stats_.respawns, stats_.inProcess);
+    // A one-job batch without a cache has nothing to report.
+    if (!slots_.empty() || cache_) {
+        std::fprintf(stderr,
+                     "[exec] %zu requests: %zu cached, %zu computed on "
+                     "%zu workers, %zu requeued (%zu timeouts), %zu "
+                     "respawns, %zu in-process\n",
+                     total, stats_.cacheHits, stats_.computed,
+                     slots_.size(), stats_.requeues, stats_.timeouts,
+                     stats_.respawns, stats_.inProcess);
+    }
     if (stats)
         *stats = stats_;
     return std::move(results_);

@@ -1,14 +1,15 @@
 /**
  * @file
- * Multi-process backend of harness::Runner (DESIGN.md §10).
+ * The batch executor behind harness::Runner (DESIGN.md §10).
  *
- * runBatch() partitions a RunRequest batch across forked worker
- * processes: a coordinator keeps one request in flight per worker,
- * ships work assignments and wire-encoded RunResults over pipes, and
- * merges results *by request position*, so the returned vector — and
- * therefore every table and JSONL line derived from it — is
- * byte-identical to an in-process `--jobs=1` run for any worker
- * count.
+ * runBatch() runs a RunRequest batch.  At one job the coordinator
+ * runs every request itself, in order, in this process.  At N jobs it
+ * partitions the batch across N forked worker processes: it keeps one
+ * request in flight per worker, ships work assignments and
+ * wire-encoded RunResults over pipes, and merges results *by request
+ * position*, so the returned vector — and therefore every table and
+ * JSONL line derived from it — is byte-identical to an in-process
+ * `--jobs=1` run for any worker count.
  *
  * Robustness is the point of the subsystem:
  *  - a worker that exits, is killed, or trips the per-request
@@ -23,8 +24,8 @@
  *    fingerprint, so rerunning an interrupted sweep resumes from
  *    where it stopped;
  *  - a sim::FatalError raised *by a request* is not retried (it is
- *    deterministic): the batch aborts with that error, as it does
- *    in process.
+ *    deterministic): the batch aborts with that error, whichever
+ *    process ran the request.
  */
 
 #ifndef GPUMP_HARNESS_EXEC_COORDINATOR_HH
@@ -46,7 +47,7 @@ struct ExecStats
     std::size_t total = 0;       ///< Requests in the batch.
     std::size_t cacheHits = 0;   ///< Served from the result cache.
     std::size_t computed = 0;    ///< Executed by worker processes.
-    std::size_t inProcess = 0;   ///< Degraded to coordinator-local runs.
+    std::size_t inProcess = 0;   ///< Run by the coordinator itself.
     std::size_t requeues = 0;    ///< In-flight requests requeued.
     std::size_t timeouts = 0;    ///< Workers killed by the watchdog.
     std::size_t respawns = 0;    ///< Replacement workers forked.
@@ -54,11 +55,13 @@ struct ExecStats
 };
 
 /**
- * Execute @p requests for @p runner across forked workers and return
- * results in request order.  @p runner supplies the base config, the
- * per-request execution (Runner::runOne, in the children) and the
- * progress callback.  Raises InterruptedError after a SIGINT/SIGTERM
- * wind-down and rethrows the first request failure.
+ * Execute @p requests for @p runner and return results in request
+ * order: in this process at one job (ExecOptions::workers == 0 and
+ * Runner::jobs() == 1), otherwise across forked workers.  @p runner
+ * supplies the base config, the per-request execution
+ * (Runner::runOne) and the progress callback.  Raises
+ * InterruptedError after a SIGINT/SIGTERM wind-down, checked between
+ * requests, and rethrows the first request failure.
  *
  * @param stats out-parameter for campaign telemetry; may be null.
  */

@@ -20,8 +20,10 @@ namespace exec {
 /** Configuration of one exec::runBatch campaign. */
 struct ExecOptions
 {
-    /** Forked worker processes; 0 = max(1, Runner::jobs()).
-     *  Runner::run leaves it 0; only direct runBatch callers set it. */
+    /** Forked worker processes; 0 = Runner::jobs() workers when
+     *  jobs() > 1 and none at one job, where the coordinator runs
+     *  every request itself.  Runner::run leaves it 0; only direct
+     *  runBatch callers set it. */
     int workers = 0;
 
     /** On-disk result cache directory; empty = no cache.  Keyed by
@@ -30,9 +32,10 @@ struct ExecOptions
     std::string cacheDir;
 
     /**
-     * Per-request watchdog, seconds: a worker whose in-flight request
-     * exceeds this is SIGKILLed and the request is requeued (counting
-     * one retry).  0 disables the watchdog.
+     * Per-request watchdog, seconds: a forked worker whose in-flight
+     * request exceeds this is SIGKILLed and the request is requeued
+     * (counting one retry).  0 disables the watchdog.  Requests the
+     * coordinator runs itself have none.
      */
     double requestTimeoutSec = 0.0;
 
@@ -43,18 +46,14 @@ struct ExecOptions
      *  in process.) */
     int maxRetries = 2;
 
-    /** Consecutive deaths of one worker slot (without an intervening
-     *  completed result) before that slot is abandoned.  When every
-     *  slot is abandoned the remaining requests run in-process. */
-    int maxRespawns = 3;
-
     /** Base of the exponential respawn backoff: a slot's k-th
      *  consecutive respawn waits backoffBaseSec * 2^(k-1) seconds. */
     double backoffBaseSec = 0.25;
 
     /** Fail the sweep when the cache directory holds entries whose
      *  keys match no request of this batch (stale fingerprints).
-     *  Scripts/CI set this via GPUMP_EXEC_CACHE_STRICT=1. */
+     *  Scripts/CI set this via GPUMP_EXEC_CACHE_STRICT=1, which takes
+     *  the spellings of sim::Config::getBool. */
     bool strictCache = false;
 
     /** @name Fault-injection test hooks
@@ -75,7 +74,8 @@ struct ExecOptions
 
     /** Overlay the GPUMP_EXEC_TEST_KILL_AFTER /
      *  GPUMP_EXEC_TEST_ABORT_AFTER / GPUMP_EXEC_CACHE_STRICT
-     *  environment hooks (CI fault injection). */
+     *  environment hooks (CI fault injection).  A value that does not
+     *  parse raises sim::FatalError naming the variable. */
     void applyTestEnv();
 };
 

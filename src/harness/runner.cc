@@ -1,13 +1,11 @@
 #include "harness/runner.hh"
 
 #include <chrono>
-#include <exception>
 #include <utility>
 
 #include "core/policy.hh"
 #include "core/preemption.hh"
 #include "harness/exec/coordinator.hh"
-#include "harness/interrupt.hh"
 #include "sim/logging.hh"
 
 namespace gpump {
@@ -38,44 +36,26 @@ IsolatedBaselineCache::timeUs(const std::string &benchmark,
 {
     const std::string key = benchmark + "\n" +
         std::to_string(minReplays) + "\n" + cfg.fingerprint();
+    auto it = values_.find(key);
+    if (it != values_.end())
+        return it->second;
 
-    std::promise<double> promise;
-    bool compute = false;
-    std::shared_future<double> future;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = futures_.find(key);
-        if (it == futures_.end()) {
-            future = promise.get_future().share();
-            futures_.emplace(key, future);
-            compute = true;
-        } else {
-            future = it->second;
-        }
-    }
+    workload::SystemSpec spec;
+    spec.benchmarks = {benchmark};
+    spec.policy = "fcfs";
+    spec.mechanism = "context_switch";
+    spec.transferPolicy = "fcfs";
+    spec.seed = 0x150ca7ed; // isolated runs share one fixed seed
+    spec.minReplays = minReplays;
 
-    if (compute) {
-        try {
-            workload::SystemSpec spec;
-            spec.benchmarks = {benchmark};
-            spec.policy = "fcfs";
-            spec.mechanism = "context_switch";
-            spec.transferPolicy = "fcfs";
-            spec.seed = 0x150ca7ed; // isolated runs share one fixed seed
-            spec.minReplays = minReplays;
-
-            workload::System system(spec, cfg);
-            workload::SystemResult result = system.run();
-            double us = result.meanTurnaroundUs.at(0);
-            GPUMP_ASSERT(us > 0.0, "isolated run of %s took no time",
-                         benchmark.c_str());
-            computations_.fetch_add(1, std::memory_order_relaxed);
-            promise.set_value(us);
-        } catch (...) {
-            promise.set_exception(std::current_exception());
-        }
-    }
-    return future.get();
+    workload::System system(spec, cfg);
+    workload::SystemResult result = system.run();
+    double us = result.meanTurnaroundUs.at(0);
+    GPUMP_ASSERT(us > 0.0, "isolated run of %s took no time",
+                 benchmark.c_str());
+    ++computations_;
+    values_.emplace(key, us);
+    return us;
 }
 
 Runner::Runner(sim::Config base, int jobs)
@@ -149,30 +129,7 @@ Runner::isolatedTimeUs(const std::string &benchmark, int minReplays)
 std::vector<RunResult>
 Runner::run(const std::vector<RunRequest> &requests)
 {
-    // Parallel or cached batches go to the exec coordinator, which
-    // forks max(1, jobs) workers and merges by request position, so
-    // its results equal the loop below byte for byte.
-    if (jobs_ > 1 || !exec_.cacheDir.empty())
-        return exec::runBatch(*this, requests, exec_);
-
-    std::vector<RunResult> results;
-    results.reserve(requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (interruptRequested()) {
-            int sig = interruptSignal();
-            throw InterruptedError(
-                sim::strformat("batch interrupted by signal %d after "
-                               "%zu/%zu requests",
-                               sig, i, requests.size()),
-                sig);
-        }
-        results.push_back(runOne(requests[i]));
-        results.back().index = i;
-        if (progress_)
-            progress_(i + 1, requests.size(), requests[i],
-                      results.back());
-    }
-    return results;
+    return exec::runBatch(*this, requests, exec_);
 }
 
 } // namespace harness

@@ -5,9 +5,9 @@
  *
  * The harness API is declarative: benches describe *what* to run as a
  * list of RunRequest values (usually produced by a harness::Suite
- * grid) and hand the whole batch to a Runner.  At one job the Runner
- * executes the requests in the calling thread; at `jobs` > 1 it hands
- * the batch to `jobs` forked worker processes (harness/exec).  Every
+ * grid) and hand the whole batch to a Runner, which passes it to the
+ * batch executor (harness/exec): at one job the requests run in this
+ * process, at `jobs` > 1 on `jobs` forked worker processes.  Every
  * request constructs its own workload::System, and results come back
  * *in request order*, so the output of a batch is bit-identical for
  * any job count.
@@ -25,14 +25,11 @@
 #ifndef GPUMP_HARNESS_RUNNER_HH
 #define GPUMP_HARNESS_RUNNER_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -139,15 +136,13 @@ struct RunResult
 };
 
 /**
- * Thread-safe memoized isolated-baseline store.
+ * Memoized isolated-baseline store.
  *
  * The isolated execution time of a benchmark (the denominator of
  * every Eyerman-Eeckhout metric) depends only on the benchmark, the
  * replay count and the config, so it is computed once per distinct
  * key and process and shared by every run there; a forked worker
- * starts with the entries its parent held.  Concurrent first access
- * is serialized through a shared_future: exactly one thread computes,
- * the others wait and observe the same value.
+ * starts with the entries its parent held.
  */
 class IsolatedBaselineCache
 {
@@ -161,15 +156,11 @@ class IsolatedBaselineCache
                   int minReplays);
 
     /** Number of actual computations performed (for tests). */
-    std::uint64_t computations() const
-    {
-        return computations_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t computations() const { return computations_; }
 
   private:
-    std::mutex mutex_;
-    std::map<std::string, std::shared_future<double>> futures_;
-    std::atomic<std::uint64_t> computations_{0};
+    std::map<std::string, double> values_;
+    std::uint64_t computations_ = 0;
 };
 
 /**
@@ -195,8 +186,8 @@ class Runner
 
     /**
      * @param base config overrides applied to every simulation.
-     * @param jobs parallelism of run(): 1 = in the calling thread,
-     *        N > 1 = N forked worker processes.
+     * @param jobs parallelism of run(): 1 = in this process, N > 1 =
+     *        N forked worker processes.
      */
     explicit Runner(sim::Config base = sim::Config(), int jobs = 1);
 
@@ -209,10 +200,9 @@ class Runner
     const ProgressFn &progressFn() const { return progress_; }
 
     /**
-     * Options of the forked executor (harness/exec): the result cache
-     * directory, the per-request watchdog and the retry policy.  A
-     * cache directory sends even a one-job batch through the
-     * executor, which then runs one worker (DESIGN.md §10).
+     * Options of the batch executor (harness/exec): the result cache
+     * directory, the per-request watchdog of forked workers and the
+     * retry policy (DESIGN.md §10).
      */
     void setExec(exec::ExecOptions options)
     {
@@ -220,14 +210,15 @@ class Runner
     }
 
     /**
-     * Execute the whole batch and return results in request order.
+     * Execute the whole batch through exec::runBatch and return
+     * results in request order.
      *
-     * At one job and without a cache directory the requests run in
-     * the calling thread, in order; otherwise the batch goes to
-     * exec::runBatch.  Results are placed by request position, so the
-     * returned vector is bit-identical for any job count.  A failing
-     * request (e.g. sim::FatalError on a livelocked schedule) aborts
-     * the rest of the batch and its exception is rethrown.
+     * At one job the requests run in this process, one at a time; at
+     * N jobs on N forked workers.  Results are placed by request
+     * position, so the returned vector is bit-identical for any job
+     * count.  A failing request (e.g. sim::FatalError on a livelocked
+     * schedule) aborts the rest of the batch and its exception is
+     * rethrown.
      *
      * Responds to installInterruptHandlers() (harness/interrupt.hh):
      * after SIGINT/SIGTERM no new requests start and the batch raises
@@ -236,12 +227,12 @@ class Runner
      */
     std::vector<RunResult> run(const std::vector<RunRequest> &requests);
 
-    /** Execute one request in the calling thread. */
+    /** Execute one request in this process. */
     RunResult runOne(const RunRequest &request);
 
     /**
      * Isolated execution time of @p benchmark under the base config
-     * (see IsolatedBaselineCache::timeUs).  Memoized and thread-safe.
+     * (see IsolatedBaselineCache::timeUs).  Memoized.
      */
     double isolatedTimeUs(const std::string &benchmark,
                           int minReplays = 3);

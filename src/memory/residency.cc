@@ -10,10 +10,10 @@ namespace memory {
 ResidencyManager::ResidencyManager(sim::StatRegistry &stats,
                                    GpuMemory &gmem, SwapSubmit submit)
     : gmem_(&gmem), submit_(std::move(submit)),
-      swapInsStat_(stats, "residency.swap_ins",
-                   "contexts swapped into device memory"),
-      swapOutsStat_(stats, "residency.swap_outs",
-                    "contexts evicted from device memory"),
+      swapIns_(stats, "residency.swap_ins",
+               "contexts swapped into device memory"),
+      swapOuts_(stats, "residency.swap_outs",
+                "contexts evicted from device memory"),
       swapBytes_(stats, "residency.swap_bytes",
                  "bytes moved by residency swaps (both directions)")
 {
@@ -190,7 +190,6 @@ ResidencyManager::evict(sim::ContextId victim)
     gmem_->freeAll(victim);
     v.state = State::SwappedOut;
     ++swapOuts_;
-    ++swapOutsStat_;
     swapBytes_ += static_cast<double>(v.footprint);
     // Any SM that still has the victim loaded must reload it.
     if (remapNotify_)
@@ -216,7 +215,6 @@ ResidencyManager::tryStartSwapIn(sim::ContextId ctx)
     gmem_->allocate(ctx, c.footprint);
     c.state = State::SwappingIn;
     ++swapIns_;
-    ++swapInsStat_;
     swapBytes_ += static_cast<double>(c.footprint);
     submit_(ctx, c.priority, c.footprint, /*to_device=*/true,
             [this, ctx] { finishSwapIn(ctx); });

@@ -99,8 +99,14 @@ class ResidencyManager
 
     /** @name Swap accounting (tests, analyses)
      * @{ */
-    std::uint64_t swapIns() const { return swapIns_; }
-    std::uint64_t swapOuts() const { return swapOuts_; }
+    std::uint64_t swapIns() const
+    {
+        return static_cast<std::uint64_t>(swapIns_.value());
+    }
+    std::uint64_t swapOuts() const
+    {
+        return static_cast<std::uint64_t>(swapOuts_.value());
+    }
     double swapBytes() const { return swapBytes_.value(); }
     /** Requests currently parked for want of an evictable victim. */
     std::size_t parkedRequests() const { return parked_.size(); }
@@ -160,10 +166,8 @@ class ResidencyManager
     std::uint64_t useClock_ = 0;
     std::vector<sim::ContextId> parked_; ///< FIFO of waiting contexts
 
-    std::uint64_t swapIns_ = 0;
-    std::uint64_t swapOuts_ = 0;
-    sim::Scalar swapInsStat_;
-    sim::Scalar swapOutsStat_;
+    sim::Scalar swapIns_;
+    sim::Scalar swapOuts_;
     sim::Scalar swapBytes_;
 };
 

@@ -9,8 +9,8 @@ namespace gpump {
 namespace predict {
 
 BoreBurstPolicy::BoreBurstPolicy(int smoothness, int max_offset,
-                                 double decay_us, bool exclusive)
-    : PpqPolicy(exclusive),
+                                 double decay_us)
+    : PpqPolicy(/*exclusive=*/false),
       burst_(smoothness, max_offset, decay_us)
 {
 }
@@ -55,8 +55,6 @@ namespace {
         {"bore.decay_us", core::TunableType::Double, "2000",
          "idle time per bucket of burst-score decay, microseconds "
          "(> 0)"},
-        {"bore.exclusive", core::TunableType::Bool, "false",
-         "run on top of exclusive-mode PPQ instead of shared mode"},
     };
     d.factory = [](const sim::Config &cfg) {
         // Range-check before narrowing: the estimator shifts an
@@ -74,10 +72,9 @@ namespace {
         double decay_us = cfg.getDouble("bore.decay_us", 2000.0);
         if (decay_us <= 0)
             sim::fatal("bore.decay_us must be positive");
-        bool exclusive = cfg.getBool("bore.exclusive", false);
         return std::make_unique<BoreBurstPolicy>(
             static_cast<int>(smoothness), static_cast<int>(max_offset),
-            decay_us, exclusive);
+            decay_us);
     };
     core::policyRegistry().add(std::move(d));
     return true;

@@ -22,8 +22,8 @@
  * default-off — a system that never selects "bore_burst" never
  * registers the observer.
  *
- * Registers as "bore_burst" with tunables bore.smoothness,
- * bore.max_offset, bore.decay_us and bore.exclusive.
+ * Runs on shared-mode PPQ.  Registers as "bore_burst" with tunables
+ * bore.smoothness, bore.max_offset and bore.decay_us.
  */
 
 #ifndef GPUMP_PREDICT_BORE_BURST_HH
@@ -35,7 +35,7 @@
 namespace gpump {
 namespace predict {
 
-/** PPQ with burst-score priority demotion. */
+/** Shared-mode PPQ with burst-score priority demotion. */
 class BoreBurstPolicy : public core::PpqPolicy
 {
   public:
@@ -43,10 +43,8 @@ class BoreBurstPolicy : public core::PpqPolicy
      * @param smoothness EWMA shift of the burst average, in [0, 62]
      * @param max_offset cap on the priority demotion (>= 0)
      * @param decay_us   idle time per bucket of score decay (> 0)
-     * @param exclusive  PPQ access mode to run on top of
      */
-    BoreBurstPolicy(int smoothness, int max_offset, double decay_us,
-                    bool exclusive);
+    BoreBurstPolicy(int smoothness, int max_offset, double decay_us);
 
     const char *name() const override { return "bore_burst"; }
 

@@ -69,7 +69,6 @@ class PredAdaptiveMechanism : public core::PreemptionMechanism,
                      sim::SimTime started, sim::SimTime now) override;
 
     double bias() const { return bias_; }
-    double confidenceMin() const { return confidenceMin_; }
 
     /** The online model feeding the decisions (tests, analyses). */
     const RuntimePredictor &predictor() const { return predictor_; }

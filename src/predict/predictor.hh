@@ -88,8 +88,6 @@ class RuntimePredictor : public core::EngineObserver
      *  figure for burst/length classification. */
     double estimatedRemainingWorkUs(const gpu::KernelExec &k) const;
 
-    double ewmaAlpha() const { return alpha_; }
-
     /** Total TB observations ingested (tests). */
     std::uint64_t observations() const { return observed_; }
 

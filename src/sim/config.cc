@@ -1,5 +1,6 @@
 #include "sim/config.hh"
 
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -9,6 +10,43 @@
 
 namespace gpump {
 namespace sim {
+
+std::optional<std::int64_t>
+parseInt(const std::string &text)
+{
+    // strtoll alone would skip leading blanks, stop at the first
+    // stray character and read a leading 0 as octal: check the
+    // spelling first, then convert in the base it names.
+    std::size_t i =
+        !text.empty() && (text[0] == '-' || text[0] == '+') ? 1 : 0;
+    int base = 10;
+    if (text.compare(i, 2, "0x") == 0 || text.compare(i, 2, "0X") == 0) {
+        base = 16;
+        i += 2;
+    }
+    if (i == text.size())
+        return std::nullopt;
+    for (; i < text.size(); ++i) {
+        auto c = static_cast<unsigned char>(text[i]);
+        if (base == 16 ? !std::isxdigit(c) : !std::isdigit(c))
+            return std::nullopt;
+    }
+    errno = 0;
+    long long v = std::strtoll(text.c_str(), nullptr, base);
+    if (errno == ERANGE)
+        return std::nullopt;
+    return static_cast<std::int64_t>(v);
+}
+
+std::optional<bool>
+parseBool(const std::string &text)
+{
+    if (text == "true" || text == "1" || text == "yes" || text == "on")
+        return true;
+    if (text == "false" || text == "0" || text == "no" || text == "off")
+        return false;
+    return std::nullopt;
+}
 
 void
 Config::set(const std::string &key, const std::string &value)
@@ -93,13 +131,12 @@ Config::getInt(const std::string &key, std::int64_t def) const
     auto it = values_.find(key);
     if (it == values_.end())
         return def;
-    errno = 0;
-    char *end = nullptr;
-    long long v = std::strtoll(it->second.c_str(), &end, 0);
-    if (errno != 0 || end == it->second.c_str() || *end != '\0')
-        fatal("config key '%s' has non-integer value '%s'",
+    std::optional<std::int64_t> v = parseInt(it->second);
+    if (!v)
+        fatal("config key '%s' has value '%s', which is not a 64-bit "
+              "integer",
               key.c_str(), it->second.c_str());
-    return static_cast<std::int64_t>(v);
+    return *v;
 }
 
 std::int32_t
@@ -139,13 +176,11 @@ Config::getBool(const std::string &key, bool def) const
     auto it = values_.find(key);
     if (it == values_.end())
         return def;
-    const std::string &v = it->second;
-    if (v == "true" || v == "1" || v == "yes" || v == "on")
-        return true;
-    if (v == "false" || v == "0" || v == "no" || v == "off")
-        return false;
-    fatal("config key '%s' has non-boolean value '%s'",
-          key.c_str(), v.c_str());
+    std::optional<bool> v = parseBool(it->second);
+    if (!v)
+        fatal("config key '%s' has non-boolean value '%s'", key.c_str(),
+              it->second.c_str());
+    return *v;
 }
 
 void

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -27,6 +28,20 @@
 
 namespace gpump {
 namespace sim {
+
+/**
+ * @name Strict scalar readers
+ * The one spelling of an integer and of a boolean that config values,
+ * command-line flags and environment hooks accept.  Each returns
+ * nothing unless the whole of @p text is such a value.
+ * @{
+ */
+/** A 64-bit integer: an optional sign, then decimal digits or "0x"
+ *  and hex digits.  Leading zeros stay decimal ("010" is ten). */
+std::optional<std::int64_t> parseInt(const std::string &text);
+/** "true", "1", "yes", "on" or "false", "0", "no", "off". */
+std::optional<bool> parseBool(const std::string &text);
+/** @} */
 
 /** String-keyed configuration with typed, validated accessors. */
 class Config

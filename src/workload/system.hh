@@ -120,8 +120,6 @@ class System
     gpu::TransferEngine &transferEngine() { return *transferEngine_; }
     /** Device-memory residency (swap accounting for tests/analyses). */
     memory::ResidencyManager &residency() { return *residency_; }
-    HostCpu &hostCpu() { return *hostCpu_; }
-    const gpu::GpuParams &gpuParams() const { return gpuParams_; }
     /** The command pool all processes draw from (observability for
      *  tests of the allocation-free replay path). */
     gpu::CommandPool &commandPool() { return cmdPool_; }

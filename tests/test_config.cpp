@@ -2,11 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "gpu/gpu_config.hh"
+#include "memory/gpu_memory.hh"
 #include "memory/pcie.hh"
 #include "sim/config.hh"
 #include "sim/logging.hh"
+#include "sim/random.hh"
 #include "tests/test_util.hh"
 #include "workload/host_cpu.hh"
 #include "workload/system.hh"
@@ -163,6 +171,38 @@ TEST(Config, IntParsesHex)
     EXPECT_EQ(c.getInt("h", 0), 16);
 }
 
+TEST(Config, IntIsDecimalOrHexOverTheWholeValue)
+{
+    // A leading zero is decimal, never octal: "010" is ten SMs.
+    const std::pair<const char *, std::int64_t> good[] = {
+        {"010", 10},
+        {"08", 8},
+        {"-010", -10},
+        {"+7", 7},
+        {"0X1f", 31},
+        {"-0x10", -16},
+        {"9223372036854775807", 9223372036854775807LL},
+        {"-9223372036854775808", -9223372036854775807LL - 1},
+    };
+    Config c;
+    for (const auto &[text, value] : good) {
+        c.set("i", std::string(text));
+        EXPECT_EQ(c.getInt("i", 0), value) << text;
+    }
+    for (const char *text :
+         {"", " 5", "5 ", "0x", "-", "1e3", "12abc", "0b1", "0x1g", "--1",
+          "9223372036854775808", "-9223372036854775809",
+          "99999999999999999999"}) {
+        c.set("i", std::string(text));
+        std::string msg = fatalMessageOf([&] { c.getInt("i", 0); });
+        EXPECT_NE(msg.find("'i'"), std::string::npos) << text << ": " << msg;
+    }
+
+    Config sms;
+    sms.parse("gpu.num_sms=010");
+    EXPECT_EQ(gpu::GpuParams::fromConfig(sms).numSms, 10);
+}
+
 TEST(Config, MergeOverlayWins)
 {
     Config base;
@@ -220,4 +260,111 @@ TEST(Config, KeysSortedAndDump)
     std::ostringstream os;
     c.dump(os);
     EXPECT_EQ(os.str(), "alpha = 2\nzeta = 1\n");
+}
+
+TEST(ConfigFuzz, MutatedTokensReadCleanlyOrFail)
+{
+    // Seeded byte replaces, inserts and deletes of valid key=value
+    // tokens.  Every reader of a mutant must return or raise
+    // sim::FatalError, and what it accepts must make sense: a finite
+    // double, a non-negative duration, a canonical boolean, and a
+    // digits-only integer read as its decimal value.
+    const std::string valid[] = {
+        "gpu.num_sms=13",          "gpu.clock_ghz=1.4",
+        "gpu.regs_per_sm=65536",   "gpu.num_hw_queues=0x20",
+        "gpu.sm_setup_us=1.5",     "gpu.pipeline_drain_us=0",
+        "gpu.tb_time_cv=0.1",      "gpu.max_tb_slots_per_sm=010",
+        "gmem.capacity=1073741824", "gmem.bandwidth=1.5e11",
+        "gmem.contended_switch=true", "gmem.contended_switch=off",
+    };
+    const std::string alphabet = "0123456789.eE+-xX= \tafinorstuy";
+    sim::Rng rng(20140614);
+    int int_accepted = 0, int_refused = 0;
+    for (int i = 0; i < 3000; ++i) {
+        std::string m =
+            valid[rng.uniformInt(std::uint64_t{std::size(valid)})];
+        for (int edits = 1 + static_cast<int>(rng.uniformInt(
+                 std::uint64_t{3}));
+             edits > 0 && !m.empty(); --edits) {
+            std::size_t at = rng.uniformInt(std::uint64_t{m.size()});
+            char c = rng.uniformInt(std::uint64_t{4}) == 0
+                ? static_cast<char>(1 + rng.uniformInt(std::uint64_t{255}))
+                : alphabet[rng.uniformInt(std::uint64_t{alphabet.size()})];
+            switch (rng.uniformInt(std::uint64_t{3})) {
+              case 0: m[at] = c; break;
+              case 1: m.insert(at, 1, c); break;
+              default: m.erase(at, 1);
+            }
+        }
+        Config cfg;
+        if (!cfg.parse(m))
+            continue;
+        const std::string key = m.substr(0, m.find('='));
+        const std::string value = cfg.getString(key, "");
+        auto read = [&](const char *what, auto &&fn) {
+            try {
+                fn();
+                return true;
+            } catch (const sim::FatalError &) {
+                return false;
+            } catch (const std::exception &e) {
+                ADD_FAILURE() << what << " threw '" << e.what()
+                              << "' on '" << m << "'";
+                return false;
+            }
+        };
+
+        std::int64_t v = 0;
+        bool is_int = read("getInt", [&] { v = cfg.getInt(key, 0); });
+        ++(is_int ? int_accepted : int_refused);
+        bool digits = !value.empty() &&
+            std::all_of(value.begin(), value.end(),
+                        [](unsigned char ch) { return std::isdigit(ch); });
+        if (digits) {
+            // The reference: decimal, in range, or refused.
+            std::int64_t want = 0;
+            bool fits = true;
+            for (char ch : value) {
+                int digit = ch - '0';
+                fits = fits &&
+                    want <= (std::numeric_limits<std::int64_t>::max() -
+                             digit) / 10;
+                if (fits)
+                    want = want * 10 + digit;
+            }
+            EXPECT_EQ(is_int, fits) << m;
+            if (is_int && fits) {
+                EXPECT_EQ(v, want) << m;
+            }
+        }
+        std::int32_t v32 = 0;
+        if (read("getInt32", [&] { v32 = cfg.getInt32(key, 0); })) {
+            EXPECT_TRUE(is_int) << m;
+            EXPECT_EQ(v32, v) << m;
+        }
+        double d = 0.0;
+        if (read("getDouble", [&] { d = cfg.getDouble(key, 0.0); })) {
+            EXPECT_TRUE(std::isfinite(d)) << m;
+        }
+        sim::SimTime t = 0;
+        if (read("getMicroseconds",
+                 [&] { t = cfg.getMicroseconds(key, 0); })) {
+            EXPECT_GE(t, 0) << m;
+        }
+        bool b = false;
+        if (read("getBool", [&] { b = cfg.getBool(key, false); })) {
+            const std::vector<std::string> spellings = b
+                ? std::vector<std::string>{"true", "1", "yes", "on"}
+                : std::vector<std::string>{"false", "0", "no", "off"};
+            EXPECT_NE(std::find(spellings.begin(), spellings.end(), value),
+                      spellings.end())
+                << m;
+        }
+        read("GpuParams::fromConfig",
+             [&] { gpu::GpuParams::fromConfig(cfg); });
+        read("GpuMemoryParams::fromConfig",
+             [&] { memory::GpuMemoryParams::fromConfig(cfg); });
+    }
+    EXPECT_GT(int_accepted, 300);
+    EXPECT_GT(int_refused, 300);
 }

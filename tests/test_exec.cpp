@@ -13,6 +13,7 @@
 #include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -20,6 +21,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/wait.h>
@@ -34,6 +36,7 @@
 #include "serve/arrival.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
+#include "tests/test_util.hh"
 
 using namespace gpump;
 using namespace gpump::harness;
@@ -676,6 +679,35 @@ TEST(ExecCoordinator, WorkersMatchInProcessRunByteForByte)
     EXPECT_EQ(stats.requeues, 0u);
 }
 
+TEST(ExecCoordinator, OneJobBatchRunsInProcessAndFillsTheCache)
+{
+    Batch batch = smallGrid();
+    Runner plain(sim::Config(), /*jobs=*/1);
+    auto expected = canonAll(plain.run(batch.requests));
+
+    // At one job the coordinator forks no worker, cache or not: it
+    // runs every request itself and stores each result.
+    TempDir dir("gpump_exec_onejob");
+    exec::ExecOptions opt;
+    opt.cacheDir = dir.str();
+    Runner runner(sim::Config(), /*jobs=*/1);
+    exec::ExecStats stats;
+    auto results =
+        exec::runBatch(runner, batch.requests, opt, &stats);
+    EXPECT_EQ(canonAll(results), expected);
+    EXPECT_EQ(stats.computed, 0u);
+    EXPECT_EQ(stats.inProcess, batch.requests.size());
+    EXPECT_EQ(stats.cacheHits, 0u);
+
+    Runner again(sim::Config(), /*jobs=*/1);
+    exec::ExecStats rerun;
+    auto cached = exec::runBatch(again, batch.requests, opt, &rerun);
+    EXPECT_EQ(canonAll(cached), expected);
+    EXPECT_EQ(rerun.cacheHits, batch.requests.size());
+    EXPECT_EQ(rerun.computed, 0u);
+    EXPECT_EQ(rerun.inProcess, 0u);
+}
+
 TEST(ExecCoordinator, SigkilledWorkerMidSweepIsRequeued)
 {
     Batch batch = smallGrid();
@@ -878,6 +910,45 @@ TEST(ExecFlags, ParallelismFlagsRejectNonPositiveValues)
               0);
 }
 
+TEST(ExecFlags, TestHookVariablesParseStrictly)
+{
+    // An unreadable value is fatal and names its variable; it must
+    // never arm a hook at 0 or switch strict mode on.
+    const std::pair<const char *, const char *> bad[] = {
+        {"GPUMP_EXEC_TEST_ABORT_AFTER", "x"},
+        {"GPUMP_EXEC_TEST_ABORT_AFTER", ""},
+        {"GPUMP_EXEC_TEST_ABORT_AFTER", "2147483648"},
+        {"GPUMP_EXEC_TEST_KILL_AFTER", "x"},
+        {"GPUMP_EXEC_TEST_KILL_AFTER", "3 "},
+        {"GPUMP_EXEC_CACHE_STRICT", "maybe"},
+        {"GPUMP_EXEC_CACHE_STRICT", ""},
+    };
+    for (const auto &[var, value] : bad) {
+        ASSERT_EQ(::setenv(var, value, 1), 0);
+        exec::ExecOptions opt;
+        std::string msg = test::fatalMessageOf([&] { opt.applyTestEnv(); });
+        EXPECT_NE(msg.find(var), std::string::npos)
+            << var << "='" << value << "': " << msg;
+        ::unsetenv(var);
+    }
+
+    ::setenv("GPUMP_EXEC_TEST_ABORT_AFTER", "010", 1);
+    ::setenv("GPUMP_EXEC_TEST_KILL_AFTER", "0x10", 1);
+    ::setenv("GPUMP_EXEC_CACHE_STRICT", "false", 1);
+    exec::ExecOptions opt;
+    opt.strictCache = true;
+    opt.applyTestEnv();
+    EXPECT_EQ(opt.testAbortAfterResults, 10);
+    EXPECT_EQ(opt.testKillAfterResults, 16);
+    EXPECT_FALSE(opt.strictCache);
+    ::setenv("GPUMP_EXEC_CACHE_STRICT", "on", 1);
+    opt.applyTestEnv();
+    EXPECT_TRUE(opt.strictCache);
+    ::unsetenv("GPUMP_EXEC_TEST_ABORT_AFTER");
+    ::unsetenv("GPUMP_EXEC_TEST_KILL_AFTER");
+    ::unsetenv("GPUMP_EXEC_CACHE_STRICT");
+}
+
 TEST(ExecInterrupt, RunnerStopsCleanlyAndReportsTheSignal)
 {
     // One job runs in process, two in forked workers.
@@ -902,6 +973,33 @@ TEST(ExecInterrupt, RunnerStopsCleanlyAndReportsTheSignal)
         EXPECT_EQ(runner.run(batch.requests).size(),
                   batch.requests.size());
     }
+}
+
+TEST(ExecInterrupt, OneJobBatchStopsBetweenRequests)
+{
+    // The signal lands while the first request runs (its progress
+    // callback stands in for a Ctrl-C); the second must not start.
+    Batch batch = smallGrid();
+    Runner runner(sim::Config(), /*jobs=*/1);
+    std::size_t calls = 0;
+    runner.setProgress([&calls](std::size_t, std::size_t,
+                                const RunRequest &, const RunResult &) {
+        if (++calls == 1)
+            ::raise(SIGTERM);
+    });
+    installInterruptHandlers();
+    try {
+        exec::runBatch(runner, batch.requests, exec::ExecOptions());
+        ADD_FAILURE() << "expected InterruptedError";
+    } catch (const InterruptedError &e) {
+        EXPECT_EQ(e.signal(), SIGTERM);
+        std::string after =
+            sim::strformat("after 1/%zu requests", batch.requests.size());
+        EXPECT_NE(std::string(e.what()).find(after), std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(calls, 1u);
+    clearInterruptForTesting();
 }
 
 TEST(ExecInterrupt, CoordinatorStopsCleanlyAndReportsTheSignal)

@@ -98,6 +98,34 @@ TEST(Args, FlagIntList)
               (std::vector<int>{1, 2}));
 }
 
+TEST(Args, IntegerFlagsAreDecimalOrHex)
+{
+    // Leading zeros are decimal, and a value beyond 64 bits is fatal,
+    // never clamped; the message names the flag.
+    const char *argv[] = {"prog", "--seed=010", "--sizes=010,0x10",
+                          "--jobs=010"};
+    Args args(4, const_cast<char **>(argv), bench::BenchOptions::flags());
+    auto o = bench::BenchOptions::fromArgs(args, "test");
+    EXPECT_EQ(o.seed, 10u);
+    EXPECT_EQ(o.sizes, (std::vector<int>{10, 16}));
+    EXPECT_EQ(o.jobs, 10);
+
+    for (const char *flag :
+         {"--seed=99999999999999999999", "--seed=-9223372036854775809",
+          "--seed=0x", "--seed= 9", "--sizes=2,08x", "--jobs=1.0"}) {
+        const char *bad[] = {"prog", flag};
+        Args a(2, const_cast<char **>(bad), bench::BenchOptions::flags());
+        try {
+            bench::BenchOptions::fromArgs(a, "test");
+            ADD_FAILURE() << flag << " was accepted";
+        } catch (const sim::FatalError &e) {
+            std::string name(flag, std::string(flag).find('='));
+            EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(BenchOptions, OutOfRangeValuesAreFatal)
 {
     // A narrowing cast would run the counts as --replays=2,

@@ -1,14 +1,13 @@
 /**
  * Tests of the declarative Suite/Runner batch API: grid expansion,
  * request-order preservation, in-process-vs-forked bit-identity, the
- * thread-safe isolated-baseline cache and pinned golden aggregates
+ * memoized isolated-baseline cache and pinned golden aggregates
  * (so future perf work cannot silently change results).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <thread>
 #include <vector>
 
 #include <set>
@@ -99,33 +98,21 @@ TEST(Suite, BuildWithoutPlansOrSchemesPanics)
     EXPECT_THROW(no_schemes.build(), sim::PanicError);
 }
 
-TEST(IsolatedBaselineCache, ConcurrentFirstAccessComputesOnce)
+TEST(IsolatedBaselineCache, RepeatedKeyComputesOnce)
 {
     IsolatedBaselineCache cache;
     sim::Config cfg;
-    constexpr int kThreads = 4;
-    std::vector<double> values(kThreads, 0.0);
-
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&cache, &cfg, &values, t] {
-            values[static_cast<std::size_t>(t)] =
-                cache.timeUs("sgemm", cfg, 1);
-        });
-    }
-    for (auto &t : threads)
-        t.join();
-
-    EXPECT_GT(values[0], 0.0);
-    for (int t = 1; t < kThreads; ++t)
-        EXPECT_DOUBLE_EQ(values[0], values[static_cast<std::size_t>(t)]);
-    // All four first accesses shared one computation.
+    const double first = cache.timeUs("sgemm", cfg, 1);
+    EXPECT_GT(first, 0.0);
+    for (int i = 0; i < 3; ++i)
+        EXPECT_DOUBLE_EQ(cache.timeUs("sgemm", cfg, 1), first);
+    // All four lookups shared one computation.
     EXPECT_EQ(cache.computations(), 1u);
 
     // A different config is a different cache entry.
     sim::Config small;
     small.set("gpu.num_sms", static_cast<std::int64_t>(2));
-    EXPECT_NE(cache.timeUs("sgemm", small, 1), values[0]);
+    EXPECT_NE(cache.timeUs("sgemm", small, 1), first);
     EXPECT_EQ(cache.computations(), 2u);
 }
 
