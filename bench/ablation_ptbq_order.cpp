@@ -25,8 +25,10 @@
 using namespace gpump;
 using namespace gpump::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     harness::Args args(argc, argv, BenchOptions::flags());
     BenchOptions opt =
@@ -89,4 +91,12 @@ main(int argc, char **argv)
                  "throughput cost; fresh-first can exceed the bound "
                  "and\nwould force the handlers off chip.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return harness::runMain(argc, argv, run);
 }

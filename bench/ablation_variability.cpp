@@ -25,8 +25,10 @@
 using namespace gpump;
 using namespace gpump::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     harness::Args args(argc, argv, BenchOptions::flags());
     BenchOptions opt =
@@ -85,4 +87,12 @@ main(int argc, char **argv)
                  "latency depends only on the context size, not on "
                  "the block durations.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return harness::runMain(argc, argv, run);
 }

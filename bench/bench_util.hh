@@ -9,7 +9,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -74,10 +73,10 @@ struct BenchOptions
     /**
      * Parse from args: --quick shrinks everything for smoke runs;
      * --sizes/--per-bench/--workloads/--replays/--seed/--csv/--jobs/
-     * --cache-dir/--timeout/--jsonl[=path] override.  --jobs accepts
-     * only an integer in [1, INT_MAX], and --timeout only a finite
-     * number of seconds >= 0.  @p bench_name names the default JSONL
-     * file.
+     * --cache-dir/--timeout/--jsonl[=path] override.  --per-bench,
+     * --workloads, --replays and --jobs accept only an integer in
+     * [1, INT_MAX], and --timeout only a finite number of seconds
+     * >= 0.  @p bench_name names the default JSONL file.
      */
     static BenchOptions fromArgs(const harness::Args &args,
                                  const std::string &bench_name)
@@ -89,9 +88,9 @@ struct BenchOptions
             o.replays = 2;
         }
         o.sizes = args.flagIntList("sizes", o.sizes);
-        o.perBench = args.flagInt32("per-bench", o.perBench);
-        o.workloads = args.flagInt32("workloads", o.workloads);
-        o.replays = args.flagInt32("replays", o.replays);
+        o.perBench = args.flagPositiveInt("per-bench", o.perBench);
+        o.workloads = args.flagPositiveInt("workloads", o.workloads);
+        o.replays = args.flagPositiveInt("replays", o.replays);
         o.seed = static_cast<std::uint64_t>(
             args.flagInt("seed", static_cast<std::int64_t>(o.seed)));
         o.csv = args.hasFlag("csv");
@@ -215,22 +214,18 @@ progressMeter(std::string what)
 
 /**
  * Run a batch with graceful interruption: installs the SIGINT/SIGTERM
- * handlers, and when the sweep is interrupted — dispatch stops,
- * in-flight runs finish, outputs end on record boundaries — reports
- * the partial progress on stderr and exits 128+signal, shell style.
- * Every bench main routes its Runner::run call through here.
+ * handlers, so an interrupted sweep stops dispatching, lets in-flight
+ * runs finish, ends its outputs on record boundaries and raises
+ * harness::InterruptedError, which harness::runMain turns into exit
+ * status 128+signal, shell style.  Every bench main routes its
+ * Runner::run call through here.
  */
 inline std::vector<harness::RunResult>
 runAll(harness::Runner &runner,
        const std::vector<harness::RunRequest> &requests)
 {
     harness::installInterruptHandlers();
-    try {
-        return runner.run(requests);
-    } catch (const harness::InterruptedError &e) {
-        std::fprintf(stderr, "interrupted: %s\n", e.what());
-        std::exit(128 + e.signal());
-    }
+    return runner.run(requests);
 }
 
 /** Print @p t as text or CSV, and to @p jsonl_path when non-empty. */

@@ -37,8 +37,10 @@
 using namespace gpump;
 using namespace gpump::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     harness::Args args(argc, argv, BenchOptions::flags({"mechanism"}));
     BenchOptions opt = BenchOptions::fromArgs(args, "fig5_ppq_ntt");
@@ -131,4 +133,12 @@ main(int argc, char **argv)
                      "to ~64x).\n";
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return harness::runMain(argc, argv, run);
 }

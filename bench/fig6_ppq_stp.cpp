@@ -24,8 +24,10 @@
 using namespace gpump;
 using namespace gpump::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     harness::Args args(argc, argv, BenchOptions::flags());
     BenchOptions opt = BenchOptions::fromArgs(args, "fig6_ppq_stp");
@@ -92,4 +94,12 @@ main(int argc, char **argv)
                  "more than the exclusive one (preempted backfills\n"
                  "waste work).\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return harness::runMain(argc, argv, run);
 }

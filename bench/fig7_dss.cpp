@@ -27,8 +27,10 @@
 using namespace gpump;
 using namespace gpump::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     harness::Args args(argc, argv, BenchOptions::flags());
     BenchOptions opt = BenchOptions::fromArgs(args, "fig7_dss");
@@ -134,4 +136,12 @@ main(int argc, char **argv)
                  "CS up to ~3.35x;\nSTP degradation CS 1.06-1.34x < "
                  "Drain 1.08-1.5x.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return harness::runMain(argc, argv, run);
 }

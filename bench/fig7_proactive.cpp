@@ -30,8 +30,10 @@
 using namespace gpump;
 using namespace gpump::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     harness::Args args(argc, argv, BenchOptions::flags());
     BenchOptions opt = BenchOptions::fromArgs(args, "fig7_proactive");
@@ -148,4 +150,12 @@ main(int argc, char **argv)
                  "incoming\nkernel's H2D fetch with the victim's save "
                  "instead of serialising them.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return harness::runMain(argc, argv, run);
 }

@@ -81,10 +81,8 @@ scenarioAt(int load_pct, double horizon_mult, std::uint64_t seed,
     return sc;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     harness::Args args(argc, argv,
                        BenchOptions::flags({"loads", "horizon-mult"}));
@@ -186,4 +184,12 @@ main(int argc, char **argv)
                  "miss\nrate down into overload at a modest batch-"
                  "throughput cost.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return harness::runMain(argc, argv, run);
 }

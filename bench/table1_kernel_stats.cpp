@@ -22,8 +22,10 @@
 
 using namespace gpump;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     harness::Args args(argc, argv, {"csv", "jsonl"});
     gpu::GpuParams params = gpu::GpuParams::fromConfig(args.config());
@@ -67,4 +69,12 @@ main(int argc, char **argv)
         t, args.hasFlag("csv"),
         bench::BenchOptions::jsonlPath(args, "table1_kernel_stats"));
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return harness::runMain(argc, argv, run);
 }

@@ -21,8 +21,10 @@
 
 using namespace gpump;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     harness::Args args(argc, argv, {"csv", "jsonl"});
     const sim::Config &cfg = args.config();
@@ -81,4 +83,12 @@ main(int argc, char **argv)
         t, args.hasFlag("csv"),
         bench::BenchOptions::jsonlPath(args, "table2_sim_params"));
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return harness::runMain(argc, argv, run);
 }

@@ -18,8 +18,10 @@
 
 using namespace gpump;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     harness::Args args(argc, argv, {"csv", "jsonl"});
     gpu::GpuParams params = gpu::GpuParams::fromConfig(args.config());
@@ -61,4 +63,12 @@ main(int argc, char **argv)
     std::cout << "Grand total with context-switch mechanism: "
               << c.totalBytes() << " B\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return harness::runMain(argc, argv, run);
 }

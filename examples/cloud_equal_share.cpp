@@ -26,8 +26,10 @@
 using namespace gpump;
 using harness::AsciiTable;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     // --list-schemes and config key=value overrides work in every
     // example binary; Args handles the flag and exits, and the
@@ -126,4 +128,12 @@ main(int argc, char **argv)
                 "far better tenant isolation:\nshort interactive jobs "
                 "stop paying for the batch job's monopoly.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return harness::runMain(argc, argv, run);
 }

@@ -29,8 +29,10 @@
 
 using namespace gpump;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     // --list-schemes and config key=value overrides work in every
     // example binary; Args handles the flag and exits, and the
@@ -123,4 +125,12 @@ main(int argc, char **argv)
                 "preempted at\nthe next thread-block boundary and the "
                 "burst drains at service speed.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return harness::runMain(argc, argv, run);
 }

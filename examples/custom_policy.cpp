@@ -110,10 +110,8 @@ const bool registered_sjf = [] {
     return true;
 }();
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     harness::Args args(argc, argv);
     if (!registered_sjf)
@@ -163,4 +161,12 @@ main(int argc, char **argv)
     std::printf("\ncustom policy 'sjf' registered and scheduled "
                 "without touching src/core.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return harness::runMain(argc, argv, run);
 }

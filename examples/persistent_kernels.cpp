@@ -56,10 +56,8 @@ runScenario(const std::string &mechanism, sim::SimTime horizon,
     return victim_done;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     // --list-schemes and config key=value overrides work in every
     // example binary; Args handles the flag and exits, and the
@@ -99,4 +97,12 @@ main(int argc, char **argv)
                 "forward progress against\npersistent or malicious "
                 "kernels (Section 3.2).\n");
     return with_drain < 0 ? 0 : 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return harness::runMain(argc, argv, run);
 }

@@ -27,8 +27,10 @@
 
 using namespace gpump;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     // --list-schemes and config key=value overrides work in every
     // example binary; Args handles the flag and exits, and the
@@ -127,4 +129,12 @@ main(int argc, char **argv)
 
     std::printf("\nquickstart done.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return harness::runMain(argc, argv, run);
 }

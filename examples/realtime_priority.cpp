@@ -27,8 +27,10 @@
 
 using namespace gpump;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     // --list-schemes and config key=value overrides work in every
     // example binary; Args handles the flag and exits, and the
@@ -108,4 +110,12 @@ main(int argc, char **argv)
                 "depends on whatever batch kernel happens to be\n"
                 "running when it arrives.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return harness::runMain(argc, argv, run);
 }

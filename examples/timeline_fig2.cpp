@@ -109,10 +109,8 @@ printGantt(const char *title, const std::map<std::string, Span> &spans,
     }
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     // --list-schemes and config key=value overrides work in every
     // example binary; Args handles the flag and exits, and the
@@ -146,4 +144,12 @@ main(int argc, char **argv)
     std::printf("Preemption decouples K3's latency from the length of "
                 "the running kernel.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return harness::runMain(argc, argv, run);
 }

@@ -78,9 +78,9 @@ AdaptiveMechanism::beginPreemption(gpu::Sm *sm)
 
 // --------------------------------------------------------- registry
 
-namespace {
-
-[[maybe_unused]] const bool registered_adaptive = [] {
+MechanismRegistry::Descriptor
+adaptiveDescriptor()
+{
     MechanismRegistry::Descriptor d;
     d.name = "adaptive";
     d.doc = "Per-SM drain-vs-switch selection: drains when the "
@@ -100,13 +100,8 @@ namespace {
             sim::fatal("adaptive.bias must be >= 0");
         return std::make_unique<AdaptiveMechanism>(bias);
     };
-    mechanismRegistry().add(std::move(d));
-    return true;
-}();
-
-} // namespace
-
-GPUMP_DEFINE_LINK_ANCHOR(AdaptiveMechanism)
+    return d;
+}
 
 } // namespace core
 } // namespace gpump

@@ -49,7 +49,7 @@ class AdaptiveMechanism : public PreemptionMechanism
   public:
     /** @param bias drain when estimated drain time <= bias x modeled
      *         save cost; must be >= 0. */
-    explicit AdaptiveMechanism(double bias = 1.0);
+    explicit AdaptiveMechanism(double bias);
 
     const char *name() const override { return "adaptive"; }
 
@@ -80,6 +80,9 @@ class AdaptiveMechanism : public PreemptionMechanism
     std::uint64_t drains_ = 0;
     std::uint64_t switches_ = 0;
 };
+
+/** Descriptor of the built-in "adaptive" mechanism. */
+MechanismRegistry::Descriptor adaptiveDescriptor();
 
 } // namespace core
 } // namespace gpump

@@ -162,9 +162,9 @@ PpqAgingPolicy::onTick()
 
 // --------------------------------------------------------- registry
 
-namespace {
-
-[[maybe_unused]] const bool registered_ppq_aging = [] {
+PolicyRegistry::Descriptor
+ppqAgingDescriptor()
+{
     PolicyRegistry::Descriptor d;
     d.name = "ppq_aging";
     d.doc = "Preemptive priority queues with priority aging: an "
@@ -192,13 +192,8 @@ namespace {
         return std::make_unique<PpqAgingPolicy>(interval, step,
                                                 max_boost);
     };
-    policyRegistry().add(std::move(d));
-    return true;
-}();
-
-} // namespace
-
-GPUMP_DEFINE_LINK_ANCHOR(PpqAgingPolicy)
+    return d;
+}
 
 } // namespace core
 } // namespace gpump

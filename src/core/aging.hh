@@ -98,6 +98,9 @@ class PpqAgingPolicy : public PpqPolicy
     std::uint64_t ticks_ = 0;
 };
 
+/** Descriptor of the built-in "ppq_aging" policy. */
+PolicyRegistry::Descriptor ppqAgingDescriptor();
+
 } // namespace core
 } // namespace gpump
 

@@ -92,9 +92,9 @@ ContextSwitchMechanism::finishSave(gpu::Sm *sm, gpu::KernelExec *k,
 
 // --------------------------------------------------------- registry
 
-namespace {
-
-[[maybe_unused]] const bool registered_cs = [] {
+MechanismRegistry::Descriptor
+contextSwitchDescriptor()
+{
     MechanismRegistry::Descriptor d;
     d.name = "context_switch";
     d.aliases = {"cs"};
@@ -105,13 +105,8 @@ namespace {
     d.factory = [](const sim::Config &) {
         return std::make_unique<ContextSwitchMechanism>();
     };
-    mechanismRegistry().add(std::move(d));
-    return true;
-}();
-
-} // namespace
-
-GPUMP_DEFINE_LINK_ANCHOR(ContextSwitchMechanism)
+    return d;
+}
 
 } // namespace core
 } // namespace gpump

@@ -35,6 +35,9 @@ class ContextSwitchMechanism : public PreemptionMechanism
                     const std::vector<gpu::PreemptedTb> &saved);
 };
 
+/** Descriptor of the built-in "context_switch" mechanism. */
+MechanismRegistry::Descriptor contextSwitchDescriptor();
+
 } // namespace core
 } // namespace gpump
 

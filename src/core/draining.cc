@@ -20,9 +20,9 @@ DrainingMechanism::beginPreemption(gpu::Sm *sm)
 
 // --------------------------------------------------------- registry
 
-namespace {
-
-[[maybe_unused]] const bool registered_drain = [] {
+MechanismRegistry::Descriptor
+drainingDescriptor()
+{
     MechanismRegistry::Descriptor d;
     d.name = "draining";
     d.aliases = {"drain"};
@@ -32,13 +32,8 @@ namespace {
     d.factory = [](const sim::Config &) {
         return std::make_unique<DrainingMechanism>();
     };
-    mechanismRegistry().add(std::move(d));
-    return true;
-}();
-
-} // namespace
-
-GPUMP_DEFINE_LINK_ANCHOR(DrainingMechanism)
+    return d;
+}
 
 } // namespace core
 } // namespace gpump

@@ -26,6 +26,9 @@ class DrainingMechanism : public PreemptionMechanism
     void beginPreemption(gpu::Sm *sm) override;
 };
 
+/** Descriptor of the built-in "draining" mechanism. */
+MechanismRegistry::Descriptor drainingDescriptor();
+
 } // namespace core
 } // namespace gpump
 

@@ -188,9 +188,9 @@ DssPolicy::partitionLoop()
 
 // --------------------------------------------------------- registry
 
-namespace {
-
-[[maybe_unused]] const bool registered_dss = [] {
+PolicyRegistry::Descriptor
+dssDescriptor()
+{
     PolicyRegistry::Descriptor d;
     d.name = "dss";
     d.doc = "Dynamic Spatial Sharing (Section 3.4, Algorithm 1): "
@@ -237,13 +237,8 @@ namespace {
         return std::make_unique<DssPolicy>(tokens, bonus, retarget,
                                            weighted);
     };
-    policyRegistry().add(std::move(d));
-    return true;
-}();
-
-} // namespace
-
-GPUMP_DEFINE_LINK_ANCHOR(DssPolicy)
+    return d;
+}
 
 } // namespace core
 } // namespace gpump

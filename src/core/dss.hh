@@ -51,7 +51,7 @@ class DssPolicy : public SchedulingPolicy
      *        Steady-state SM shares become proportional to grants.
      */
     DssPolicy(int tokens_per_kernel, int bonus_tokens, bool retarget,
-              bool weight_by_priority = false);
+              bool weight_by_priority);
 
     const char *name() const override { return "dss"; }
 
@@ -84,6 +84,9 @@ class DssPolicy : public SchedulingPolicy
     bool inPartition_ = false;
     bool partitionAgain_ = false;
 };
+
+/** Descriptor of the built-in "dss" policy. */
+PolicyRegistry::Descriptor dssDescriptor();
 
 } // namespace core
 } // namespace gpump

@@ -33,9 +33,9 @@ FcfsPolicy::onPreemptionComplete(gpu::Sm *, gpu::KernelExec *)
     sim::panic("FCFS policy received a preemption completion");
 }
 
-namespace {
-
-[[maybe_unused]] const bool registered_fcfs = [] {
+PolicyRegistry::Descriptor
+fcfsDescriptor()
+{
     PolicyRegistry::Descriptor d;
     d.name = "fcfs";
     d.doc = "Baseline GPU: kernels run in arrival order, one context "
@@ -45,13 +45,8 @@ namespace {
     d.factory = [](const sim::Config &) {
         return std::make_unique<FcfsPolicy>();
     };
-    policyRegistry().add(std::move(d));
-    return true;
-}();
-
-} // namespace
-
-GPUMP_DEFINE_LINK_ANCHOR(FcfsPolicy)
+    return d;
+}
 
 void
 FcfsPolicy::schedule()

@@ -32,6 +32,9 @@ class FcfsPolicy : public SchedulingPolicy
     void schedule();
 };
 
+/** Descriptor of the built-in "fcfs" policy. */
+PolicyRegistry::Descriptor fcfsDescriptor();
+
 } // namespace core
 } // namespace gpump
 

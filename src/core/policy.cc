@@ -1,34 +1,36 @@
 #include "core/policy.hh"
 
+#include "core/aging.hh"
+#include "core/dss.hh"
+#include "core/fcfs.hh"
+#include "core/priority.hh"
+#include "core/timemux.hh"
+#include "predict/bore_burst.hh"
+
 namespace gpump {
 namespace core {
 
 PolicyRegistry &
 policyRegistry()
 {
-    static PolicyRegistry registry("scheduling policy");
+    // The built-in policies, one entry each; out-of-tree policies
+    // add() themselves.
+    static PolicyRegistry registry("scheduling policy", {
+        fcfsDescriptor(),
+        npqDescriptor(),
+        ppqDescriptor(/*exclusive=*/true),
+        ppqDescriptor(/*exclusive=*/false),
+        dssDescriptor(),
+        timeMuxDescriptor(),
+        ppqAgingDescriptor(),
+        predict::boreBurstDescriptor(),
+    });
     return registry;
-}
-
-void
-linkBuiltinPolicies()
-{
-    // Built-in policies live in gpump's static archive; their
-    // registrar objects run only if the linker keeps their object
-    // files, which these anchor references guarantee.  Out-of-tree
-    // registrants are part of the executable and need no anchor.
-    GPUMP_FORCE_LINK(FcfsPolicy);
-    GPUMP_FORCE_LINK(PriorityPolicies);
-    GPUMP_FORCE_LINK(DssPolicy);
-    GPUMP_FORCE_LINK(TimeMuxPolicy);
-    GPUMP_FORCE_LINK(PpqAgingPolicy);
-    GPUMP_FORCE_LINK(BoreBurstPolicy);
 }
 
 std::unique_ptr<SchedulingPolicy>
 makePolicy(const std::string &name, const sim::Config &cfg)
 {
-    linkBuiltinPolicies();
     return policyRegistry().make(name, cfg);
 }
 

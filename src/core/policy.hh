@@ -6,12 +6,13 @@
  * run on; it triggers preemption through the framework and never
  * talks to the mechanism directly.
  *
- * Policies self-register in policyRegistry() (see core/registry.hh);
- * run any bench or example with --list-schemes for the live list with
- * doc strings and declared tunables.  Built-ins: "fcfs" (the baseline
+ * Policies are named in policyRegistry() (see core/registry.hh); run
+ * any bench or example with --list-schemes for the live list with doc
+ * strings and declared tunables.  Built-ins: "fcfs" (the baseline
  * GPU), "npq", "ppq_excl", "ppq_shared" (Section 4.2-4.3), "dss"
- * (Algorithm 1), "tmux" (round-robin time slicing) and "ppq_aging"
- * (PPQ with priority aging against low-priority starvation).
+ * (Algorithm 1), "tmux" (round-robin time slicing), "ppq_aging" (PPQ
+ * with priority aging against low-priority starvation) and
+ * "bore_burst" (predict/bore_burst.hh), listed in policy.cc.
  */
 
 #ifndef GPUMP_CORE_POLICY_HH
@@ -68,24 +69,17 @@ class SchedulingPolicy
     SchedulingFramework *fw_ = nullptr;
 };
 
-/** The process-wide registry of scheduling policies. */
+/** The process-wide registry of scheduling policies; the first call
+ *  adds the built-ins. */
 using PolicyRegistry = SchemeRegistry<SchedulingPolicy>;
 PolicyRegistry &policyRegistry();
-
-/**
- * Reference the link anchors of every built-in policy so their
- * archive members (and registrar objects) survive static linking.
- * makePolicy and the --list-schemes printer call this; out-of-tree
- * registrants never need it.
- */
-void linkBuiltinPolicies();
 
 /**
  * Policy factory: a thin lookup into policyRegistry().
  *
  * @param name a registered policy ("fcfs", "npq", "ppq_excl",
- *             "ppq_shared", "dss", "tmux", "ppq_aging", or anything
- *             registered out of tree).
+ *             "ppq_shared", "dss", "tmux", "ppq_aging", "bore_burst",
+ *             or anything registered out of tree).
  * @param cfg  policy tunables (e.g. "dss.tokens_per_kernel").
  *
  * Raises fatal() for unknown names (listing every registered policy)

@@ -1,31 +1,32 @@
 #include "core/preemption.hh"
 
+#include "core/adaptive.hh"
+#include "core/context_switch.hh"
+#include "core/draining.hh"
+#include "core/proactive_mem.hh"
+#include "predict/pred_adaptive.hh"
+
 namespace gpump {
 namespace core {
 
 MechanismRegistry &
 mechanismRegistry()
 {
-    static MechanismRegistry registry("preemption mechanism");
+    // The built-in mechanisms, one entry each; out-of-tree mechanisms
+    // add() themselves.
+    static MechanismRegistry registry("preemption mechanism", {
+        contextSwitchDescriptor(),
+        drainingDescriptor(),
+        adaptiveDescriptor(),
+        proactiveMemDescriptor(),
+        predict::predAdaptiveDescriptor(),
+    });
     return registry;
-}
-
-void
-linkBuiltinMechanisms()
-{
-    // Keep the built-in registrants' archive members linked (see
-    // registry.hh on the static-library anchor pattern).
-    GPUMP_FORCE_LINK(ContextSwitchMechanism);
-    GPUMP_FORCE_LINK(DrainingMechanism);
-    GPUMP_FORCE_LINK(AdaptiveMechanism);
-    GPUMP_FORCE_LINK(ProactiveMemMechanism);
-    GPUMP_FORCE_LINK(PredAdaptiveMechanism);
 }
 
 std::unique_ptr<PreemptionMechanism>
 makeMechanism(const std::string &name, const sim::Config &cfg)
 {
-    linkBuiltinMechanisms();
     return mechanismRegistry().make(name, cfg);
 }
 

@@ -15,8 +15,10 @@
  *
  * Mechanisms are policy-agnostic; policies are mechanism-agnostic
  * (Section 3: "mechanisms separated from policies").  Like policies,
- * mechanisms self-register in mechanismRegistry() (core/registry.hh)
- * and can be added from outside src/ entirely.
+ * mechanisms are named in mechanismRegistry() (core/registry.hh):
+ * preemption.cc lists the built-ins (the three above, "proactive_mem"
+ * and predict/'s "pred_adaptive"), and more can be added from outside
+ * src/ entirely.
  */
 
 #ifndef GPUMP_CORE_PREEMPTION_HH
@@ -59,13 +61,10 @@ class PreemptionMechanism
     SchedulingFramework *fw_ = nullptr;
 };
 
-/** The process-wide registry of preemption mechanisms. */
+/** The process-wide registry of preemption mechanisms; the first
+ *  call adds the built-ins. */
 using MechanismRegistry = SchemeRegistry<PreemptionMechanism>;
 MechanismRegistry &mechanismRegistry();
-
-/** Reference the link anchors of every built-in mechanism (see
- *  linkBuiltinPolicies for why this exists). */
-void linkBuiltinMechanisms();
 
 /**
  * Mechanism factory: a thin lookup into mechanismRegistry().

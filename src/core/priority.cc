@@ -176,46 +176,41 @@ PpqPolicy::scheduleWithMode()
 
 // --------------------------------------------------------- registry
 
-namespace {
-
-[[maybe_unused]] const bool registered_priority = [] {
-    PolicyRegistry::Descriptor npq;
-    npq.name = "npq";
-    npq.doc = "Non-preemptive priority queues (Section 4.2): highest "
-              "priority admitted and scheduled first, running kernels "
-              "never disturbed, one context at a time";
-    npq.usesMechanism = false; // never reserves an SM
-    npq.factory = [](const sim::Config &) {
+PolicyRegistry::Descriptor
+npqDescriptor()
+{
+    PolicyRegistry::Descriptor d;
+    d.name = "npq";
+    d.doc = "Non-preemptive priority queues (Section 4.2): highest "
+            "priority admitted and scheduled first, running kernels "
+            "never disturbed, one context at a time";
+    d.usesMechanism = false; // never reserves an SM
+    d.factory = [](const sim::Config &) {
         return std::make_unique<NpqPolicy>();
     };
-    policyRegistry().add(std::move(npq));
+    return d;
+}
 
-    PolicyRegistry::Descriptor excl;
-    excl.name = "ppq_excl";
-    excl.doc = "Preemptive priority queues, exclusive mode "
-               "(Section 4.3): the top priority level owns the whole "
-               "engine; lower priorities wait";
-    excl.factory = [](const sim::Config &) {
-        return std::make_unique<PpqPolicy>(/*exclusive=*/true);
+PolicyRegistry::Descriptor
+ppqDescriptor(bool exclusive)
+{
+    PolicyRegistry::Descriptor d;
+    if (exclusive) {
+        d.name = "ppq_excl";
+        d.doc = "Preemptive priority queues, exclusive mode "
+                "(Section 4.3): the top priority level owns the whole "
+                "engine; lower priorities wait";
+    } else {
+        d.name = "ppq_shared";
+        d.doc = "Preemptive priority queues, shared mode "
+                "(Section 4.3): lower priorities back-fill SMs the "
+                "top level leaves free";
+    }
+    d.factory = [exclusive](const sim::Config &) {
+        return std::make_unique<PpqPolicy>(exclusive);
     };
-    policyRegistry().add(std::move(excl));
-
-    PolicyRegistry::Descriptor shared;
-    shared.name = "ppq_shared";
-    shared.doc = "Preemptive priority queues, shared mode "
-                 "(Section 4.3): lower priorities back-fill SMs the "
-                 "top level leaves free";
-    shared.factory = [](const sim::Config &) {
-        return std::make_unique<PpqPolicy>(/*exclusive=*/false);
-    };
-    policyRegistry().add(std::move(shared));
-
-    return true;
-}();
-
-} // namespace
-
-GPUMP_DEFINE_LINK_ANCHOR(PriorityPolicies)
+    return d;
+}
 
 } // namespace core
 } // namespace gpump

@@ -95,6 +95,12 @@ class PpqPolicy : public NpqPolicy
     bool exclusive_;
 };
 
+/** Descriptor of the built-in "npq" policy. */
+PolicyRegistry::Descriptor npqDescriptor();
+
+/** Descriptor of the built-in "ppq_excl" or "ppq_shared" policy. */
+PolicyRegistry::Descriptor ppqDescriptor(bool exclusive);
+
 } // namespace core
 } // namespace gpump
 

@@ -43,9 +43,9 @@ ProactiveMemMechanism::beginPreemption(gpu::Sm *sm)
 
 // --------------------------------------------------------- registry
 
-namespace {
-
-[[maybe_unused]] const bool registered_proactive = [] {
+MechanismRegistry::Descriptor
+proactiveMemDescriptor()
+{
     MechanismRegistry::Descriptor d;
     d.name = "proactive_mem";
     d.aliases = {"proactive"};
@@ -65,13 +65,8 @@ namespace {
             sim::fatal("proactive_mem.lookahead must be > 0");
         return std::make_unique<ProactiveMemMechanism>(lookahead);
     };
-    mechanismRegistry().add(std::move(d));
-    return true;
-}();
-
-} // namespace
-
-GPUMP_DEFINE_LINK_ANCHOR(ProactiveMemMechanism)
+    return d;
+}
 
 } // namespace core
 } // namespace gpump

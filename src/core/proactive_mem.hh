@@ -40,7 +40,7 @@ class ProactiveMemMechanism : public PreemptionMechanism
   public:
     /** @param lookahead max preempted TBs to stage per preemption;
      *         must be > 0. */
-    explicit ProactiveMemMechanism(int lookahead = 16);
+    explicit ProactiveMemMechanism(int lookahead);
 
     const char *name() const override { return "proactive_mem"; }
 
@@ -67,6 +67,9 @@ class ProactiveMemMechanism : public PreemptionMechanism
     std::uint64_t skips_ = 0;
     std::uint64_t tbsStaged_ = 0;
 };
+
+/** Descriptor of the built-in "proactive_mem" mechanism. */
+MechanismRegistry::Descriptor proactiveMemDescriptor();
 
 } // namespace core
 } // namespace gpump

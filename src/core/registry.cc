@@ -12,7 +12,6 @@ tunableTypeName(TunableType t)
       case TunableType::Int: return "int";
       case TunableType::Double: return "double";
       case TunableType::Bool: return "bool";
-      case TunableType::String: return "string";
     }
     return "?";
 }

@@ -18,12 +18,11 @@
  * keys.  A typo like "dss.tokens_per_kerel" is a hard fatal() naming
  * the nearest declared tunable instead of a silently ignored no-op.
  *
- * Static-library caveat: a registrar object in an archive member that
- * no symbol references is dropped by the linker.  Built-in schemes
- * therefore export a link-anchor function that the factory
- * translation unit references (see GPUMP_DEFINE_LINK_ANCHOR and the
- * force-link lists in policy.cc / preemption.cc).  Out-of-tree
- * registrants compiled into the executable itself need no anchor.
+ * The built-in schemes are one explicit list in each registry's
+ * accessor (policyRegistry() in policy.cc, mechanismRegistry() in
+ * preemption.cc): each built-in is a function returning its
+ * descriptor, and the accessor adds them all the first time it is
+ * called, however the program links the library.
  */
 
 #ifndef GPUMP_CORE_REGISTRY_HH
@@ -49,10 +48,9 @@ enum class TunableType
     Int,
     Double,
     Bool,
-    String,
 };
 
-/** Printable type name ("int", "double", "bool", "string"). */
+/** Printable type name ("int", "double", "bool"). */
 const char *tunableTypeName(TunableType t);
 
 /**
@@ -91,8 +89,9 @@ std::string nearestOf(const std::string &needle,
  * A registry of named scheme constructors for one product kind
  * (scheduling policies or preemption mechanisms).
  *
- * Registration happens from static registrar objects at program
- * start, and lookups later, on the program's one thread.  Descriptors
+ * A registry starts with its built-ins; out-of-tree schemes add()
+ * themselves, typically from a static registrar object at program
+ * start.  Everything runs on the program's one thread.  Descriptors
  * are never removed, so pointers returned by find()/at() stay valid
  * for the life of the process.
  */
@@ -140,8 +139,15 @@ class SchemeRegistry
     };
 
     /** @param kind human-readable product name for error messages,
-     *         e.g. "scheduling policy". */
-    explicit SchemeRegistry(std::string kind) : kind_(std::move(kind)) {}
+     *         e.g. "scheduling policy".
+     *  @param builtins descriptors to add() right away. */
+    explicit SchemeRegistry(std::string kind,
+                            std::vector<Descriptor> builtins = {})
+        : kind_(std::move(kind))
+    {
+        for (Descriptor &d : builtins)
+            add(std::move(d));
+    }
 
     SchemeRegistry(const SchemeRegistry &) = delete;
     SchemeRegistry &operator=(const SchemeRegistry &) = delete;
@@ -337,14 +343,9 @@ class SchemeRegistry
               case TunableType::Bool:
                 cfg.getBool(key, false);
                 break;
-              case TunableType::String:
-                break;
             }
         }
     }
-
-    /** The product kind this registry holds ("scheduling policy"). */
-    const std::string &kind() const { return kind_; }
 
   private:
     std::string joinNames() const
@@ -362,22 +363,6 @@ class SchemeRegistry
     std::map<std::string, Descriptor> byName_;
     std::map<std::string, const Descriptor *> aliases_;
 };
-
-/**
- * Define the link anchor for a built-in registrant living in the
- * gpump static library.  Place next to the registrar object; add a
- * matching GPUMP_FORCE_LINK line to the factory TU (policy.cc or
- * preemption.cc) so the archive member is always pulled in.
- */
-#define GPUMP_DEFINE_LINK_ANCHOR(token)                                     \
-    void gpumpLinkAnchor_##token() {}
-
-/** Declare + call a link anchor from the factory translation unit. */
-#define GPUMP_FORCE_LINK(token)                                             \
-    do {                                                                    \
-        void gpumpLinkAnchor_##token();                                     \
-        gpumpLinkAnchor_##token();                                          \
-    } while (0)
 
 } // namespace core
 } // namespace gpump

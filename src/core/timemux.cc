@@ -118,9 +118,9 @@ TimeMuxPolicy::rotate()
 
 // --------------------------------------------------------- registry
 
-namespace {
-
-[[maybe_unused]] const bool registered_tmux = [] {
+PolicyRegistry::Descriptor
+timeMuxDescriptor()
+{
     PolicyRegistry::Descriptor d;
     d.name = "tmux";
     d.doc = "Round-robin whole-engine time slicing: active kernels "
@@ -138,13 +138,8 @@ namespace {
             sim::fatal("tmux.quantum_us must be positive");
         return std::make_unique<TimeMuxPolicy>(quantum);
     };
-    policyRegistry().add(std::move(d));
-    return true;
-}();
-
-} // namespace
-
-GPUMP_DEFINE_LINK_ANCHOR(TimeMuxPolicy)
+    return d;
+}
 
 } // namespace core
 } // namespace gpump

@@ -62,6 +62,9 @@ class TimeMuxPolicy : public SchedulingPolicy
     std::uint64_t rotations_ = 0;
 };
 
+/** Descriptor of the built-in "tmux" policy. */
+PolicyRegistry::Descriptor timeMuxDescriptor();
+
 } // namespace core
 } // namespace gpump
 

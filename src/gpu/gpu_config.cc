@@ -1,6 +1,7 @@
 #include "gpu/gpu_config.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -31,10 +32,20 @@ GpuParams::fromConfig(const sim::Config &cfg)
     p.tbTimeCv = cfg.getDouble("gpu.tb_time_cv", p.tbTimeCv);
     p.numHwQueues = cfg.getInt32("gpu.num_hw_queues", p.numHwQueues);
 
-    if (p.numSms <= 0 || p.regsPerSm <= 0 || p.maxThreadsPerSm <= 0 ||
-        p.maxTbSlotsPerSm <= 0 || p.numHwQueues <= 0) {
-        sim::fatal("invalid GPU parameters (counts must be positive)");
+    const std::pair<const char *, int> counts[] = {
+        {"gpu.num_sms", p.numSms},
+        {"gpu.pipelines_per_sm", p.pipelinesPerSm},
+        {"gpu.regs_per_sm", p.regsPerSm},
+        {"gpu.max_threads_per_sm", p.maxThreadsPerSm},
+        {"gpu.max_tb_slots_per_sm", p.maxTbSlotsPerSm},
+        {"gpu.num_hw_queues", p.numHwQueues},
+    };
+    for (const auto &[key, value] : counts) {
+        if (value <= 0)
+            sim::fatal("%s must be positive, got %d", key, value);
     }
+    if (p.clockGhz <= 0)
+        sim::fatal("gpu.clock_ghz must be positive, got %g", p.clockGhz);
     if (p.tbTimeCv < 0)
         sim::fatal("gpu.tb_time_cv must be non-negative");
     return p;

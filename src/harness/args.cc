@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
@@ -10,6 +11,7 @@
 #include "core/policy.hh"
 #include "core/preemption.hh"
 #include "core/registry.hh"
+#include "harness/interrupt.hh"
 #include "sim/logging.hh"
 
 namespace gpump {
@@ -49,13 +51,25 @@ printRegistry(std::ostream &os, const char *title,
 void
 printSchemes(std::ostream &os)
 {
-    core::linkBuiltinPolicies();
-    core::linkBuiltinMechanisms();
     printRegistry(os, "Scheduling policies", core::policyRegistry());
     printRegistry(os, "Preemption mechanisms",
                   core::mechanismRegistry());
     os << "Select with a harness::Scheme{policy, mechanism, "
           "transfer} and tune with bare key=value arguments.\n";
+}
+
+int
+runMain(int argc, char **argv, int (*body)(int argc, char **argv))
+{
+    try {
+        return body(argc, argv);
+    } catch (const sim::FatalError &e) {
+        std::fprintf(stderr, "fatal: %s\n", e.what());
+        return 1;
+    } catch (const InterruptedError &e) {
+        std::fprintf(stderr, "interrupted: %s\n", e.what());
+        return 128 + e.signal();
+    }
 }
 
 Args::Args(int argc, char **argv, const std::vector<std::string> &flags)
@@ -120,18 +134,6 @@ Args::flagInt(const std::string &name, std::int64_t def) const
         sim::fatal("flag --%s expects a 64-bit integer, got '%s'",
                    name.c_str(), it->second.c_str());
     return *v;
-}
-
-std::int32_t
-Args::flagInt32(const std::string &name, std::int32_t def) const
-{
-    std::int64_t v = flagInt(name, def);
-    if (v < std::numeric_limits<std::int32_t>::min() ||
-        v > std::numeric_limits<std::int32_t>::max())
-        sim::fatal("flag --%s value %lld is outside the 32-bit integer "
-                   "range",
-                   name.c_str(), static_cast<long long>(v));
-    return static_cast<std::int32_t>(v);
 }
 
 int

@@ -51,12 +51,8 @@ class Args
     /** An integer as sim::parseInt reads it (decimal or 0x hex);
      *  anything else, or a value beyond 64 bits, is fatal. */
     std::int64_t flagInt(const std::string &name, std::int64_t def) const;
-    /** flagInt for values held in 32 bits: anything outside the
-     *  std::int32_t range is fatal instead of wrapping. */
-    std::int32_t flagInt32(const std::string &name,
-                           std::int32_t def) const;
     /** flagInt that additionally rejects values outside [1, INT_MAX]
-     *  — the validator for parallelism degrees (--jobs). */
+     *  — the validator for counts (--jobs, --replays, ...). */
     int flagPositiveInt(const std::string &name, int def) const;
     /** A finite number: nan and ±inf are fatal. */
     double flagDouble(const std::string &name, double def) const;
@@ -78,6 +74,16 @@ class Args
  * also usable directly by examples.
  */
 void printSchemes(std::ostream &os);
+
+/**
+ * Run a program's @p body and return its exit status.  A
+ * sim::FatalError (a bad flag, config key or request) prints
+ * "fatal: <message>" on stderr and returns 1; an InterruptedError
+ * prints "interrupted: <message>" and returns 128 + signal, shell
+ * style.  Every bench and example main is
+ * `return harness::runMain(argc, argv, run);`.
+ */
+int runMain(int argc, char **argv, int (*body)(int argc, char **argv));
 
 } // namespace harness
 } // namespace gpump

@@ -185,6 +185,16 @@ workerMain(Runner &runner, const std::vector<RunRequest> &requests,
  *  is abandoned the remaining requests run in-process. */
 constexpr int kMaxRespawns = 3;
 
+/** Requeues of one request after worker deaths or timeouts before
+ *  the coordinator runs it in-process.  (A request that *fails* —
+ *  sim::FatalError — is never retried: the failure is deterministic
+ *  and aborts the batch, as it does in process.) */
+constexpr int kMaxRetries = 2;
+
+/** Base of the exponential respawn backoff: a slot's k-th consecutive
+ *  respawn waits kBackoffBaseSec * 2^(k-1) seconds. */
+constexpr double kBackoffBaseSec = 0.25;
+
 /** One forked worker and its coordinator-side state. */
 struct Slot
 {
@@ -418,8 +428,8 @@ Coordinator::onDeath(std::size_t si, const char *why)
                      "[exec] worker %zu died (%s); requeueing request "
                      "%lld (attempt %d/%d)\n",
                      si, why, static_cast<long long>(idx), retries_[u],
-                     opt_.maxRetries + 1);
-        if (retries_[u] > opt_.maxRetries) {
+                     kMaxRetries + 1);
+        if (retries_[u] > kMaxRetries) {
             std::fprintf(stderr,
                          "[exec] request %lld: retries exhausted; "
                          "degrading to in-process execution\n",
@@ -447,7 +457,7 @@ Coordinator::onDeath(std::size_t si, const char *why)
         }
     } else {
         int k = s.consecutiveFailures;
-        double backoff = opt_.backoffBaseSec *
+        double backoff = kBackoffBaseSec *
             static_cast<double>(1u << static_cast<unsigned>(
                                     std::min(k - 1, 10)));
         s.respawnAt = monoSeconds() + backoff;

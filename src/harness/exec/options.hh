@@ -4,7 +4,9 @@
  *
  * Kept dependency-free so harness::Runner can embed an ExecOptions
  * without pulling the coordinator (which includes runner.hh) into its
- * own header.
+ * own header.  The retry and respawn budgets are not knobs: they are
+ * constants in coordinator.cc (kMaxRetries, kBackoffBaseSec,
+ * kMaxRespawns).
  */
 
 #ifndef GPUMP_HARNESS_EXEC_OPTIONS_HH
@@ -38,17 +40,6 @@ struct ExecOptions
      * coordinator runs itself have none.
      */
     double requestTimeoutSec = 0.0;
-
-    /** Requeue attempts per request after worker deaths/timeouts
-     *  before the coordinator falls back to executing it in-process.
-     *  (A request that *fails* — sim::FatalError — is never retried:
-     *  the failure is deterministic and aborts the batch, as it does
-     *  in process.) */
-    int maxRetries = 2;
-
-    /** Base of the exponential respawn backoff: a slot's k-th
-     *  consecutive respawn waits backoffBaseSec * 2^(k-1) seconds. */
-    double backoffBaseSec = 0.25;
 
     /** Fail the sweep when the cache directory holds entries whose
      *  keys match no request of this batch (stale fingerprints).

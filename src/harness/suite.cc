@@ -129,10 +129,6 @@ Suite::schemeNonprioritized(std::string name, Scheme s)
 Suite &
 Suite::allSchemes()
 {
-    // Make sure the built-in registrars ran before walking the
-    // registries (see registry.hh on static-archive link anchors).
-    core::linkBuiltinPolicies();
-    core::linkBuiltinMechanisms();
     for (const std::string &p : core::policyRegistry().list()) {
         const auto &pd = core::policyRegistry().at(p);
         if (!pd.usesMechanism) {
@@ -175,8 +171,6 @@ Suite::build() const
     // Registry-driven validation: fail fast on unknown scheme names
     // (the registry error lists every registered entry) and on
     // colliding columns, before any simulation time is spent.
-    core::linkBuiltinPolicies();
-    core::linkBuiltinMechanisms();
     std::set<std::string> names;
     std::set<std::string> identities;
     for (const SchemeSpec &spec : schemes_) {

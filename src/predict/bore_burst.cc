@@ -36,9 +36,9 @@ BoreBurstPolicy::effectivePriority(const gpu::KernelExec *k) const
 
 // --------------------------------------------------------- registry
 
-namespace {
-
-[[maybe_unused]] const bool registered_bore_burst = [] {
+core::PolicyRegistry::Descriptor
+boreBurstDescriptor()
+{
     core::PolicyRegistry::Descriptor d;
     d.name = "bore_burst";
     d.doc = "Preemptive priority queues with BORE-style burstiness "
@@ -76,16 +76,9 @@ namespace {
             static_cast<int>(smoothness), static_cast<int>(max_offset),
             decay_us);
     };
-    core::policyRegistry().add(std::move(d));
-    return true;
-}();
-
-} // namespace
+    return d;
+}
 
 } // namespace predict
-
-namespace core {
-GPUMP_DEFINE_LINK_ANCHOR(BoreBurstPolicy)
-} // namespace core
 
 } // namespace gpump

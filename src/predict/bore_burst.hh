@@ -65,6 +65,9 @@ class BoreBurstPolicy : public core::PpqPolicy
     BurstEstimator burst_;
 };
 
+/** Descriptor of the built-in "bore_burst" policy. */
+core::PolicyRegistry::Descriptor boreBurstDescriptor();
+
 } // namespace predict
 } // namespace gpump
 

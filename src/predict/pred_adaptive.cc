@@ -88,9 +88,9 @@ PredAdaptiveMechanism::tbCompleted(const gpu::Sm &sm,
 
 // --------------------------------------------------------- registry
 
-namespace {
-
-[[maybe_unused]] const bool registered_pred_adaptive = [] {
+core::MechanismRegistry::Descriptor
+predAdaptiveDescriptor()
+{
     core::MechanismRegistry::Descriptor d;
     d.name = "pred_adaptive";
     d.doc = "Adaptive drain-vs-switch from the online runtime "
@@ -123,16 +123,9 @@ namespace {
         return std::make_unique<PredAdaptiveMechanism>(alpha, cmin,
                                                        bias);
     };
-    core::mechanismRegistry().add(std::move(d));
-    return true;
-}();
-
-} // namespace
+    return d;
+}
 
 } // namespace predict
-
-namespace core {
-GPUMP_DEFINE_LINK_ANCHOR(PredAdaptiveMechanism)
-} // namespace core
 
 } // namespace gpump

@@ -51,9 +51,8 @@ class PredAdaptiveMechanism : public core::PreemptionMechanism,
      * @param bias           drain when predicted drain time <= bias x
      *        modeled save cost; must be >= 0
      */
-    explicit PredAdaptiveMechanism(double ewma_alpha = 0.25,
-                                   double confidence_min = 0.5,
-                                   double bias = 1.0);
+    PredAdaptiveMechanism(double ewma_alpha, double confidence_min,
+                          double bias);
 
     const char *name() const override { return "pred_adaptive"; }
 
@@ -105,6 +104,9 @@ class PredAdaptiveMechanism : public core::PreemptionMechanism,
     std::uint64_t coldStarts_ = 0;
     std::uint64_t mispredictions_ = 0;
 };
+
+/** Descriptor of the built-in "pred_adaptive" mechanism. */
+core::MechanismRegistry::Descriptor predAdaptiveDescriptor();
 
 } // namespace predict
 } // namespace gpump

@@ -62,6 +62,9 @@ makePrioritizedPlans(int nprocs, int per_bench, std::uint64_t base_seed)
         sim::fatal("prioritized plans need 2..%zu processes, got %d",
                    names.size(), nprocs);
     }
+    if (per_bench < 0)
+        sim::fatal("prioritized plans per benchmark must be >= 0, got %d",
+                   per_bench);
 
     sim::Rng rng(base_seed);
     std::vector<WorkloadPlan> plans;
@@ -95,6 +98,8 @@ makeUniformPlans(int nprocs, int count, std::uint64_t base_seed)
         sim::fatal("uniform plans need 1..%zu processes, got %d",
                    names.size(), nprocs);
     }
+    if (count < 0)
+        sim::fatal("uniform plan count must be >= 0, got %d", count);
 
     sim::Rng rng(base_seed);
     std::vector<WorkloadPlan> plans;

@@ -48,7 +48,7 @@ struct WorkloadPlan
  * high-priority process and the others are drawn randomly (without
  * replacement) from the rest of the suite.
  *
- * @pre 2 <= nprocs <= suite size.
+ * @pre 2 <= nprocs <= suite size and per_bench >= 0 (else fatal).
  */
 std::vector<WorkloadPlan>
 makePrioritizedPlans(int nprocs, int per_bench, std::uint64_t base_seed);
@@ -56,6 +56,8 @@ makePrioritizedPlans(int nprocs, int per_bench, std::uint64_t base_seed);
 /**
  * Uniform plans: @p count random workloads of @p nprocs distinct
  * benchmarks each, all with equal priority.
+ *
+ * @pre 1 <= nprocs <= suite size and count >= 0 (else fatal).
  */
 std::vector<WorkloadPlan>
 makeUniformPlans(int nprocs, int count, std::uint64_t base_seed);

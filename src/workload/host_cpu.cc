@@ -16,8 +16,13 @@ CpuParams::fromConfig(const sim::Config &cfg)
     p.clockGhz = cfg.getDouble("cpu.clock_ghz", p.clockGhz);
     p.modelContention =
         cfg.getBool("cpu.model_contention", p.modelContention);
-    if (p.cores <= 0 || p.threadsPerCore <= 0)
-        sim::fatal("invalid CPU parameters");
+    if (p.cores <= 0)
+        sim::fatal("cpu.cores must be positive, got %d", p.cores);
+    if (p.threadsPerCore <= 0)
+        sim::fatal("cpu.threads_per_core must be positive, got %d",
+                   p.threadsPerCore);
+    if (p.clockGhz <= 0)
+        sim::fatal("cpu.clock_ghz must be positive, got %g", p.clockGhz);
     return p;
 }
 

@@ -717,7 +717,6 @@ TEST(ExecCoordinator, SigkilledWorkerMidSweepIsRequeued)
     Runner runner(sim::Config(), /*jobs=*/1);
     exec::ExecOptions opt;
     opt.workers = 2;
-    opt.backoffBaseSec = 0.01;
     opt.testKillAfterResults = 1; // SIGKILL a busy worker mid-sweep
     exec::ExecStats stats;
     auto results =
@@ -740,14 +739,12 @@ TEST(ExecCoordinator, WedgedWorkerTimesOutThenDegradesInProcess)
     exec::ExecOptions opt;
     opt.workers = 2;
     opt.requestTimeoutSec = 0.25;
-    opt.maxRetries = 1;
-    opt.backoffBaseSec = 0.01;
     opt.testHangOnIndex = 0;
     exec::ExecStats stats;
     auto results =
         exec::runBatch(runner, batch.requests, opt, &stats);
     EXPECT_EQ(canonAll(results), expected);
-    EXPECT_GE(stats.timeouts, 2u); // initial try + one retry
+    EXPECT_GE(stats.timeouts, 2u); // initial try + at least one retry
     EXPECT_GE(stats.inProcess, 1u);
 }
 

@@ -93,6 +93,16 @@ TEST(Generator, ValidatesProcessCounts)
     EXPECT_THROW(makeUniformPlans(11, 1, 0), sim::FatalError);
 }
 
+TEST(Generator, NegativePlanCountsAreFatal)
+{
+    // A negative count would reach vector::reserve (std::length_error)
+    // or quietly yield no plans; zero plans is a valid empty request.
+    EXPECT_THROW(makeUniformPlans(2, -3, 0), sim::FatalError);
+    EXPECT_THROW(makePrioritizedPlans(2, -1, 0), sim::FatalError);
+    EXPECT_TRUE(makeUniformPlans(2, 0, 0).empty());
+    EXPECT_TRUE(makePrioritizedPlans(2, 0, 0).empty());
+}
+
 TEST(Generator, AllBenchmarksReachableInUniformPlans)
 {
     auto plans = makeUniformPlans(8, 40, 11);

@@ -42,6 +42,20 @@ TEST(GpuConfig, InvalidConfigIsFatal)
     cfg2.parse("gpu.tb_time_cv=-1");
     EXPECT_THROW(GpuParams::fromConfig(cfg2), sim::FatalError);
 
+    // Table 2 parameters that only bench_table2_sim_params prints are
+    // checked like the counts the simulation reads; each names its key.
+    for (const char *kv :
+         {"gpu.clock_ghz=0", "gpu.clock_ghz=-1", "gpu.pipelines_per_sm=0",
+          "gpu.pipelines_per_sm=-32", "gpu.num_sms=-1",
+          "gpu.num_hw_queues=0"}) {
+        sim::Config bad;
+        bad.parse(kv);
+        std::string msg =
+            test::fatalMessageOf([&] { GpuParams::fromConfig(bad); });
+        std::string key(kv, std::string(kv).find('='));
+        EXPECT_NE(msg.find(key), std::string::npos) << kv << ": " << msg;
+    }
+
     // 2^32 + the Table 2 default: a narrowing cast would wrap each of
     // these back to the default and run the default GPU.
     const std::int64_t wrap = std::int64_t{1} << 32;

@@ -131,11 +131,17 @@ TEST(BenchOptions, OutOfRangeValuesAreFatal)
     // A narrowing cast would run the counts as --replays=2,
     // --sizes=2,2, --workloads=3 and --per-bench=1, and a nan or
     // infinite --timeout would pass the < 0 check and turn the
-    // watchdog off.
+    // watchdog off.  A count below 1 is fatal too: --workloads=-3
+    // would reach vector::reserve (std::length_error), --workloads=0
+    // and --per-bench=-1 would print empty or 0.00x tables, and
+    // --replays=0 would reach the simulator.
     for (const char *flag : {"--replays=4294967298", "--sizes=2,4294967298",
                              "--workloads=4294967299",
                              "--per-bench=-4294967295", "--timeout=nan",
-                             "--timeout=inf"}) {
+                             "--timeout=inf", "--per-bench=0",
+                             "--per-bench=-1", "--workloads=0",
+                             "--workloads=-3", "--replays=0",
+                             "--replays=-2"}) {
         const char *argv[] = {"prog", flag};
         Args args(2, const_cast<char **>(argv),
                   bench::BenchOptions::flags());

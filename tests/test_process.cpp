@@ -21,6 +21,25 @@ TEST(HostCpu, Table2Defaults)
     EXPECT_DOUBLE_EQ(p.clockGhz, 2.8);
 }
 
+TEST(HostCpu, NonPositiveParamsAreFatal)
+{
+    // cpu.clock_ghz reaches no simulation, only bench_table2_sim_params,
+    // which would print "0.0 GHz"; each key is named.
+    for (const char *kv : {"cpu.clock_ghz=0", "cpu.clock_ghz=-2.8",
+                           "cpu.cores=0", "cpu.threads_per_core=-1"}) {
+        sim::Config bad;
+        bad.parse(kv);
+        try {
+            CpuParams::fromConfig(bad);
+            ADD_FAILURE() << kv << " was accepted";
+        } catch (const sim::FatalError &e) {
+            std::string key(kv, std::string(kv).find('='));
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(HostCpu, NoSlowdownUpToHwThreads)
 {
     sim::Simulation sim;

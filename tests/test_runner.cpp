@@ -242,8 +242,6 @@ TEST(Runner, GoldenFig5QuickAggregatePinned)
 
 TEST(Suite, AllSchemesSpansTheRegistryCrossProduct)
 {
-    // No manual linkBuiltin* calls: allSchemes() itself must make the
-    // built-in registrars visible.
     Suite suite("all");
     suite.sizes({2}).uniform(1, 1).allSchemes();
     Batch batch = suite.build();
