@@ -75,8 +75,9 @@ struct BenchOptions
      * --sizes/--per-bench/--workloads/--replays/--seed/--csv/--jobs/
      * --cache-dir/--timeout/--jsonl[=path] override.  --per-bench,
      * --workloads, --replays and --jobs accept only an integer in
-     * [1, INT_MAX], and --timeout only a finite number of seconds
-     * >= 0.  @p bench_name names the default JSONL file.
+     * [1, INT_MAX], --sizes only distinct sizes, and --timeout only a
+     * finite number of seconds >= 0.  @p bench_name names the default
+     * JSONL file.
      */
     static BenchOptions fromArgs(const harness::Args &args,
                                  const std::string &bench_name)
@@ -88,6 +89,13 @@ struct BenchOptions
             o.replays = 2;
         }
         o.sizes = args.flagIntList("sizes", o.sizes);
+        for (std::size_t i = 0; i < o.sizes.size(); ++i) {
+            for (std::size_t j = 0; j < i; ++j) {
+                if (o.sizes[i] == o.sizes[j])
+                    sim::fatal("flag --sizes lists the size %d twice",
+                               o.sizes[i]);
+            }
+        }
         o.perBench = args.flagPositiveInt("per-bench", o.perBench);
         o.workloads = args.flagPositiveInt("workloads", o.workloads);
         o.replays = args.flagPositiveInt("replays", o.replays);

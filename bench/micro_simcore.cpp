@@ -66,10 +66,11 @@ BENCHMARK(BM_EventQueueCancelHalf);
 void
 BM_EventQueueRearm(benchmark::State &state)
 {
-    // The simulator's steady state: one completion event per SM of the
-    // Table 2 GPU, each re-arming itself from its own callback with a
-    // reserved sequence, as a TB completion re-arms its SM's timeline.
-    // BM_EventQueueScheduleRun schedules only from outside callbacks.
+    // The completion cycle through the heap: one event per SM of the
+    // Table 2 GPU, each re-scheduling itself from its own callback with
+    // a reserved sequence.  The simulator's completions take the timer
+    // path (BM_TimerRearm); BM_EventQueueScheduleRun schedules only
+    // from outside callbacks.
     struct Rearm
     {
         sim::EventQueue *q;
@@ -91,6 +92,46 @@ BM_EventQueueRearm(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueueRearm);
+
+void
+BM_TimerRearm(benchmark::State &state)
+{
+    // BM_EventQueueRearm's cycle on the path the simulator now takes:
+    // one completion timer per SM of the Table 2 GPU, each re-arming
+    // itself from its own callback at the same pseudo-random delays,
+    // as an SM's completion timer re-arms after every TB.
+    struct Cycle
+    {
+        sim::EventQueue q;
+        std::uint64_t lcg = 42;
+    };
+    struct Rearm
+    {
+        Cycle *c;
+        sim::EventQueue::Timer *timer;
+        void operator()() const
+        {
+            c->lcg = c->lcg * 6364136223846793005ull +
+                1442695040888963407ull;
+            auto delay = static_cast<sim::SimTime>(1 + (c->lcg >> 54));
+            timer->arm(c->q.now() + delay, c->q.reserveSeq());
+        }
+    };
+    static_assert(sizeof(Rearm) <= sim::EventCallback::inlineBytes,
+                  "the callback must stay in the inline buffer");
+    Cycle c;
+    const auto sms = static_cast<std::size_t>(gpu::GpuParams().numSms);
+    std::vector<sim::EventQueue::Timer> timers(sms);
+    for (std::size_t sm = 0; sm < sms; ++sm) {
+        timers[sm] = c.q.addTimer(Rearm{&c, &timers[sm]},
+                                  sim::prioCompletion);
+        Rearm{&c, &timers[sm]}();
+    }
+    for (auto _ : state)
+        c.q.step();
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TimerRearm);
 
 void
 BM_RngLognormal(benchmark::State &state)

@@ -21,13 +21,13 @@ ContextSwitchMechanism::beginPreemption(gpu::Sm *sm)
     sm->state = gpu::Sm::State::Saving;
 
     // Halt every resident thread block: disarm the SM's completion
-    // timeline (one event covers them all) and capture how much
-    // execution each block still needs.  The blocks reach the PTBQ
+    // timer (one covers them all) and capture how much execution each
+    // block still needs.  The blocks reach the PTBQ
     // only once the save finishes, so they cannot be re-issued while
     // their context is still in flight.  The timeline keeps residents
     // in completion order; the trap routine stores (and the PTBQ
     // receives) them in issue order, so re-sort by issue sequence.
-    sm->completionEvent.cancel();
+    sm->completionEvent.disarm();
     std::vector<gpu::ResidentTb> halted(sm->resident.begin(),
                                         sm->resident.end());
     std::sort(halted.begin(), halted.end(),

@@ -45,8 +45,12 @@ SchedulingFramework::SchedulingFramework(sim::Simulation &sim,
         sim.config().getBool("engine.preempted_first", true);
     contendedSwitch_ = gmem.params().contendedSwitch;
     sms_.reserve(static_cast<std::size_t>(params_.numSms));
-    for (int i = 0; i < params_.numSms; ++i)
+    for (int i = 0; i < params_.numSms; ++i) {
         sms_.push_back(std::make_unique<gpu::Sm>(i));
+        gpu::Sm *sm = sms_.back().get();
+        sm->completionEvent = sim.events().addTimer(
+            [this, sm] { onTbCompleted(sm); }, sim::prioCompletion);
+    }
     ksrt_.resize(static_cast<std::size_t>(maxActiveKernels(params_)));
     for (int i = maxActiveKernels(params_) - 1; i >= 0; --i)
         freeKsrs_.push_back(i);
@@ -473,17 +477,14 @@ void
 SchedulingFramework::armCompletion(gpu::Sm *sm)
 {
     if (sm->resident.empty()) {
-        sm->completionEvent.cancel();
+        sm->completionEvent.disarm();
         return;
     }
     const gpu::ResidentTb &head = sm->resident.front();
-    if (sm->completionEvent.pending() && sm->armedSeq == head.seq)
+    if (sm->completionEvent.armed() && sm->armedSeq == head.seq)
         return; // already armed for the right block
-    sm->completionEvent.cancel();
     sm->armedSeq = head.seq;
-    sm->completionEvent = sim_->events().scheduleWithSeq(
-        head.endAt, head.seq, [this, sm] { onTbCompleted(sm); },
-        sim::prioCompletion);
+    sm->completionEvent.arm(head.endAt, head.seq);
 }
 
 void

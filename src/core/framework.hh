@@ -314,10 +314,10 @@ class SchedulingFramework : public gpu::KernelSink
      *  re-drives when they land. */
     bool parkedForRestore(const gpu::Sm *sm) const;
     void onTbCompleted(gpu::Sm *sm);
-    /** (Re)arm @p sm's single completion event for the head of its
-     *  timeline; disarms when nothing is resident.  The event carries
-     *  the head TB's issue-time sequence number, so firing order is
-     *  identical to one-event-per-TB scheduling. */
+    /** (Re)arm @p sm's completion timer for the head of its
+     *  timeline; disarms it when nothing is resident.  The timer
+     *  carries the head TB's issue-time sequence number, so firing
+     *  order is identical to one-event-per-TB scheduling. */
     void armCompletion(gpu::Sm *sm);
     void smBecameIdle(gpu::Sm *sm);
     void finalizeKernel(gpu::KernelExec *k);

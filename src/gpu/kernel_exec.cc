@@ -48,13 +48,6 @@ KernelExec::assign(sim::KsrIndex ksr, CommandPtr cmd,
                  cmd_->profile->fullName().c_str());
 }
 
-int
-KernelExec::takeFreshTb()
-{
-    GPUMP_ASSERT(hasFreshTbs(), "takeFreshTb with no fresh TBs left");
-    return nextFresh_++;
-}
-
 PreemptedTb
 KernelExec::takePreemptedTb()
 {
@@ -124,26 +117,6 @@ KernelExec::consumeRestoreCredit()
         return false;
     --restoreCredit_;
     return true;
-}
-
-void
-KernelExec::tbStarted()
-{
-    ++running_;
-    GPUMP_ASSERT(running_ <= totalTbs_, "more TBs running than exist");
-}
-
-void
-KernelExec::tbEnded(bool completed)
-{
-    GPUMP_ASSERT(running_ > 0, "tbEnded with no running TBs");
-    --running_;
-    if (completed) {
-        ++completed_;
-        GPUMP_ASSERT(completed_ <= totalTbs_,
-                     "kernel %s completed more TBs than its grid",
-                     profile().fullName().c_str());
-    }
 }
 
 } // namespace gpu

@@ -17,6 +17,7 @@
 
 #include "gpu/command.hh"
 #include "gpu/gpu_config.hh"
+#include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/types.hh"
 
@@ -104,7 +105,11 @@ class KernelExec
     std::size_t ptbqDepth() const { return ptbq_.size(); }
 
     /** Take the next fresh thread block index. @pre hasFreshTbs() */
-    int takeFreshTb();
+    int takeFreshTb()
+    {
+        GPUMP_ASSERT(hasFreshTbs(), "takeFreshTb with no fresh TBs left");
+        return nextFresh_++;
+    }
 
     /** Pop the oldest preempted TB. @pre hasPreemptedTbs() */
     PreemptedTb takePreemptedTb();
@@ -114,11 +119,25 @@ class KernelExec
     void pushPreemptedTb(const PreemptedTb &tb);
 
     /** A TB of this kernel started executing on some SM. */
-    void tbStarted();
+    void tbStarted()
+    {
+        ++running_;
+        GPUMP_ASSERT(running_ <= totalTbs_, "more TBs running than exist");
+    }
 
     /** A TB of this kernel finished (or was preempted before
      *  completing: @p completed false). */
-    void tbEnded(bool completed);
+    void tbEnded(bool completed)
+    {
+        GPUMP_ASSERT(running_ > 0, "tbEnded with no running TBs");
+        --running_;
+        if (completed) {
+            ++completed_;
+            GPUMP_ASSERT(completed_ <= totalTbs_,
+                         "kernel %s completed more TBs than its grid",
+                         profile().fullName().c_str());
+        }
+    }
     /** @} */
 
     /** @name Restore staging (contended-switch / proactive prefetch)

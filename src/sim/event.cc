@@ -24,6 +24,8 @@ EventQueue::EventQueue()
 {
     slots_.reserve(initialCapacity);
     heap_.reserve(initialCapacity);
+    // One leaf, which is also the root, and no timer behind it yet.
+    tree_.assign(2, TimerNode{neverKey, neverKey, 0});
 }
 
 std::uint32_t
@@ -96,7 +98,6 @@ EventQueue::compactIfWorthIt()
     heap_.erase(live_end, heap_.end());
     std::make_heap(heap_.begin(), heap_.end(), FiresAfter());
     deadEntries_ = 0;
-    spentRoot_ = false; // a spent root was dead and went with the rest
 }
 
 void
@@ -104,29 +105,6 @@ EventQueue::popFront()
 {
     std::pop_heap(heap_.begin(), heap_.end(), FiresAfter());
     heap_.pop_back();
-}
-
-void
-EventQueue::siftDownRoot()
-{
-    const std::size_t n = heap_.size();
-    const Entry e = heap_.front();
-    std::size_t hole = 0;
-    for (;;) {
-        std::size_t child = 2 * hole + 1;
-        if (child >= n)
-            break;
-        if (child + 1 < n &&
-            keyBefore(heap_[child + 1].keyHi, heap_[child + 1].keyLo,
-                      heap_[child].keyHi, heap_[child].keyLo))
-            ++child;
-        if (!keyBefore(heap_[child].keyHi, heap_[child].keyLo, e.keyHi,
-                       e.keyLo))
-            break;
-        heap_[hole] = heap_[child];
-        hole = child;
-    }
-    heap_[hole] = e;
 }
 
 const EventQueue::Entry *
@@ -139,7 +117,6 @@ EventQueue::peekFront()
         releaseSlot(e.slot);
         popFront();
         --deadEntries_;
-        spentRoot_ = false; // a spent root is the root while it exists
     }
     return nullptr;
 }
@@ -172,32 +149,13 @@ EventQueue::doSchedule(SimTime when, std::uint64_t seq, Callback &&cb,
                  priority);
     GPUMP_ASSERT(seq <= maxSeq, "sequence space exhausted");
 
-    std::uint64_t key_lo =
-        (static_cast<std::uint64_t>(
-             static_cast<std::uint32_t>(priority + priorityBias))
-         << 48) |
-        seq;
-    std::uint32_t slot;
-    if (spentRoot_) {
-        // First schedule from a firing callback: take over the spent
-        // root.  Its slot goes back to the free list and comes straight
-        // out again, and one sift-down replaces a pop plus a push.
-        spentRoot_ = false;
-        --deadEntries_;
-        releaseSlot(heap_.front().slot);
-        slot = acquireSlot(std::move(cb));
-        heap_.front() = Entry{static_cast<std::uint64_t>(when), key_lo,
-                              slot, slots_[slot].gen};
-        siftDownRoot();
-    } else {
-        slot = acquireSlot(std::move(cb));
-        heap_.push_back(Entry{static_cast<std::uint64_t>(when), key_lo,
-                              slot, slots_[slot].gen});
-        std::push_heap(heap_.begin(), heap_.end(), FiresAfter());
-    }
-    // The heap property holds after every push and root replacement.
-    // O(n) — audit builds trade throughput for machine-checked
-    // structure.
+    const std::uint32_t slot = acquireSlot(std::move(cb));
+    heap_.push_back(Entry{static_cast<std::uint64_t>(when),
+                          priorityBits(priority) | seq, slot,
+                          slots_[slot].gen});
+    std::push_heap(heap_.begin(), heap_.end(), FiresAfter());
+    // The heap property holds after every push.  O(n) — audit builds
+    // trade throughput for machine-checked structure.
     GPUMP_AUDIT(std::is_heap(heap_.begin(), heap_.end(), FiresAfter()),
                 "event heap out of order after a schedule (when=%lld)",
                 static_cast<long long>(when));
@@ -212,12 +170,101 @@ EventQueue::scheduleIn(SimTime delay, Callback cb, int priority)
     return schedule(now_ + delay, std::move(cb), priority);
 }
 
-bool
-EventQueue::step()
+EventQueue::Timer
+EventQueue::addTimer(Callback cb, int priority)
 {
-    const Entry *front = peekFront();
-    if (front == nullptr)
-        return false;
+    GPUMP_ASSERT(cb != nullptr, "timer added with a null callback");
+    GPUMP_ASSERT(priority >= -priorityBias && priority < priorityBias,
+                 "timer priority %d outside the 16-bit key range",
+                 priority);
+    // A callback runs in place in timers_, which must not move under it.
+    GPUMP_ASSERT(firing_ == noTimer, "timer added from a timer callback");
+    GPUMP_ASSERT(timers_.size() < noTimer, "timer ids exhausted");
+    const auto id = static_cast<std::uint32_t>(timers_.size());
+    timers_.push_back(TimerSlot{std::move(cb), priorityBits(priority)});
+    if (id == timerLeaves_)
+        growTimerTree();
+    return Timer(this, id);
+}
+
+void
+EventQueue::growTimerTree()
+{
+    // Double the leaves, carry the armed keys over and rebuild every
+    // internal node bottom-up.  Setup work: timers are added once.
+    const std::size_t leaves = 2 * timerLeaves_;
+    std::vector<TimerNode> tree(2 * leaves);
+    for (std::size_t id = 0; id < leaves; ++id) {
+        tree[leaves + id] = id < timerLeaves_
+            ? tree_[timerLeaves_ + id]
+            : TimerNode{neverKey, neverKey, id};
+    }
+    for (std::size_t i = leaves - 1; i >= 1; --i) {
+        const TimerNode &l = tree[2 * i];
+        const TimerNode &r = tree[2 * i + 1];
+        tree[i] = keyBefore(r.keyHi, r.keyLo, l.keyHi, l.keyLo) ? r : l;
+    }
+    tree_ = std::move(tree);
+    timerLeaves_ = leaves;
+}
+
+#if GPUMP_AUDIT_ENABLED
+void
+EventQueue::auditTimerRoot() const
+{
+    TimerNode min{neverKey, neverKey, 0};
+    for (std::size_t id = 0; id < timers_.size(); ++id) {
+        const TimerNode &leaf = tree_[timerLeaves_ + id];
+        if (keyBefore(leaf.keyHi, leaf.keyLo, min.keyHi, min.keyLo))
+            min = leaf;
+    }
+    const TimerNode &root = tree_[1];
+    GPUMP_AUDIT(root.keyHi == min.keyHi && root.keyLo == min.keyLo &&
+                    (min.keyHi == neverKey || root.id == min.id),
+                "timer tree root (timer %llu at %llu) is not the earliest "
+                "armed leaf (timer %llu at %llu)",
+                static_cast<unsigned long long>(root.id),
+                static_cast<unsigned long long>(root.keyHi),
+                static_cast<unsigned long long>(min.id),
+                static_cast<unsigned long long>(min.keyHi));
+}
+#endif
+
+void
+EventQueue::fireTimer()
+{
+    const TimerNode root = tree_[1];
+    const auto id = static_cast<std::uint32_t>(root.id);
+    GPUMP_AUDIT(static_cast<SimTime>(root.keyHi) >= now_,
+                "timer %u fires at %lld but time already reached %lld "
+                "(firing order violated)", id,
+                static_cast<long long>(root.keyHi),
+                static_cast<long long>(now_));
+    now_ = static_cast<SimTime>(root.keyHi);
+    // Disarm the leaf only.  Its ancestors keep the fired key until the
+    // path is repaired: by the callback's own arm() or disarm(), which
+    // walks the path anyway, or else below once the callback returns.
+    // Other timers' walks in the meantime may copy the fired key, but
+    // only into ancestors of this leaf, and the repair recomputes every
+    // one of them from siblings off the path, so it must come last.
+    TimerNode &leaf = tree_[timerLeaves_ + id];
+    leaf.keyHi = neverKey;
+    leaf.keyLo = neverKey;
+    --armedTimers_;
+    ++executed_;
+    firing_ = id;
+    firingStale_ = true;
+    timers_[id].callback();
+    firing_ = noTimer;
+    if (firingStale_) {
+        firingStale_ = false;
+        updateTimerPath(id, neverKey, neverKey);
+    }
+}
+
+void
+EventQueue::fireEntry(const Entry *front)
+{
     const Entry top = *front;
     // The queue's headline guarantee, checked at the moment it could
     // break: events fire in nondecreasing time order.
@@ -232,21 +279,25 @@ EventQueue::step()
     now_ = top.when();
     ++slots_[top.slot].gen; // the event is no longer pending
     Callback cb = std::move(slots_[top.slot].callback);
-    // Leave the consumed entry at the root, dead, for the callback's
-    // first schedule to take over (doSchedule).  Its key is forced to
-    // the minimum so nothing the callback schedules can rise above it.
-    heap_.front().keyHi = 0;
-    heap_.front().keyLo = 0;
-    ++deadEntries_;
-    spentRoot_ = true;
+    releaseSlot(top.slot);
+    popFront();
     ++executed_;
     cb();
-    if (spentRoot_) { // the callback scheduled nothing
-        spentRoot_ = false;
-        --deadEntries_;
-        releaseSlot(heap_.front().slot);
-        popFront();
+}
+
+bool
+EventQueue::step()
+{
+    const Entry *front = peekFront();
+    const TimerNode &root = tree_[1];
+    if (front != nullptr &&
+        !keyBefore(root.keyHi, root.keyLo, front->keyHi, front->keyLo)) {
+        fireEntry(front);
+        return true;
     }
+    if (root.keyHi == neverKey)
+        return false;
+    fireTimer();
     return true;
 }
 
@@ -269,10 +320,19 @@ EventQueue::run(SimTime limit)
 {
     for (;;) {
         const Entry *front = peekFront();
-        if (front == nullptr || front->when() > limit)
-            break;
-        // step()'s re-peek is O(1): the front was just validated.
-        step();
+        const TimerNode &root = tree_[1];
+        if (front != nullptr &&
+            !keyBefore(root.keyHi, root.keyLo, front->keyHi,
+                       front->keyLo)) {
+            if (front->when() > limit)
+                break;
+            fireEntry(front);
+        } else {
+            if (root.keyHi == neverKey ||
+                static_cast<SimTime>(root.keyHi) > limit)
+                break;
+            fireTimer();
+        }
     }
     return now_;
 }

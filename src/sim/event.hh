@@ -12,6 +12,8 @@
  *
  * Cancellation is first-class because preemption must revoke the
  * completion events of thread blocks that are context-switched out.
+ * Those completions are re-armable timers (EventQueue::Timer), which
+ * fire under the same (time, priority, seq) order as one-shot events.
  *
  * The engine is allocation-free on the hot path: callbacks live in a
  * small-buffer-optimized storage (no heap for captures up to
@@ -35,6 +37,7 @@
 #include <vector>
 
 #include "core/audit.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace gpump {
@@ -206,17 +209,24 @@ class EventCallback
 
 /**
  * Deterministic event queue with O(1) cancellation, O(log n)
- * ordering work per event and bounded dead-entry overhead.
+ * ordering work per event and bounded dead-entry overhead, plus
+ * re-armable timers.
  *
- * Internals (see DESIGN.md §5): event callbacks live in a slab of
- * generation-counted slots recycled through a free list; the
- * priority structure is a binary min-heap of 24-byte POD entries
- * referencing slots by index.  Cancellation bumps the slot's
- * generation (invalidating the entry and every outstanding handle);
- * dead entries are skipped when they reach the top, or swept eagerly
- * when they come to outnumber live ones.  A firing event's entry
- * stays at the root until its callback's first schedule overwrites
- * it, so the common "fire, re-arm" cycle costs one sift-down.
+ * Internals (see DESIGN.md §5): one-shot events keep their callbacks
+ * in a slab of generation-counted slots recycled through a free list,
+ * ordered by a binary min-heap of 24-byte POD entries referencing
+ * slots by index.  Cancellation bumps the slot's generation
+ * (invalidating the entry and every outstanding handle); dead entries
+ * are skipped when they reach the top, or swept eagerly when they
+ * come to outnumber live ones.
+ *
+ * A timer is the other kind of event: a callback and a priority fixed
+ * at creation, armed under at most one key at a time.  Armed timer
+ * keys live in a winner tree beside the heap, so re-arming one costs
+ * a fixed walk from its leaf to the root and no slot, callback move
+ * or sift.  step() fires whichever of the heap front and the tree
+ * root holds the earlier key; live keys are unique across both, so
+ * the firing order is the one a single structure would give.
  */
 class EventQueue
 {
@@ -268,6 +278,49 @@ class EventQueue
         std::uint32_t gen_ = 0;
     };
 
+    /**
+     * Handle to a re-armable timer (addTimer).
+     *
+     * The callback and priority are fixed when the timer is added; each
+     * arm() sets the (time, sequence) it fires at next, replacing any
+     * armed key.  Firing disarms the timer, and its callback may arm it
+     * again.  A default-constructed handle is inert (armed() is
+     * false).  The timer lives as long as its queue.
+     */
+    class Timer
+    {
+      public:
+        Timer() = default;
+
+        /**
+         * Arm the timer to fire at @p when under the reserved sequence
+         * @p seq, replacing its armed key if it has one.
+         * @pre when >= now() and seq was obtained from reserveSeq()
+         */
+        void arm(SimTime when, std::uint64_t seq)
+        {
+            queue_->armTimer(id_, when, seq);
+        }
+
+        /** Disarm the timer; a no-op when it is not armed. */
+        void disarm() { queue_->disarmTimer(id_); }
+
+        /** True while armed: armed and not yet fired or disarmed. */
+        bool armed() const
+        {
+            return queue_ != nullptr && queue_->timerArmed(id_);
+        }
+
+      private:
+        friend class EventQueue;
+        Timer(EventQueue *queue, std::uint32_t id) : queue_(queue), id_(id)
+        {
+        }
+
+        EventQueue *queue_ = nullptr;
+        std::uint32_t id_ = 0;
+    };
+
     EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -290,9 +343,9 @@ class EventQueue
      * Callers that coalesce many logical events behind one scheduled
      * event (the per-SM completion timeline) reserve one sequence
      * number per logical event at the instant the old design would
-     * have scheduled it, then arm the physical event with
-     * scheduleWithSeq.  Ties at equal (time, priority) then resolve
-     * exactly as if every logical event had been scheduled
+     * have scheduled it, then arm the physical event (a timer, or
+     * scheduleWithSeq) with it.  Ties at equal (time, priority) then
+     * resolve exactly as if every logical event had been scheduled
      * individually, which keeps simulations bit-identical.
      */
     std::uint64_t reserveSeq() { return seq_++; }
@@ -304,8 +357,20 @@ class EventQueue
     Handle scheduleWithSeq(SimTime when, std::uint64_t seq, Callback cb,
                            int priority = prioDefault);
 
-    /** Number of live (non-cancelled, not yet run) events.  O(1). */
-    std::size_t pending() const { return heapEntries() - deadEntries_; }
+    /**
+     * Add a re-armable timer that runs @p cb at @p priority each time
+     * it fires.  It starts disarmed.  Timer ids are dense, and adding
+     * one is setup work (the tree is rebuilt when it doubles); a timer
+     * callback must not add timers.
+     */
+    Timer addTimer(Callback cb, int priority);
+
+    /** Number of live events: heap events neither run nor cancelled,
+     *  plus armed timers.  O(1). */
+    std::size_t pending() const
+    {
+        return heapEntries() - deadEntries_ + armedTimers_;
+    }
 
     /** True when no live events remain.  O(1). */
     bool empty() const { return pending() == 0; }
@@ -324,22 +389,23 @@ class EventQueue
      */
     SimTime run(SimTime limit = maxTime);
 
-    /** Total number of events executed since construction. */
+    /** Total number of events executed since construction, timer
+     *  firings included. */
     std::uint64_t executed() const { return executed_; }
 
-    /** Queue entries currently held, live and dead (observability for
-     *  tests of the compaction policy). */
+    /** Heap entries currently held, live and dead (observability for
+     *  tests of the compaction policy; timers hold none). */
     std::size_t heapEntries() const { return heap_.size(); }
 
     /** Slab cells ever allocated (observability for tests of slot
      *  recycling; steady-state workloads plateau at their peak
-     *  concurrent event count). */
+     *  concurrent event count).  Timers hold none. */
     std::size_t slotsAllocated() const { return slots_.size(); }
 
 #if GPUMP_AUDIT_ENABLED
     /** Test hook (audit builds only): deliberately corrupt the firing
-     *  key of the next pending entry so the firing-order audit in
-     *  step() trips.  Exists so tests/test_audit.cpp can prove the
+     *  key of the next pending heap entry so the firing-order audit
+     *  in step() trips.  Exists so tests/test_audit.cpp can prove the
      *  audit layer detects a corrupted queue; never compiled into
      *  default builds.  @pre at least one live entry is pending. */
     void auditCorruptFrontKeyForTest();
@@ -387,6 +453,14 @@ class EventQueue
         return bool(hi1 < hi2) | (bool(hi1 == hi2) & bool(lo1 < lo2));
     }
 
+    /** The priority half of keyLo. */
+    static std::uint64_t priorityBits(int priority)
+    {
+        return static_cast<std::uint64_t>(
+                   static_cast<std::uint32_t>(priority + priorityBias))
+            << 48;
+    }
+
     /** Heap comparator.  The std heap algorithms keep the greatest
      *  element on top, so "greater" has to mean "fires earlier". */
     struct FiresAfter
@@ -417,20 +491,115 @@ class EventQueue
     const Entry *peekFront();
     /** Remove the top entry. */
     void popFront();
-    /** Restore the heap property after the root entry was replaced. */
-    void siftDownRoot();
+    /** Pop @p front, the live heap front, and run its callback. */
+    void fireEntry(const Entry *front);
+
+    /** @name The timer tree
+     *
+     * A winner (tournament) tree over timer ids: leaf timerLeaves_ + id
+     * holds timer id's armed key, or the key "never" when it is
+     * disarmed, and every internal node i holds a copy of the
+     * (keyHi, keyLo, id) of the earliest leaf below it, so node 1, the
+     * root, is the next timer to fire.  The leaf count is padded to a
+     * power of two.  While a timer's callback runs, the keys on its
+     * path are stale (see fireTimer).
+     * @{ */
+    struct TimerNode
+    {
+        std::uint64_t keyHi;
+        std::uint64_t keyLo;
+        std::uint64_t id;
+    };
+
+    struct TimerSlot
+    {
+        Callback callback;
+        std::uint64_t priorityBits;
+    };
+
+    /** The key of a disarmed leaf: after every real key. */
+    static constexpr std::uint64_t neverKey = ~0ull;
+    static constexpr std::uint32_t noTimer = 0xffffffffu;
+
+    bool timerArmed(std::uint32_t id) const
+    {
+        return tree_[timerLeaves_ + id].keyHi != neverKey;
+    }
+
+    void armTimer(std::uint32_t id, SimTime when, std::uint64_t seq)
+    {
+        GPUMP_ASSERT(when >= now_,
+                     "timer armed in the past (when=%lld now=%lld)",
+                     static_cast<long long>(when),
+                     static_cast<long long>(now_));
+        GPUMP_ASSERT(seq < seq_, "sequence %llu was never reserved",
+                     static_cast<unsigned long long>(seq));
+        GPUMP_ASSERT(seq <= maxSeq, "sequence space exhausted");
+        armedTimers_ += timerArmed(id) ? 0 : 1;
+        firingStale_ = firingStale_ && id != firing_;
+        updateTimerPath(id, static_cast<std::uint64_t>(when),
+                        timers_[id].priorityBits | seq);
+    }
+
+    void disarmTimer(std::uint32_t id)
+    {
+        const bool armed = timerArmed(id);
+        const bool stale = firingStale_ && id == firing_;
+        if (!armed && !stale)
+            return;
+        armedTimers_ -= armed ? 1 : 0;
+        firingStale_ = firingStale_ && !stale;
+        updateTimerPath(id, neverKey, neverKey);
+    }
+
+    /**
+     * Write leaf @p id's key and recompute every node on its path to
+     * the root.  The path is fixed by the id; only the carried winner
+     * depends on the compares, so each level selects it with masks
+     * instead of a data-dependent branch, and no node is read back
+     * after it was written.
+     */
+    void updateTimerPath(std::uint32_t id, std::uint64_t hi,
+                         std::uint64_t lo)
+    {
+        TimerNode *tree = tree_.data();
+        std::size_t i = timerLeaves_ + id;
+        std::uint64_t win = id;
+        tree[i] = TimerNode{hi, lo, win};
+        while (i > 1) {
+            const TimerNode &sib = tree[i ^ 1];
+            const std::uint64_t m = 0 -
+                static_cast<std::uint64_t>(
+                    keyBefore(sib.keyHi, sib.keyLo, hi, lo));
+            hi = (sib.keyHi & m) | (hi & ~m);
+            lo = (sib.keyLo & m) | (lo & ~m);
+            win = (sib.id & m) | (win & ~m);
+            i >>= 1;
+            tree[i] = TimerNode{hi, lo, win};
+        }
+#if GPUMP_AUDIT_ENABLED
+        if (!firingStale_)
+            auditTimerRoot();
+#endif
+    }
+
+    /** Fire the timer at the tree root: the caller checked it is armed
+     *  and fires before the heap front. */
+    void fireTimer();
+    void growTimerTree();
+#if GPUMP_AUDIT_ENABLED
+    /** The root equals the earliest armed leaf found by a linear scan
+     *  (O(timers)). */
+    void auditTimerRoot() const;
+#endif
+    /** @} */
 
     SimTime now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t executed_ = 0;
-    /** Entries whose event was cancelled (or, the spent root, ran)
-     *  but not yet swept; live events are the remaining entries
-     *  (pending()). */
+    /** Entries whose event was cancelled but not yet swept; live
+     *  heap events are the remaining entries. */
     std::size_t deadEntries_ = 0;
-    /** True while the entry of the event step() is running sits dead
-     *  at the root with its slot unreleased, for the callback's first
-     *  schedule to take over.  Cleared by whatever removes it. */
-    bool spentRoot_ = false;
 
     /** Binary heap under FiresAfter: heap_.front() fires next. */
     std::vector<Entry> heap_;
@@ -438,6 +607,18 @@ class EventQueue
     std::vector<Slot> slots_;
     static constexpr std::uint32_t noSlot = 0xffffffffu;
     std::uint32_t freeHead_ = noSlot;
+
+    /** Timer callbacks and priorities, by id. */
+    std::vector<TimerSlot> timers_;
+    /** The winner tree: node 0 unused, node 1 the root, leaves from
+     *  timerLeaves_ on. */
+    std::vector<TimerNode> tree_;
+    std::size_t timerLeaves_ = 1;
+    std::size_t armedTimers_ = 0;
+    /** The timer whose callback is running, or noTimer. */
+    std::uint32_t firing_ = noTimer;
+    /** True while firing_'s path still carries the key it fired at. */
+    bool firingStale_ = false;
 };
 
 } // namespace sim

@@ -19,24 +19,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-constexpr double kTwoPi = 2.0 * 3.14159265358979323846;
-/** Smallest nonzero value uniform() can return (53 mantissa bits). */
-constexpr double kMinUniform = 0x1.0p-53;
-
-/** Remap a zero unit-interval draw to the smallest nonzero one, so
- *  log(u) stays finite without a rejection loop (fixed draw count). */
-double
-nonzero(double u)
-{
-    return u > 0.0 ? u : kMinUniform;
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed_value)
@@ -50,29 +32,6 @@ Rng::seed(std::uint64_t seed_value)
     std::uint64_t x = seed_value;
     for (auto &s : state_)
         s = splitmix64(x);
-}
-
-std::uint64_t
-Rng::next()
-{
-    std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    std::uint64_t t = state_[1] << 17;
-
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 random mantissa bits -> double in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double
@@ -111,32 +70,6 @@ Rng::uniformInt(std::int64_t lo, std::int64_t hi)
                                      offset);
 }
 
-double
-Rng::boxMuller(double u1, double u2)
-{
-    return std::sqrt(-2.0 * std::log(nonzero(u1))) *
-        std::cos(kTwoPi * u2);
-}
-
-double
-Rng::normal()
-{
-    // Box-Muller; both uniforms are drawn every call and a zero u1 is
-    // remapped (not redrawn), so the raw-draw stream consumed per
-    // sample is fixed — the invariant Lognormal and the
-    // reproducibility contract rely on — and the result is finite
-    // for every possible draw.
-    double u1 = uniform();
-    double u2 = uniform();
-    return boxMuller(u1, u2);
-}
-
-double
-Rng::normal(double mean, double stddev)
-{
-    return mean + stddev * normal();
-}
-
 Rng::Lognormal
 Rng::Lognormal::fromMeanCv(double mean, double cv)
 {
@@ -144,12 +77,6 @@ Rng::Lognormal::fromMeanCv(double mean, double cv)
     GPUMP_ASSERT(cv > 0.0, "lognormal: cv must be positive");
     double sigma2 = std::log(1.0 + cv * cv);
     return Lognormal{std::log(mean) - 0.5 * sigma2, std::sqrt(sigma2)};
-}
-
-double
-Rng::lognormal(const Lognormal &dist)
-{
-    return std::exp(normal(dist.mu, dist.sigma));
 }
 
 double

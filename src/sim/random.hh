@@ -20,6 +20,7 @@
 #define GPUMP_SIM_RANDOM_HH
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 
 namespace gpump {
@@ -42,10 +43,27 @@ class Rng
     void seed(std::uint64_t seed);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t next()
+    {
+        std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+        std::uint64_t t = state_[1] << 17;
+
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double uniform()
+    {
+        // 53 random mantissa bits -> double in [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
@@ -69,10 +87,23 @@ class Rng
     std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
 
     /** Standard normal via Box-Muller (deterministic, no cache). */
-    double normal();
+    double normal()
+    {
+        // Box-Muller; both uniforms are drawn every call and a zero u1
+        // is remapped (not redrawn), so the raw-draw stream consumed
+        // per sample is fixed — the invariant Lognormal and the
+        // reproducibility contract rely on — and the result is finite
+        // for every possible draw.
+        double u1 = uniform();
+        double u2 = uniform();
+        return boxMuller(u1, u2);
+    }
 
     /** Normal with the given mean and standard deviation. */
-    double normal(double mean, double stddev);
+    double normal(double mean, double stddev)
+    {
+        return mean + stddev * normal();
+    }
 
     /**
      * The Box-Muller transform on two unit-interval draws.
@@ -84,7 +115,11 @@ class Rng
      * The remap (rather than a rejection loop) keeps the per-sample
      * draw count fixed, which Lognormal relies on.
      */
-    static double boxMuller(double u1, double u2);
+    static double boxMuller(double u1, double u2)
+    {
+        return std::sqrt(-2.0 * std::log(nonzero(u1))) *
+            std::cos(kTwoPi * u2);
+    }
 
     /**
      * A lognormal's log-domain parameters (mu, sigma), solved once
@@ -107,7 +142,10 @@ class Rng
     };
 
     /** One sample of @p dist: exp(normal(mu, sigma)). */
-    double lognormal(const Lognormal &dist);
+    double lognormal(const Lognormal &dist)
+    {
+        return std::exp(normal(dist.mu, dist.sigma));
+    }
 
     /**
      * Lognormal by linear-domain mean and CV: the Lognormal solve
@@ -129,6 +167,20 @@ class Rng
     Rng fork();
 
   private:
+    static constexpr double kTwoPi = 2.0 * 3.14159265358979323846;
+    /** Smallest nonzero value uniform() can return (53 mantissa bits). */
+    static constexpr double kMinUniform = 0x1.0p-53;
+
+    static std::uint64_t rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
+    /** Remap a zero unit-interval draw to the smallest nonzero one, so
+     *  log(u) stays finite without a rejection loop (fixed draw
+     *  count). */
+    static double nonzero(double u) { return u > 0.0 ? u : kMinUniform; }
+
     std::array<std::uint64_t, 4> state_;
 };
 

@@ -507,7 +507,8 @@ class CallbackModel
     /** Callbacks stop scheduling and cancelling (drain phase). */
     bool quiet = false;
     /** Compactions triggered before the firing callback's first
-     *  schedule, i.e. while its entry was still the spent root. */
+     *  schedule: the window in which an earlier heap design kept the
+     *  firing event's entry at the root, spent (the "spent root"). */
     int compactionsWhileSpent = 0;
 
     std::size_t alive() const { return live_.size(); }
@@ -649,8 +650,8 @@ class CallbackModel
  * The reference-model property, driven from inside firing callbacks:
  * each schedules 0-2 events (some at now, some with an older reserved
  * sequence) and cancels pending ones, now and then in bursts that
- * compact the queue while the firing event's entry is still the spent
- * heap root.  Every firing and every pending() must match the model.
+ * compact the queue before the callback's first schedule.  Every
+ * firing and every pending() must match the model.
  */
 TEST(EventQueueProperty, CallbacksThatScheduleAndCancelMatchReferenceModel)
 {
@@ -679,4 +680,398 @@ TEST(EventQueueProperty, CallbacksThatScheduleAndCancelMatchReferenceModel)
     }
     EXPECT_GT(compactions_while_spent, 50)
         << "the spent-root compaction path was barely exercised";
+}
+
+TEST(EventQueue, TimersFireInKeyOrderWithEvents)
+{
+    EventQueue q;
+    std::vector<int> order;
+    auto t1 = q.addTimer([&] { order.push_back(1); }, sim::prioCompletion);
+    auto t2 = q.addTimer([&] { order.push_back(2); }, sim::prioDriver);
+    EXPECT_FALSE(t1.armed());
+    EXPECT_TRUE(q.empty());
+    std::uint64_t s1 = q.reserveSeq();
+    std::uint64_t s2 = q.reserveSeq();
+    t2.arm(5, s1);
+    t1.arm(5, s2);
+    q.schedule(5, [&] { order.push_back(3); }, sim::prioCompletion);
+    q.schedule(4, [&] { order.push_back(4); }, sim::prioDefault);
+    EXPECT_TRUE(t1.armed());
+    EXPECT_EQ(q.pending(), 4u);
+    // t=4 first; at t=5 priority 0 before 10, and the timer's older
+    // sequence before the event's.  Bounded, so a broken queue that
+    // keeps firing fails instead of running away.
+    for (int i = 0; i < 8 && q.step(); ++i) {
+    }
+    EXPECT_EQ(order, (std::vector<int>{4, 1, 3, 2}));
+    EXPECT_EQ(q.executed(), 4u);
+    EXPECT_FALSE(t1.armed());
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.heapEntries(), 0u);
+}
+
+TEST(EventQueue, TimerArmInThePastOrWithUnreservedSeqPanics)
+{
+    EventQueue q;
+    auto t = q.addTimer([] {}, sim::prioDefault);
+    q.schedule(10, [] {});
+    q.run();
+    EXPECT_THROW(t.arm(5, q.reserveSeq()), sim::PanicError);
+    EXPECT_THROW(t.arm(20, q.reserveSeq() + 1), sim::PanicError);
+    EXPECT_FALSE(t.armed());
+}
+
+TEST(EventQueue, SteadyStateTimerRearmAllocatesNothing)
+{
+    // DESIGN.md §5: a timer re-arming from its own callback, as an SM's
+    // completion timer does after every thread block, allocates
+    // nothing.  Thirteen timers, one per SM of the Table 2 GPU, each
+    // with a period of its own so the firing order keeps interleaving.
+    struct Periodic
+    {
+        EventQueue::Timer timer;
+        sim::SimTime period;
+    };
+    struct Rearm
+    {
+        EventQueue *q;
+        Periodic *p;
+        void operator()() const
+        {
+            p->timer.arm(q->now() + p->period, q->reserveSeq());
+        }
+    };
+    static_assert(sizeof(Rearm) <= sim::EventCallback::inlineBytes,
+                  "the callback must stay in the inline buffer");
+    const std::size_t timers = 13;
+    EventQueue q;
+    std::vector<Periodic> periodic(timers);
+    for (std::size_t i = 0; i < timers; ++i) {
+        Periodic &p = periodic[i];
+        p.period = static_cast<sim::SimTime>(1 + i);
+        p.timer = q.addTimer(Rearm{&q, &p}, sim::prioCompletion);
+        Rearm{&q, &p}();
+    }
+    for (int i = 0; i < 1000; ++i)
+        q.step();
+
+    const std::size_t before = allocations.load();
+    bool all_ran = true;
+    for (int i = 0; i < 1000000; ++i)
+        all_ran &= q.step();
+    const std::size_t during = allocations.load() - before;
+
+    EXPECT_TRUE(all_ran);
+    EXPECT_EQ(during, 0u) << "the steady-state timer path allocated";
+    EXPECT_EQ(q.pending(), timers);
+    EXPECT_EQ(q.executed(), 1001000u);
+    EXPECT_EQ(q.slotsAllocated(), 0u);
+}
+
+namespace {
+
+/**
+ * Reference model for timers and heap events together: every live
+ * key, a timer's or an event's, in one ordered set of (time,
+ * priority, seq), so the next to fire is the set's first element.
+ * Timers are tagged -1 - id, events by their id.
+ */
+class TimerModel
+{
+  public:
+    static constexpr std::size_t numTimers = 13;
+
+    explicit TimerModel(std::uint64_t seed) : lcg_(seed)
+    {
+        const int prios[] = {sim::prioCompletion, sim::prioDriver,
+                             sim::prioPolicy, sim::prioDefault};
+        for (std::size_t t = 0; t < numTimers; ++t) {
+            int priority = prios[rnd(4)];
+            timerPrio_.push_back(priority);
+            timers_.push_back(
+                q.addTimer([this, t] { fire(-1 - static_cast<int>(t)); },
+                           priority));
+            armedKey_.emplace_back();
+        }
+    }
+
+    EventQueue q;
+    bool failed = false;
+    /** Callbacks stop arming and scheduling (drain phase). */
+    bool quiet = false;
+    /** Firing timers that re-armed, disarmed, or left themselves. */
+    int rearmedSelf = 0, disarmedSelf = 0, leftSelf = 0;
+    /** Timer updates made inside a timer callback before, and after,
+     *  the firing timer's own re-arm or disarm. */
+    int othersBeforeSelf = 0, othersAfterSelf = 0;
+
+    std::size_t alive() const { return live_.size(); }
+
+    std::uint64_t rnd(std::uint64_t mod)
+    {
+        lcg_ = lcg_ * 6364136223846793005ull + 1442695040888963407ull;
+        return (lcg_ >> 33) % mod;
+    }
+
+    void reserve() { reserved_.push_back(takeSeq()); }
+
+    /** Arm timer @p t at now + delay, with a fresh or an older reserved
+     *  sequence. */
+    void arm(std::size_t t)
+    {
+        sim::SimTime when = q.now() +
+            (rnd(3) == 0 ? 0 : static_cast<sim::SimTime>(rnd(40)));
+        std::uint64_t seq = pickSeq();
+        if (armedKey_[t].has)
+            live_.erase(armedKey_[t].key);
+        armedKey_[t] = {true, Key{when, timerPrio_[t], seq,
+                                  -1 - static_cast<int>(t)}};
+        live_.insert(armedKey_[t].key);
+        timers_[t].arm(when, seq);
+        check("after an arm");
+    }
+
+    void disarm(std::size_t t)
+    {
+        if (armedKey_[t].has)
+            live_.erase(armedKey_[t].key);
+        armedKey_[t].has = false;
+        timers_[t].disarm();
+        check("after a disarm");
+    }
+
+    /** Schedule a heap event at @p when, with an older reserved
+     *  sequence when @p reserved and one is available. */
+    void schedule(sim::SimTime when, bool reserved)
+    {
+        const int prios[] = {sim::prioCompletion, sim::prioDriver,
+                             sim::prioPolicy, sim::prioDefault};
+        int priority = prios[rnd(4)];
+        int id = static_cast<int>(events_.size());
+        auto cb = [this, id] { fire(id); };
+        std::uint64_t seq;
+        if (reserved && !reserved_.empty()) {
+            seq = pickReserved();
+            handles_.push_back(q.scheduleWithSeq(when, seq, cb, priority));
+        } else {
+            seq = seqCounter_++;
+            handles_.push_back(q.schedule(when, cb, priority));
+        }
+        events_.push_back(Key{when, priority, seq, id});
+        live_.insert(events_.back());
+        check("after a schedule");
+    }
+
+    void cancel(std::size_t id)
+    {
+        bool live = live_.erase(events_[id]) != 0;
+        if (handles_[id].cancel() != live)
+            fail("cancel() disagrees with the model");
+        check("after a cancel");
+    }
+
+    /** One random operation from outside any callback. */
+    void outsideOp()
+    {
+        std::uint64_t what = rnd(10);
+        if (what < 4) {
+            arm(rnd(numTimers));
+        } else if (what < 5) {
+            disarm(rnd(numTimers));
+        } else if (what < 7) {
+            schedule(q.now() + static_cast<sim::SimTime>(rnd(60)),
+                     rnd(3) == 0);
+        } else if (what < 8 && !events_.empty()) {
+            cancel(rnd(events_.size()));
+        } else {
+            reserve();
+        }
+    }
+
+    /** One step, checked against the model. */
+    bool step()
+    {
+        const std::size_t before = fired_;
+        const bool expect = !live_.empty();
+        bool ran = q.step();
+        if (ran != expect)
+            fail("step() disagrees with the model about running");
+        if (fired_ != before + (ran ? 1 : 0))
+            fail("step() ran no callback or more than one");
+        if (q.executed() != fired_)
+            fail("executed() disagrees with the model");
+        check("after a step");
+        return ran;
+    }
+
+  private:
+    using Key = std::tuple<sim::SimTime, int, std::uint64_t, int>;
+    struct Armed
+    {
+        bool has = false;
+        Key key{};
+    };
+
+    void fail(const std::string &what)
+    {
+        if (!failed)
+            ADD_FAILURE() << what;
+        failed = true;
+    }
+
+    void check(const char *where)
+    {
+        if (q.pending() != live_.size()) {
+            fail(std::string("pending() disagrees with the model ") +
+                 where + ": " + std::to_string(q.pending()) + " vs " +
+                 std::to_string(live_.size()));
+        }
+        for (std::size_t t = 0; t < numTimers; ++t) {
+            if (timers_[t].armed() != armedKey_[t].has)
+                fail(std::string("armed() disagrees with the model ") +
+                     where);
+        }
+    }
+
+    std::uint64_t takeSeq()
+    {
+        std::uint64_t seq = q.reserveSeq();
+        if (seq != seqCounter_++)
+            fail("reserveSeq out of step with the model");
+        return seq;
+    }
+
+    std::uint64_t pickReserved()
+    {
+        std::size_t pick = rnd(reserved_.size());
+        std::uint64_t seq = reserved_[pick];
+        reserved_.erase(reserved_.begin() +
+                        static_cast<std::ptrdiff_t>(pick));
+        return seq;
+    }
+
+    /** A sequence for a timer arm: an older reserved one now and then,
+     *  else a fresh one, as the per-SM timelines take at issue. */
+    std::uint64_t pickSeq()
+    {
+        if (!reserved_.empty() && rnd(4) == 0)
+            return pickReserved();
+        return takeSeq();
+    }
+
+    void fire(int tag)
+    {
+        ++fired_;
+        if (failed)
+            return;
+        if (live_.empty() || std::get<3>(*live_.begin()) != tag ||
+            q.now() != std::get<0>(*live_.begin())) {
+            fail((tag < 0 ? "timer " + std::to_string(-1 - tag)
+                          : "event " + std::to_string(tag)) +
+                 " fired out of the model's order");
+            return;
+        }
+        live_.erase(live_.begin());
+        if (tag < 0)
+            armedKey_[static_cast<std::size_t>(-1 - tag)].has = false;
+        check("in a firing callback");
+        if (quiet)
+            return;
+
+        // Arm and disarm other timers, schedule heap events at now()
+        // (some under older reserved sequences), and, for a timer,
+        // re-arm or disarm itself or leave itself alone, in a random
+        // order among the rest.
+        int self = tag < 0 ? -1 - tag : -1;
+        std::uint64_t self_action = self >= 0 ? rnd(3) : 2;
+        std::uint64_t ops = rnd(4);
+        std::uint64_t self_at = rnd(ops + 1);
+        bool self_done = false;
+        for (std::uint64_t i = 0; i <= ops; ++i) {
+            if (i == self_at && self >= 0) {
+                auto t = static_cast<std::size_t>(self);
+                if (self_action == 0) {
+                    arm(t);
+                    ++rearmedSelf;
+                } else if (self_action == 1) {
+                    disarm(t);
+                    ++disarmedSelf;
+                } else {
+                    ++leftSelf;
+                }
+                self_done = self_action != 2;
+            }
+            if (i == ops)
+                break;
+            std::uint64_t what = rnd(6);
+            if (what < 4) {
+                std::size_t t = rnd(numTimers);
+                if (static_cast<int>(t) == self)
+                    continue;
+                if (what < 2)
+                    arm(t);
+                else
+                    disarm(t);
+                if (self >= 0)
+                    ++(self_done ? othersAfterSelf : othersBeforeSelf);
+            } else {
+                schedule(q.now(), rnd(2) == 0);
+            }
+        }
+        if (rnd(4) == 0)
+            reserve();
+        check("at the end of a firing callback");
+    }
+
+    std::uint64_t lcg_;
+    std::uint64_t seqCounter_ = 0; ///< mirrors the queue's counter
+    std::size_t fired_ = 0;
+    std::vector<EventQueue::Timer> timers_;
+    std::vector<int> timerPrio_;
+    std::vector<Armed> armedKey_;
+    std::vector<Key> events_; ///< by event id
+    std::vector<EventQueue::Handle> handles_;
+    std::set<Key> live_; ///< firing order of live timers and events
+    std::vector<std::uint64_t> reserved_; ///< reserved, not yet used
+};
+
+} // namespace
+
+/**
+ * Timers and heap events against one ordered-set model: seeded random
+ * mixes of 13 timers and heap events, armed, re-armed, disarmed,
+ * scheduled and cancelled from outside callbacks and from inside them
+ * (a firing timer re-arms itself, disarms itself or does neither,
+ * before or after it updates other timers).  Every firing, now(),
+ * pending(), executed() and armed() must match the model.
+ */
+TEST(EventQueueProperty, TimersAndEventsMatchReferenceModel)
+{
+    int rearmed = 0, disarmed = 0, left = 0, before = 0, after = 0;
+    for (std::uint64_t round = 0; round < 24; ++round) {
+        TimerModel m(0x2545f4914f6cdd1dull + round);
+        for (int op = 0; op < 3000 && !m.failed; ++op) {
+            if (m.rnd(3) == 0)
+                m.outsideOp();
+            else
+                m.step();
+        }
+        m.quiet = true;
+        while (m.alive() > 0 && !m.failed)
+            ASSERT_TRUE(m.step());
+        EXPECT_FALSE(m.failed) << "round " << round;
+        EXPECT_FALSE(m.q.step());
+        EXPECT_TRUE(m.q.empty());
+        rearmed += m.rearmedSelf;
+        disarmed += m.disarmedSelf;
+        left += m.leftSelf;
+        before += m.othersBeforeSelf;
+        after += m.othersAfterSelf;
+    }
+    // Every in-callback path ran often.
+    EXPECT_GT(rearmed, 500);
+    EXPECT_GT(disarmed, 500);
+    EXPECT_GT(left, 500);
+    EXPECT_GT(before, 500);
+    EXPECT_GT(after, 500);
 }

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -730,22 +732,31 @@ TEST(ExecCoordinator, WedgedWorkerTimesOutThenDegradesInProcess)
 {
     Batch batch = smallGrid();
     Runner plain(sim::Config(), /*jobs=*/1);
+    const auto t0 = std::chrono::steady_clock::now();
     auto expected = canonAll(plain.run(batch.requests));
+    const double batch_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
 
-    // Every worker wedges on request 0, so the watchdog fires, the
-    // retry budget drains, and the coordinator must finish request 0
-    // itself (in-process) — with output still byte-identical.
+    // Every worker wedges on request 0, so the watchdog fires on each
+    // of its three tries (the first and kMaxRetries = 2 retries), and
+    // the coordinator must finish request 0 itself (in-process) — with
+    // output still byte-identical.  The watchdog sits far above any
+    // healthy request: the whole batch, isolated baselines included,
+    // took batch_s in process, so only the wedge may time out.
     Runner runner(sim::Config(), /*jobs=*/1);
     exec::ExecOptions opt;
     opt.workers = 2;
-    opt.requestTimeoutSec = 0.25;
+    opt.requestTimeoutSec = std::max(0.2, 3.0 * batch_s);
     opt.testHangOnIndex = 0;
     exec::ExecStats stats;
     auto results =
         exec::runBatch(runner, batch.requests, opt, &stats);
     EXPECT_EQ(canonAll(results), expected);
-    EXPECT_GE(stats.timeouts, 2u); // initial try + at least one retry
-    EXPECT_GE(stats.inProcess, 1u);
+    EXPECT_EQ(stats.timeouts, 3u) << "watchdog " << opt.requestTimeoutSec;
+    EXPECT_EQ(stats.requeues, 3u);
+    EXPECT_EQ(stats.inProcess, 1u);
+    EXPECT_EQ(stats.computed, batch.requests.size() - 1);
 }
 
 TEST(ExecCoordinator, InterruptedSweepResumesFromCacheByteIdentical)

@@ -134,8 +134,10 @@ TEST(BenchOptions, OutOfRangeValuesAreFatal)
     // watchdog off.  A count below 1 is fatal too: --workloads=-3
     // would reach vector::reserve (std::length_error), --workloads=0
     // and --per-bench=-1 would print empty or 0.00x tables, and
-    // --replays=0 would reach the simulator.
+    // --replays=0 would reach the simulator.  A repeated size would
+    // simulate and print its whole grid twice.
     for (const char *flag : {"--replays=4294967298", "--sizes=2,4294967298",
+                             "--sizes=2,2",
                              "--workloads=4294967299",
                              "--per-bench=-4294967295", "--timeout=nan",
                              "--timeout=inf", "--per-bench=0",
