@@ -43,63 +43,11 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(100000);
 
 void
-BM_EventQueueCancelHalf(benchmark::State &state)
-{
-    const std::size_t n = 10000;
-    for (auto _ : state) {
-        sim::EventQueue q;
-        std::vector<sim::EventQueue::Handle> handles;
-        handles.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            handles.push_back(q.schedule(
-                static_cast<sim::SimTime>(i), [] {}));
-        }
-        for (std::size_t i = 0; i < n; i += 2)
-            handles[i].cancel();
-        q.run();
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(n) *
-                            state.iterations());
-}
-BENCHMARK(BM_EventQueueCancelHalf);
-
-void
-BM_EventQueueRearm(benchmark::State &state)
-{
-    // The completion cycle through the heap: one event per SM of the
-    // Table 2 GPU, each re-scheduling itself from its own callback with
-    // a reserved sequence.  The simulator's completions take the timer
-    // path (BM_TimerRearm); BM_EventQueueScheduleRun schedules only
-    // from outside callbacks.
-    struct Rearm
-    {
-        sim::EventQueue *q;
-        std::uint64_t *lcg;
-        void operator()() const
-        {
-            *lcg = *lcg * 6364136223846793005ull + 1442695040888963407ull;
-            auto delay = static_cast<sim::SimTime>(1 + (*lcg >> 54));
-            q->scheduleWithSeq(q->now() + delay, q->reserveSeq(), *this,
-                               sim::prioCompletion);
-        }
-    };
-    sim::EventQueue q;
-    std::uint64_t lcg = 42;
-    for (int sm = 0; sm < gpu::GpuParams().numSms; ++sm)
-        Rearm{&q, &lcg}();
-    for (auto _ : state)
-        q.step();
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EventQueueRearm);
-
-void
 BM_TimerRearm(benchmark::State &state)
 {
-    // BM_EventQueueRearm's cycle on the path the simulator now takes:
-    // one completion timer per SM of the Table 2 GPU, each re-arming
-    // itself from its own callback at the same pseudo-random delays,
-    // as an SM's completion timer re-arms after every TB.
+    // The completion cycle: one timer per SM of the Table 2 GPU, each
+    // re-arming itself from its own callback at pseudo-random delays,
+    // as an SM's timer re-arms after every TB.
     struct Cycle
     {
         sim::EventQueue q;
@@ -114,7 +62,8 @@ BM_TimerRearm(benchmark::State &state)
             c->lcg = c->lcg * 6364136223846793005ull +
                 1442695040888963407ull;
             auto delay = static_cast<sim::SimTime>(1 + (c->lcg >> 54));
-            timer->arm(c->q.now() + delay, c->q.reserveSeq());
+            timer->arm(c->q.now() + delay, sim::prioCompletion,
+                       c->q.reserveSeq());
         }
     };
     static_assert(sizeof(Rearm) <= sim::EventCallback::inlineBytes,
@@ -123,8 +72,7 @@ BM_TimerRearm(benchmark::State &state)
     const auto sms = static_cast<std::size_t>(gpu::GpuParams().numSms);
     std::vector<sim::EventQueue::Timer> timers(sms);
     for (std::size_t sm = 0; sm < sms; ++sm) {
-        timers[sm] = c.q.addTimer(Rearm{&c, &timers[sm]},
-                                  sim::prioCompletion);
+        timers[sm] = c.q.addTimer(Rearm{&c, &timers[sm]});
         Rearm{&c, &timers[sm]}();
     }
     for (auto _ : state)

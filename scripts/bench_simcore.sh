@@ -22,7 +22,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-bench}
 OUT=${1:-BENCH_simcore.json}
-FILTER=${FILTER:-'BM_EventQueueScheduleRun|BM_EventQueueCancelHalf|BM_EventQueueRearm|BM_TimerRearm|BM_RngLognormal|BM_IsolatedRun|BM_MultiprogrammedDssRun|BM_ProcessReplay|BM_WorkloadIssueLoop|BM_PredictorUpdate|BM_ContendedSwitch|BM_RunnerBatch|BM_LargeGpu'}
+FILTER=${FILTER:-'BM_EventQueueScheduleRun|BM_TimerRearm|BM_RngLognormal|BM_IsolatedRun|BM_MultiprogrammedDssRun|BM_ProcessReplay|BM_WorkloadIssueLoop|BM_PredictorUpdate|BM_ContendedSwitch|BM_RunnerBatch|BM_LargeGpu'}
 JOBS=${JOBS:-$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)}
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
@@ -40,7 +40,7 @@ cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_micro_simcore \
 # anyone noticing.  A benchmark with arguments lists as NAME/ARG.
 for bench in BM_ProcessReplay BM_WorkloadIssueLoop \
     BM_MultiprogrammedDssRun BM_ContendedSwitch \
-    BM_PredictorUpdate BM_EventQueueRearm BM_TimerRearm BM_RunnerBatch \
+    BM_PredictorUpdate BM_TimerRearm BM_RunnerBatch \
     BM_LargeGpu; do
     "$BUILD_DIR/bench/bench_micro_simcore" --benchmark_list_tests \
         | grep -qE "^$bench(/|\$)" || {

@@ -19,6 +19,13 @@ PpqAgingPolicy::PpqAgingPolicy(sim::SimTime interval, int step,
                  "negative aging step or boost cap");
 }
 
+void
+PpqAgingPolicy::bind(SchedulingFramework &fw)
+{
+    PpqPolicy::bind(fw);
+    timer_ = fw.sim().events().addTimer([this] { onTick(); });
+}
+
 int
 PpqAgingPolicy::waitingBoost(sim::SimTime since) const
 {
@@ -129,7 +136,7 @@ PpqAgingPolicy::onPreemptionComplete(gpu::Sm *sm, gpu::KernelExec *next)
 void
 PpqAgingPolicy::armTimer()
 {
-    if (timer_.pending())
+    if (timer_.armed())
         return;
     // Aging only matters while somebody is waiting unserved.
     bool waiting = false;
@@ -141,8 +148,9 @@ PpqAgingPolicy::armTimer()
     }
     if (!waiting)
         return;
-    timer_ = fw_->sim().events().scheduleIn(
-        interval_, [this] { onTick(); }, sim::prioPolicy);
+    sim::EventQueue &events = fw_->sim().events();
+    timer_.arm(events.now() + interval_, sim::prioPolicy,
+               events.reserveSeq());
 }
 
 void

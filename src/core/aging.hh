@@ -22,7 +22,8 @@
  * launch priority.  Every waiting kernel therefore gets a bounded
  * turn instead of inverting the priority order permanently.
  *
- * A policy timer re-evaluates every interval so aging makes progress
+ * A policy timer, added to the event queue in bind(), re-evaluates
+ * every interval while some kernel waits, so aging makes progress
  * even when no scheduling event would otherwise fire (a fully busy
  * engine generates no SM-idle callbacks).
  */
@@ -50,6 +51,9 @@ class PpqAgingPolicy : public PpqPolicy
     PpqAgingPolicy(sim::SimTime interval, int step, int max_boost);
 
     const char *name() const override { return "ppq_aging"; }
+
+    /** Also adds the aging timer to the framework's event queue. */
+    void bind(SchedulingFramework &fw) override;
 
     void onCommandWaiting(sim::ContextId ctx) override;
     void onSmIdle(gpu::Sm *sm) override;
@@ -86,7 +90,8 @@ class PpqAgingPolicy : public PpqPolicy
      *  and prune kernels that left the tables. */
     void refreshService();
 
-    /** Arm the aging timer while any active kernel is waiting. */
+    /** Arm the aging timer, unless armed, while any active kernel is
+     *  waiting. */
     void armTimer();
     void onTick();
 
@@ -94,7 +99,8 @@ class PpqAgingPolicy : public PpqPolicy
     int step_;
     int maxBoost_;
     std::map<const gpu::KernelExec *, AgeState> state_;
-    sim::EventQueue::Handle timer_;
+    /** Fires onTick() an interval after it was armed. */
+    sim::EventQueue::Timer timer_;
     std::uint64_t ticks_ = 0;
 };
 

@@ -20,14 +20,14 @@ ContextSwitchMechanism::beginPreemption(gpu::Sm *sm)
     gpu::KernelExec *k = sm->kernel;
     sm->state = gpu::Sm::State::Saving;
 
-    // Halt every resident thread block: disarm the SM's completion
-    // timer (one covers them all) and capture how much execution each
+    // Halt every resident thread block: disarm the SM's timer (one
+    // completion covers them all) and capture how much execution each
     // block still needs.  The blocks reach the PTBQ
     // only once the save finishes, so they cannot be re-issued while
     // their context is still in flight.  The timeline keeps residents
     // in completion order; the trap routine stores (and the PTBQ
     // receives) them in issue order, so re-sort by issue sequence.
-    sm->completionEvent.disarm();
+    sm->timer.disarm();
     std::vector<gpu::ResidentTb> halted(sm->resident.begin(),
                                         sm->resident.end());
     std::sort(halted.begin(), halted.end(),
@@ -56,7 +56,7 @@ ContextSwitchMechanism::beginPreemption(gpu::Sm *sm)
         // travel as a D2H transfer command, queueing behind (and
         // delaying) workload copies instead of taking a fixed
         // bandwidth share.
-        sm->pendingEvent = fw_->sim().events().scheduleIn(
+        fw_->sim().events().scheduleIn(
             fw_->params().pipelineDrainLatency,
             [this, sm, k, bytes, saved = std::move(saved)] {
                 fw_->submitContextTransfer(
@@ -72,7 +72,7 @@ ContextSwitchMechanism::beginPreemption(gpu::Sm *sm)
     // the SM's share of memory bandwidth, overlapping everything.
     sim::SimTime save_time =
         fw_->gmem().moveTime(bytes, fw_->params().numSms);
-    sm->pendingEvent = fw_->sim().events().scheduleIn(
+    fw_->sim().events().scheduleIn(
         fw_->params().pipelineDrainLatency + save_time,
         [this, sm, k, saved = std::move(saved)] {
             finishSave(sm, k, saved);

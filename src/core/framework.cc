@@ -48,8 +48,12 @@ SchedulingFramework::SchedulingFramework(sim::Simulation &sim,
     for (int i = 0; i < params_.numSms; ++i) {
         sms_.push_back(std::make_unique<gpu::Sm>(i));
         gpu::Sm *sm = sms_.back().get();
-        sm->completionEvent = sim.events().addTimer(
-            [this, sm] { onTbCompleted(sm); }, sim::prioCompletion);
+        sm->timer = sim.events().addTimer([this, sm] {
+            if (sm->state == gpu::Sm::State::Setup)
+                finishSetup(sm);
+            else
+                onTbCompleted(sm);
+        });
     }
     ksrt_.resize(static_cast<std::size_t>(maxActiveKernels(params_)));
     for (int i = maxActiveKernels(params_) - 1; i >= 0; --i)
@@ -283,8 +287,8 @@ SchedulingFramework::assignSm(gpu::Sm *sm, gpu::KernelExec *k)
         // memory.  For a resident context ensureResident runs the
         // callback synchronously, so the no-swap path is step-for-step
         // the unconditional one.  The epoch guards against the swap-in
-        // landing after this Setup assignment was unwound (reserveSm
-        // cancel, finalizeKernel) and the SM reused.
+        // landing after this Setup assignment was unwound (reserveSm,
+        // finalizeKernel) and the SM reused.
         std::uint64_t epoch = sm->setupEpoch;
         residency_->ensureResident(k->ctx(), [this, sm, k, epoch] {
             if (sm->setupEpoch != epoch || sm->kernel != k ||
@@ -338,16 +342,15 @@ SchedulingFramework::beginSetup(gpu::Sm *sm)
         latency += params_.contextLoadLatency;
         sm->loadedContext = k->ctx();
     }
-    sm->pendingEvent = sim_->events().scheduleIn(
-        latency, [this, sm] { finishSetup(sm); }, sim::prioDriver);
+    // A fresh sequence: the setup ties with same-time driver events
+    // in the order they were issued, as any scheduled event does.
+    sm->timer.arm(sim_->now() + latency, sim::prioDriver,
+                  sim_->events().reserveSeq());
 }
 
 void
 SchedulingFramework::finishSetup(gpu::Sm *sm)
 {
-    GPUMP_ASSERT(sm->state == gpu::Sm::State::Setup,
-                 "setup completion on SM %d in state %s", sm->id(),
-                 smStateName(sm->state));
     sm->state = gpu::Sm::State::Running;
     issueThreadBlocks(sm);
 }
@@ -477,14 +480,18 @@ void
 SchedulingFramework::armCompletion(gpu::Sm *sm)
 {
     if (sm->resident.empty()) {
-        sm->completionEvent.disarm();
+        // An SM in Setup has no residents, and its timer carries the
+        // setup: the SM was handed back and reassigned within this
+        // completion's callback (a drain's last block, say).
+        if (sm->state != gpu::Sm::State::Setup)
+            sm->timer.disarm();
         return;
     }
     const gpu::ResidentTb &head = sm->resident.front();
-    if (sm->completionEvent.armed() && sm->armedSeq == head.seq)
+    if (sm->timer.armed() && sm->armedSeq == head.seq)
         return; // already armed for the right block
     sm->armedSeq = head.seq;
-    sm->completionEvent.arm(head.endAt, head.seq);
+    sm->timer.arm(head.endAt, sim::prioCompletion, head.seq);
 }
 
 void
@@ -575,9 +582,9 @@ SchedulingFramework::reserveSm(gpu::Sm *sm, gpu::KernelExec *next)
         o->preemptionRequested(*sm, *sm->kernel, *next);
 
     if (sm->state == gpu::Sm::State::Setup) {
-        // The kernel never started here; cancel the setup and hand
+        // The kernel never started here; disarm the setup and hand
         // the SM over immediately.
-        sm->pendingEvent.cancel();
+        sm->timer.disarm();
         completePreemption(sm);
         return;
     }
@@ -679,7 +686,7 @@ SchedulingFramework::finalizeKernel(gpu::KernelExec *k)
                          sm->id(), smStateName(sm->state));
             GPUMP_ASSERT(!sm->reserved,
                          "finished kernel owns a reserved Setup SM");
-            sm->pendingEvent.cancel();
+            sm->timer.disarm();
             --k->smsHeld;
             sm->clearKernel();
             policy_->onSmIdle(sm.get());

@@ -301,8 +301,8 @@ class SchedulingFramework : public gpu::KernelSink
     double maxPtbqDepth() const { return ptbqDepth_.max(); }
 
   private:
-    /** Charge the setup (and context-load) latency and schedule
-     *  finishSetup; runs once the kernel's context is resident. */
+    /** Charge the setup (and context-load) latency: arm @p sm's timer
+     *  for finishSetup.  Runs once the kernel's context is resident. */
     void beginSetup(gpu::Sm *sm);
     void finishSetup(gpu::Sm *sm);
     /** Restore fetch staged with @p gen landed; grants credit and
@@ -314,10 +314,11 @@ class SchedulingFramework : public gpu::KernelSink
      *  re-drives when they land. */
     bool parkedForRestore(const gpu::Sm *sm) const;
     void onTbCompleted(gpu::Sm *sm);
-    /** (Re)arm @p sm's completion timer for the head of its
-     *  timeline; disarms it when nothing is resident.  The timer
-     *  carries the head TB's issue-time sequence number, so firing
-     *  order is identical to one-event-per-TB scheduling. */
+    /** (Re)arm @p sm's timer for the head of its timeline; disarms
+     *  it when nothing is resident, unless the SM is in Setup (its
+     *  timer carries the setup).  The timer carries the head TB's
+     *  issue-time sequence number, so firing order is identical to
+     *  one-event-per-TB scheduling. */
     void armCompletion(gpu::Sm *sm);
     void smBecameIdle(gpu::Sm *sm);
     void finalizeKernel(gpu::KernelExec *k);

@@ -13,6 +13,13 @@ TimeMuxPolicy::TimeMuxPolicy(sim::SimTime quantum)
 }
 
 void
+TimeMuxPolicy::bind(SchedulingFramework &fw)
+{
+    SchedulingPolicy::bind(fw);
+    timer_ = fw.sim().events().addTimer([this] { rotate(); });
+}
+
+void
 TimeMuxPolicy::onCommandWaiting(sim::ContextId)
 {
     fw_->admitInArrivalOrder();
@@ -74,12 +81,13 @@ TimeMuxPolicy::schedule()
 void
 TimeMuxPolicy::armTimer()
 {
-    if (timer_.pending())
+    if (timer_.armed())
         return;
     if (fw_->numActiveKernels() < 2)
         return; // nothing to multiplex
-    timer_ = fw_->sim().events().scheduleIn(
-        quantum_, [this] { rotate(); }, sim::prioPolicy);
+    sim::EventQueue &events = fw_->sim().events();
+    timer_.arm(events.now() + quantum_, sim::prioPolicy,
+               events.reserveSeq());
 }
 
 void

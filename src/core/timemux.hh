@@ -36,6 +36,9 @@ class TimeMuxPolicy : public SchedulingPolicy
 
     const char *name() const override { return "tmux"; }
 
+    /** Also adds the quantum timer to the framework's event queue. */
+    void bind(SchedulingFramework &fw) override;
+
     void onCommandWaiting(sim::ContextId ctx) override;
     void onSmIdle(gpu::Sm *sm) override;
     void onKernelFinished(gpu::KernelExec *k) override;
@@ -53,12 +56,15 @@ class TimeMuxPolicy : public SchedulingPolicy
     void schedule();
     /** Advance the ring and preempt the outgoing kernel's SMs. */
     void rotate();
+    /** Arm the quantum timer, unless armed, while at least two
+     *  kernels are active. */
     void armTimer();
 
     sim::SimTime quantum_;
     /** Admission-order index of the slice owner. */
     std::size_t ringPos_ = 0;
-    sim::EventQueue::Handle timer_;
+    /** Fires rotate() at the end of a quantum. */
+    sim::EventQueue::Timer timer_;
     std::uint64_t rotations_ = 0;
 };
 

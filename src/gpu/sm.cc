@@ -11,13 +11,11 @@ Sm::clearKernel()
     GPUMP_ASSERT(resident.empty(),
                  "SM %d cleared with %zu resident TBs", id_,
                  resident.size());
-    GPUMP_ASSERT(!completionEvent.armed(),
-                 "SM %d cleared with an armed completion timer", id_);
+    GPUMP_ASSERT(!timer.armed(), "SM %d cleared with an armed timer", id_);
     kernel = nullptr;
     nextKernel = nullptr;
     reserved = false;
     state = State::Idle;
-    pendingEvent = sim::EventQueue::Handle();
     ++setupEpoch;
 }
 

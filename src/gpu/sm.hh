@@ -37,9 +37,9 @@ namespace gpu {
  * One thread block resident on an SM.
  *
  * Resident TBs do not own individual completion events: the SM keeps
- * them ordered by (endAt, seq) and arms its one completion timer for
- * the earliest (the per-SM completion timeline), so the event queue
- * holds O(SMs) armed completions instead of O(resident TBs).
+ * them ordered by (endAt, seq) and arms its one timer for the earliest
+ * (the per-SM completion timeline), so the event queue holds O(SMs)
+ * armed completions instead of O(resident TBs).
  */
 struct ResidentTb
 {
@@ -153,18 +153,19 @@ class Sm
     /** Thread blocks resident right now, ordered by (endAt, seq);
      *  the front one is the next to complete. */
     ResidentTimeline resident;
-    /** Pending setup / save-completion event. */
-    sim::EventQueue::Handle pendingEvent;
-    /** The timeline's completion timer, added by the framework for the
-     *  SM's lifetime: armed for resident.front() while any block is
-     *  resident, disarmed on context-switch preemption. */
-    sim::EventQueue::Timer completionEvent;
-    /** Sequence number completionEvent is armed with (meaningful only
-     *  while completionEvent is armed). */
+    /** The SM's next driver event, added by the framework for the
+     *  SM's lifetime.  In Setup it is armed for the end of setup
+     *  (disarmed when the assignment is unwound); otherwise it is armed
+     *  for resident.front()'s completion while any block is resident,
+     *  and disarmed on context-switch preemption. */
+    sim::EventQueue::Timer timer;
+    /** Sequence of the completion the timer is armed for (meaningful
+     *  only while it is armed and the SM is not in Setup). */
     std::uint64_t armedSeq = 0;
-    /** Bumped by clearKernel(): callbacks staged while the SM waited
-     *  in Setup (e.g. a residency swap-in) capture the epoch and drop
-     *  themselves when the assignment was unwound meanwhile. */
+    /** Bumped by clearKernel(): a callback staged before the SM's
+     *  setup could begin (a residency swap-in) captures the epoch and
+     *  drops itself when the assignment was unwound meanwhile.  The
+     *  setup itself needs no epoch: unwinding disarms the timer. */
     std::uint64_t setupEpoch = 0;
 
     /** Insert an issued TB into the timeline, keeping (endAt, seq)

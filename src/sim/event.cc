@@ -10,9 +10,6 @@ namespace sim {
 
 namespace {
 
-/** Compaction only pays off once the queue is big enough to matter. */
-constexpr std::size_t compactionMinEntries = 64;
-
 /** Initial capacity of the slab and the heap: growing a vector of
  *  live slots relocates every callback, so start big enough that
  *  typical runs never pay it. */
@@ -47,98 +44,21 @@ EventQueue::acquireSlot(Callback &&cb)
 void
 EventQueue::releaseSlot(std::uint32_t slot)
 {
-    // Slab-generation sanity: a released slot must be a real slab cell
-    // and must not still hold a callback (cancel/step clear it first,
-    // so a live callback here means a double release).
+    // Slab sanity: a released slot must be a real slab cell and must
+    // not still hold a callback (firing moves it out first, so a live
+    // callback here means a double release).
     GPUMP_AUDIT(slot < slots_.size(),
                 "slot %u released beyond the %zu-cell slab",
                 slot, slots_.size());
     GPUMP_AUDIT(slots_[slot].callback == nullptr,
-                "slot %u released while its callback is still armed "
-                "(double release or missed cancel)", slot);
+                "slot %u released while it still holds a callback "
+                "(double release)", slot);
     slots_[slot].nextFree = freeHead_;
     freeHead_ = slot;
 }
 
 void
-EventQueue::cancelSlot(std::uint32_t slot)
-{
-    // Invalidate the entry (and all handles) by bumping the
-    // generation, and release the captures right away.  The slot is
-    // recycled when its dead entry is popped over or compacted out.
-    GPUMP_AUDIT(slot < slots_.size(),
-                "cancel of slot %u beyond the %zu-cell slab", slot,
-                slots_.size());
-    GPUMP_AUDIT(slots_[slot].gen != ~0u,
-                "slot %u generation counter about to wrap "
-                "(stale handles would revalidate)", slot);
-    ++slots_[slot].gen;
-    slots_[slot].callback = nullptr;
-    ++deadEntries_;
-    compactIfWorthIt();
-}
-
-void
-EventQueue::compactIfWorthIt()
-{
-    // Sweep dead entries once they outnumber the live ones; otherwise
-    // a cancelled far-future event would occupy the queue until its
-    // timestamp came up, which for workloads that cancel most of what
-    // they schedule (preemption-heavy runs) means unbounded growth.
-    if (heapEntries() < compactionMinEntries ||
-        deadEntries_ * 2 <= heapEntries())
-        return;
-    auto live_end = std::remove_if(
-        heap_.begin(), heap_.end(), [this](const Entry &e) {
-            if (!entryDead(e))
-                return false;
-            releaseSlot(e.slot);
-            return true;
-        });
-    heap_.erase(live_end, heap_.end());
-    std::make_heap(heap_.begin(), heap_.end(), FiresAfter());
-    deadEntries_ = 0;
-}
-
-void
-EventQueue::popFront()
-{
-    std::pop_heap(heap_.begin(), heap_.end(), FiresAfter());
-    heap_.pop_back();
-}
-
-const EventQueue::Entry *
-EventQueue::peekFront()
-{
-    while (!heap_.empty()) {
-        const Entry &e = heap_.front();
-        if (!entryDead(e))
-            return &e;
-        releaseSlot(e.slot);
-        popFront();
-        --deadEntries_;
-    }
-    return nullptr;
-}
-
-EventQueue::Handle
 EventQueue::schedule(SimTime when, Callback cb, int priority)
-{
-    return doSchedule(when, seq_++, std::move(cb), priority);
-}
-
-EventQueue::Handle
-EventQueue::scheduleWithSeq(SimTime when, std::uint64_t seq, Callback cb,
-                            int priority)
-{
-    GPUMP_ASSERT(seq < seq_, "sequence %llu was never reserved",
-                 static_cast<unsigned long long>(seq));
-    return doSchedule(when, seq, std::move(cb), priority);
-}
-
-EventQueue::Handle
-EventQueue::doSchedule(SimTime when, std::uint64_t seq, Callback &&cb,
-                       int priority)
 {
     GPUMP_ASSERT(when >= now_,
                  "event scheduled in the past (when=%lld now=%lld)",
@@ -147,41 +67,36 @@ EventQueue::doSchedule(SimTime when, std::uint64_t seq, Callback &&cb,
     GPUMP_ASSERT(priority >= -priorityBias && priority < priorityBias,
                  "event priority %d outside the 16-bit key range",
                  priority);
-    GPUMP_ASSERT(seq <= maxSeq, "sequence space exhausted");
+    GPUMP_ASSERT(seq_ <= maxSeq, "sequence space exhausted");
 
     const std::uint32_t slot = acquireSlot(std::move(cb));
     heap_.push_back(Entry{static_cast<std::uint64_t>(when),
-                          priorityBits(priority) | seq, slot,
-                          slots_[slot].gen});
+                          priorityBits(priority) | seq_++, slot});
     std::push_heap(heap_.begin(), heap_.end(), FiresAfter());
     // The heap property holds after every push.  O(n) — audit builds
     // trade throughput for machine-checked structure.
     GPUMP_AUDIT(std::is_heap(heap_.begin(), heap_.end(), FiresAfter()),
                 "event heap out of order after a schedule (when=%lld)",
                 static_cast<long long>(when));
-    return Handle(this, slot, slots_[slot].gen);
 }
 
-EventQueue::Handle
+void
 EventQueue::scheduleIn(SimTime delay, Callback cb, int priority)
 {
     GPUMP_ASSERT(delay >= 0, "negative event delay %lld",
                  static_cast<long long>(delay));
-    return schedule(now_ + delay, std::move(cb), priority);
+    schedule(now_ + delay, std::move(cb), priority);
 }
 
 EventQueue::Timer
-EventQueue::addTimer(Callback cb, int priority)
+EventQueue::addTimer(Callback cb)
 {
     GPUMP_ASSERT(cb != nullptr, "timer added with a null callback");
-    GPUMP_ASSERT(priority >= -priorityBias && priority < priorityBias,
-                 "timer priority %d outside the 16-bit key range",
-                 priority);
     // A callback runs in place in timers_, which must not move under it.
     GPUMP_ASSERT(firing_ == noTimer, "timer added from a timer callback");
     GPUMP_ASSERT(timers_.size() < noTimer, "timer ids exhausted");
     const auto id = static_cast<std::uint32_t>(timers_.size());
-    timers_.push_back(TimerSlot{std::move(cb), priorityBits(priority)});
+    timers_.push_back(std::move(cb));
     if (id == timerLeaves_)
         growTimerTree();
     return Timer(this, id);
@@ -254,7 +169,7 @@ EventQueue::fireTimer()
     ++executed_;
     firing_ = id;
     firingStale_ = true;
-    timers_[id].callback();
+    timers_[id]();
     firing_ = noTimer;
     if (firingStale_) {
         firingStale_ = false;
@@ -263,9 +178,9 @@ EventQueue::fireTimer()
 }
 
 void
-EventQueue::fireEntry(const Entry *front)
+EventQueue::fireEntry()
 {
-    const Entry top = *front;
+    const Entry top = heap_.front();
     // The queue's headline guarantee, checked at the moment it could
     // break: events fire in nondecreasing time order.
     GPUMP_AUDIT(top.when() >= now_,
@@ -275,12 +190,12 @@ EventQueue::fireEntry(const Entry *front)
                 static_cast<long long>(now_));
     GPUMP_AUDIT(slots_[top.slot].callback != nullptr,
                 "front entry's slot %u has no callback "
-                "(generation bookkeeping corrupt)", top.slot);
+                "(slab bookkeeping corrupt)", top.slot);
     now_ = top.when();
-    ++slots_[top.slot].gen; // the event is no longer pending
     Callback cb = std::move(slots_[top.slot].callback);
     releaseSlot(top.slot);
-    popFront();
+    std::pop_heap(heap_.begin(), heap_.end(), FiresAfter());
+    heap_.pop_back();
     ++executed_;
     cb();
 }
@@ -288,11 +203,11 @@ EventQueue::fireEntry(const Entry *front)
 bool
 EventQueue::step()
 {
-    const Entry *front = peekFront();
     const TimerNode &root = tree_[1];
-    if (front != nullptr &&
-        !keyBefore(root.keyHi, root.keyLo, front->keyHi, front->keyLo)) {
-        fireEntry(front);
+    if (!heap_.empty() &&
+        !keyBefore(root.keyHi, root.keyLo, heap_.front().keyHi,
+                   heap_.front().keyLo)) {
+        fireEntry();
         return true;
     }
     if (root.keyHi == neverKey)
@@ -305,12 +220,10 @@ EventQueue::step()
 void
 EventQueue::auditCorruptFrontKeyForTest()
 {
-    const Entry *front = peekFront();
-    GPUMP_ASSERT(front != nullptr,
+    GPUMP_ASSERT(!heap_.empty(),
                  "no pending entry to corrupt for the audit test");
-    // peekFront() leaves the live front at the top of the heap; zero
-    // its firing key so the next step() sees an event "before" the
-    // current time and the firing-order audit trips.
+    // Zero the front's firing key so the next step() sees an event
+    // "before" the current time and the firing-order audit trips.
     heap_.front().keyHi = 0;
 }
 #endif
@@ -319,14 +232,13 @@ SimTime
 EventQueue::run(SimTime limit)
 {
     for (;;) {
-        const Entry *front = peekFront();
         const TimerNode &root = tree_[1];
-        if (front != nullptr &&
-            !keyBefore(root.keyHi, root.keyLo, front->keyHi,
-                       front->keyLo)) {
-            if (front->when() > limit)
+        if (!heap_.empty() &&
+            !keyBefore(root.keyHi, root.keyLo, heap_.front().keyHi,
+                       heap_.front().keyLo)) {
+            if (heap_.front().when() > limit)
                 break;
-            fireEntry(front);
+            fireEntry();
         } else {
             if (root.keyHi == neverKey ||
                 static_cast<SimTime>(root.keyHi) > limit)
