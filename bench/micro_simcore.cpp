@@ -245,7 +245,7 @@ BENCHMARK_CAPTURE(BM_LargeGpu, dss, "dss", 0)
     ->Unit(benchmark::kMillisecond);
 
 /** A replay-heavy synthetic application: many short trace ops (CPU
- *  phases, async copies, small kernel launches) per execution, so the
+ *  phases, small copies, small kernel launches) per execution, so the
  *  per-op replay machinery — command creation, stream submission,
  *  dispatcher hand-off, replay bookkeeping — dominates over kernel
  *  simulation.  This is the workload-layer hot path in isolation. */
@@ -271,14 +271,12 @@ replayHeavySpec()
         s.kernels.push_back(k);
         using Kind = trace::TraceOp::Kind;
         for (int i = 0; i < k.launches; ++i) {
-            s.ops.push_back(
-                {Kind::CpuPhase, sim::microseconds(3.0), 0, -1, true});
-            s.ops.push_back(
-                {Kind::MemcpyH2D, 0, 64 * 1024, -1, false});
-            s.ops.push_back({Kind::KernelLaunch, 0, 0, 0, true});
+            s.ops.push_back({Kind::CpuPhase, sim::microseconds(3.0), 0, -1});
+            s.ops.push_back({Kind::MemcpyH2D, 0, 64 * 1024, -1});
+            s.ops.push_back({Kind::KernelLaunch, 0, 0, 0});
         }
-        s.ops.push_back({Kind::DeviceSync, 0, 0, -1, true});
-        s.ops.push_back({Kind::MemcpyD2H, 0, 256 * 1024, -1, true});
+        s.ops.push_back({Kind::DeviceSync, 0, 0, -1});
+        s.ops.push_back({Kind::MemcpyD2H, 0, 256 * 1024, -1});
         s.validate();
         return s;
     }();

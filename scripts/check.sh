@@ -6,6 +6,10 @@
 #   (none)    build + ctest; extra arguments are forwarded to ctest
 #   --lint    run the determinism lint over src/ (scripts/lint_determinism.py)
 #   --tidy    run the clang-tidy gate (scripts/tidy.sh)
+#   --dead-code  fail on any function of libgpump.a that no bench,
+#             example or perfbench binary links, bar the reasoned
+#             entries of scripts/dead_code_allow.txt
+#             (scripts/dead_code.sh)
 #   --golden  build, then run every bench (--quick --jobs=$JOBS; the
 #             table benches take no flags) and every example, and cmp
 #             each stdout with tests/golden/<binary>.txt (DESIGN.md §3)
@@ -19,6 +23,9 @@ case "${1:-}" in
     ;;
 --tidy)
     exec scripts/tidy.sh
+    ;;
+--dead-code)
+    exec scripts/dead_code.sh
     ;;
 esac
 

@@ -282,24 +282,19 @@ SchedulingFramework::assignSm(gpu::Sm *sm, gpu::KernelExec *k)
     // timeline reclaims it only once per occupancy-many completions.
     sm->resident.reserve(2 * static_cast<std::size_t>(k->occupancy()));
 
-    if (residency_ != nullptr) {
-        // Setup proper waits for the context's state to be in device
-        // memory.  For a resident context ensureResident runs the
-        // callback synchronously, so the no-swap path is step-for-step
-        // the unconditional one.  The epoch guards against the swap-in
-        // landing after this Setup assignment was unwound (reserveSm,
-        // finalizeKernel) and the SM reused.
-        std::uint64_t epoch = sm->setupEpoch;
-        residency_->ensureResident(k->ctx(), [this, sm, k, epoch] {
-            if (sm->setupEpoch != epoch || sm->kernel != k ||
-                sm->state != gpu::Sm::State::Setup) {
-                return;
-            }
-            beginSetup(sm);
-        });
-    } else {
+    // Setup proper waits for the context's state to be in device
+    // memory.  For a resident context ensureResident runs the callback
+    // synchronously.  The epoch guards against the swap-in landing
+    // after this Setup assignment was unwound (reserveSm,
+    // finalizeKernel) and the SM reused.
+    std::uint64_t epoch = sm->setupEpoch;
+    residency_->ensureResident(k->ctx(), [this, sm, k, epoch] {
+        if (sm->setupEpoch != epoch || sm->kernel != k ||
+            sm->state != gpu::Sm::State::Setup) {
+            return;
+        }
         beginSetup(sm);
-    }
+    });
     for (EngineObserver *o : observers_)
         o->smAssigned(*sm, *k);
 }
@@ -554,8 +549,7 @@ SchedulingFramework::smBecameIdle(gpu::Sm *sm)
     --k->smsHeld;
     sm->clearKernel();
     policy_->onSmIdle(sm);
-    if (residency_ != nullptr)
-        residency_->onPinsReleased();
+    residency_->onPinsReleased();
 }
 
 void
@@ -651,8 +645,7 @@ SchedulingFramework::completePreemption(gpu::Sm *sm)
 
     sm->clearKernel();
     policy_->onPreemptionComplete(sm, next);
-    if (residency_ != nullptr)
-        residency_->onPinsReleased();
+    residency_->onPinsReleased();
 }
 
 void
@@ -705,8 +698,7 @@ SchedulingFramework::finalizeKernel(gpu::KernelExec *k)
     for (EngineObserver *o : observers_)
         o->kernelFinished(*owned, sim_->now());
     policy_->onKernelFinished(owned.get());
-    if (residency_ != nullptr)
-        residency_->onPinsReleased();
+    residency_->onPinsReleased();
 
     gpu::CommandPtr cmd = owned->command();
     owned->releaseCommand();

@@ -75,13 +75,12 @@ class SchedulingFramework : public gpu::KernelSink
 
     /** Wire the transfer engine carrying contended context save /
      *  restore traffic and residency swaps (assembly; optional —
-     *  without it gmem.contended_switch must stay off and no
-     *  residency manager may be installed).  Not owned. */
+     *  without it gmem.contended_switch must stay off and no context
+     *  may need a residency swap).  Not owned. */
     void setTransferEngine(gpu::TransferEngine *xfer) { xfer_ = xfer; }
 
     /** Wire the residency manager enforcing device-memory capacity
-     *  (assembly; optional — absent means every context is always
-     *  resident, the seed behaviour).  Not owned. */
+     *  (assembly; every SM assignment waits on it).  Not owned. */
     void setResidency(memory::ResidencyManager *residency)
     {
         residency_ = residency;

@@ -123,15 +123,16 @@ class SchemeRegistry
          * Policies only: true when the scheme triggers preemptions,
          * i.e. the mechanism choice affects its behaviour.  Drives
          * harness::Scheme::label() (non-preemptive policies collapse
-         * the mechanism column) and Suite::allSchemes().
+         * the mechanism column).
          */
         bool usesMechanism = true;
         /**
-         * Optional assembly hook: fill contextual defaults into the
-         * construction config once the machine size is known.  Called
-         * by workload::System with the SM count and process count
-         * before the factory runs (this is how DSS computes its
-         * equal-share token budget without core knowing about DSS).
+         * Policies only: an optional assembly hook that fills
+         * contextual defaults into the construction config once the
+         * machine size is known.  Called by workload::System with the
+         * SM count and process count before the factory runs (this is
+         * how DSS computes its equal-share token budget without core
+         * knowing about DSS).
          */
         std::function<void(sim::Config &cfg, int numSms,
                            int numProcesses)>
@@ -281,27 +282,33 @@ class SchemeRegistry
         return d.factory(effective);
     }
 
+    /** The registrant whose configPrefix is @p key's first
+     *  dot-segment; nullptr when no registrant claims the key. */
+    const Descriptor *claimant(const std::string &key) const
+    {
+        auto dot = key.find('.');
+        if (dot == std::string::npos)
+            return nullptr;
+        const std::string prefix = key.substr(0, dot);
+        for (const auto &kv : byName_) {
+            if (kv.second.configPrefix == prefix)
+                return &kv.second;
+        }
+        return nullptr;
+    }
+
     /**
      * Validate @p cfg against every claimed namespace: a key whose
      * "prefix." matches some registrant's configPrefix but is not one
      * of its declared tunables raises fatal() naming the nearest
      * declared tunable.  Keys under unclaimed namespaces (gpu.*,
-     * gmem.*, ...) are left alone — they belong to other subsystems.
+     * gmem.*, ...) belong to other subsystems; workload::System
+     * rejects those it never reads.
      */
     void validate(const sim::Config &cfg) const
     {
         for (const std::string &key : cfg.keys()) {
-            auto dot = key.find('.');
-            if (dot == std::string::npos)
-                continue;
-            const std::string prefix = key.substr(0, dot);
-            const Descriptor *owner = nullptr;
-            for (const auto &kv : byName_) {
-                if (kv.second.configPrefix == prefix) {
-                    owner = &kv.second;
-                    break;
-                }
-            }
+            const Descriptor *owner = claimant(key);
             if (owner == nullptr)
                 continue;
             const Tunable *match = nullptr;
@@ -329,7 +336,7 @@ class SchemeRegistry
                            owner->name.c_str(),
                            known.empty() ? "no tunables"
                                          : known.c_str(),
-                           prefix.c_str());
+                           owner->configPrefix.c_str());
             }
             // Force a typed conversion so malformed values fail here,
             // with the key named, instead of deep inside a factory.

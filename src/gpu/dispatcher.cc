@@ -77,15 +77,6 @@ Dispatcher::onKernelBufferFreed()
     inspect();
 }
 
-std::size_t
-Dispatcher::pendingCommands() const
-{
-    std::size_t n = 0;
-    for (const auto &q : queues_)
-        n += q->fifo_.size();
-    return n;
-}
-
 void
 Dispatcher::inspect()
 {

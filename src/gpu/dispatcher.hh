@@ -111,9 +111,6 @@ class Dispatcher
     /** Framework notification: a command buffer slot opened up. */
     void onKernelBufferFreed();
 
-    /** Number of commands sitting in hardware queues. */
-    std::size_t pendingCommands() const;
-
   private:
     void inspect();
 

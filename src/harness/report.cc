@@ -159,13 +159,6 @@ JsonObject::add(const std::string &key, std::int64_t value)
 }
 
 JsonObject &
-JsonObject::add(const std::string &key, bool value)
-{
-    fields_.emplace_back(key, value ? "true" : "false");
-    return *this;
-}
-
-JsonObject &
 JsonObject::add(const std::string &key, const std::vector<double> &values)
 {
     std::string arr = "[";

@@ -71,7 +71,6 @@ class JsonObject
     JsonObject &add(const std::string &key, const char *value);
     JsonObject &add(const std::string &key, double value);
     JsonObject &add(const std::string &key, std::int64_t value);
-    JsonObject &add(const std::string &key, bool value);
     JsonObject &add(const std::string &key,
                     const std::vector<double> &values);
     JsonObject &add(const std::string &key,

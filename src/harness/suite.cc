@@ -127,24 +127,6 @@ Suite::schemeNonprioritized(std::string name, Scheme s)
 }
 
 Suite &
-Suite::allSchemes()
-{
-    for (const std::string &p : core::policyRegistry().list()) {
-        const auto &pd = core::policyRegistry().at(p);
-        if (!pd.usesMechanism) {
-            Scheme s{p, "context_switch", "fcfs"};
-            scheme(s.label(), s);
-            continue;
-        }
-        for (const std::string &m : core::mechanismRegistry().list()) {
-            Scheme s{p, m, "fcfs"};
-            scheme(s.label(), s);
-        }
-    }
-    return *this;
-}
-
-Suite &
 Suite::minReplays(int n)
 {
     minReplays_ = n;

@@ -110,17 +110,6 @@ class Suite
     /** Append a scheme column run with prioritization stripped. */
     Suite &schemeNonprioritized(std::string name, Scheme s);
 
-    /**
-     * Append one column per registered scheme: the cross-product of
-     * every registered policy with every registered mechanism (for
-     * policies that use one; non-preemptive policies contribute a
-     * single column), all with the default transfer policy.  Column
-     * names are the Scheme labels.  Registering a new policy or
-     * mechanism — even out of tree — automatically widens every
-     * suite built this way.
-     */
-    Suite &allSchemes();
-
     /** Replays every process must complete (default 3). */
     Suite &minReplays(int n);
 

@@ -49,19 +49,6 @@ GpuMemory::allocate(sim::ContextId ctx, std::int64_t bytes)
 }
 
 void
-GpuMemory::free(sim::ContextId ctx, std::int64_t bytes)
-{
-    auto it = perContext_.find(ctx);
-    GPUMP_ASSERT(it != perContext_.end() && it->second >= bytes,
-                 "context %d freeing %lld bytes it does not own",
-                 ctx, static_cast<long long>(bytes));
-    it->second -= bytes;
-    total_ -= bytes;
-    if (it->second == 0)
-        perContext_.erase(it);
-}
-
-void
 GpuMemory::freeAll(sim::ContextId ctx)
 {
     auto it = perContext_.find(ctx);

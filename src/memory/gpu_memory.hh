@@ -62,9 +62,6 @@ class GpuMemory
      */
     void allocate(sim::ContextId ctx, std::int64_t bytes);
 
-    /** Free @p bytes of @p ctx's allocations. @pre ctx owns >= bytes */
-    void free(sim::ContextId ctx, std::int64_t bytes);
-
     /** Free everything @p ctx owns (context destruction). */
     void freeAll(sim::ContextId ctx);
 

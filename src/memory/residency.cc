@@ -40,13 +40,6 @@ ResidencyManager::info(sim::ContextId ctx)
     return it->second;
 }
 
-const ResidencyManager::CtxInfo *
-ResidencyManager::find(sim::ContextId ctx) const
-{
-    auto it = ctxs_.find(ctx);
-    return it == ctxs_.end() ? nullptr : &it->second;
-}
-
 void
 ResidencyManager::registerContext(sim::ContextId ctx, int priority,
                                   std::int64_t footprint)
@@ -120,22 +113,16 @@ ResidencyManager::auditForceResidentForTest(sim::ContextId ctx)
 bool
 ResidencyManager::resident(sim::ContextId ctx) const
 {
-    const CtxInfo *c = find(ctx);
-    // Unregistered contexts (tests driving the framework directly)
-    // have no footprint to swap: treat them as always resident.
-    return c == nullptr || c->state == State::Resident;
+    auto it = ctxs_.find(ctx);
+    GPUMP_ASSERT(it != ctxs_.end(), "unregistered context %d", ctx);
+    return it->second.state == State::Resident;
 }
 
 void
 ResidencyManager::ensureResident(sim::ContextId ctx,
                                  std::function<void()> ready)
 {
-    auto it = ctxs_.find(ctx);
-    if (it == ctxs_.end()) {
-        ready(); // unregistered: nothing to swap
-        return;
-    }
-    CtxInfo &c = it->second;
+    CtxInfo &c = info(ctx);
     c.lastUse = ++useClock_;
 #if GPUMP_AUDIT_ENABLED
     auditCapacity();

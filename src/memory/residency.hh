@@ -82,7 +82,8 @@ class ResidencyManager
     void registerContext(sim::ContextId ctx, int priority,
                          std::int64_t footprint);
 
-    /** True when @p ctx's state is in device memory right now. */
+    /** True when @p ctx's state is in device memory right now.
+     *  @pre @p ctx is registered */
     bool resident(sim::ContextId ctx) const;
 
     /**
@@ -90,7 +91,7 @@ class ResidencyManager
      * it already is, otherwise after the swap-in transfer (and any
      * evictions making room for it) completes.  Requests that cannot
      * make room yet — every resident context pinned — park until
-     * onPinsReleased().
+     * onPinsReleased().  @pre @p ctx is registered
      */
     void ensureResident(sim::ContextId ctx, std::function<void()> ready);
 
@@ -139,7 +140,6 @@ class ResidencyManager
     };
 
     CtxInfo &info(sim::ContextId ctx);
-    const CtxInfo *find(sim::ContextId ctx) const;
 
     /** Evict LRU unpinned residents until @p bytes fit; false when no
      *  victim remains (caller parks the request). */

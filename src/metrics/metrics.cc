@@ -65,17 +65,5 @@ mean(const std::vector<double> &values)
     return sum / static_cast<double>(values.size());
 }
 
-double
-geomean(const std::vector<double> &values)
-{
-    GPUMP_ASSERT(!values.empty(), "geomean of nothing");
-    double log_sum = 0.0;
-    for (double v : values) {
-        GPUMP_ASSERT(v > 0.0, "geomean of non-positive value");
-        log_sum += std::log(v);
-    }
-    return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
 } // namespace metrics
 } // namespace gpump

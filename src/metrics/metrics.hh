@@ -53,9 +53,6 @@ SystemMetrics computeMetrics(const std::vector<double> &isolated_us,
 /** Arithmetic mean of @p values. @pre not empty */
 double mean(const std::vector<double> &values);
 
-/** Geometric mean of @p values. @pre all positive */
-double geomean(const std::vector<double> &values);
-
 } // namespace metrics
 } // namespace gpump
 

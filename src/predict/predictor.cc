@@ -88,13 +88,5 @@ RuntimePredictor::estimatedDrainTimeUs(const gpu::Sm &sm,
     return drain_us;
 }
 
-double
-RuntimePredictor::estimatedRemainingWorkUs(const gpu::KernelExec &k) const
-{
-    Estimate est = tbEstimate(k.ctx(), &k.profile());
-    int remaining = k.totalTbs() - k.completed();
-    return est.tbUs * static_cast<double>(std::max(0, remaining));
-}
-
 } // namespace predict
 } // namespace gpump

@@ -13,12 +13,11 @@
  * smoothing factor alpha the prior retains (1-alpha)^n of the weight,
  * so confidence = 1 - (1-alpha)^n.
  *
- * Queries combine the per-TB estimate with *structural* remaining
- * counts — how many blocks are resident and how long each has been
- * executing, how many grid blocks remain — never with the scheduled
- * completion times the oracle schemes read.  estimatedDrainTimeUs()
- * is the drop-in replacement for AdaptiveMechanism's oracle drain
- * estimate.
+ * Queries combine the per-TB estimate with *structural* facts — how
+ * many blocks are resident and how long each has been executing —
+ * never with the scheduled completion times the oracle schemes read.
+ * estimatedDrainTimeUs() is the drop-in replacement for
+ * AdaptiveMechanism's oracle drain estimate.
  *
  * Determinism: the model is per-System state fed by the deterministic
  * completion stream; lookups never iterate the key map, so pointer
@@ -81,12 +80,6 @@ class RuntimePredictor : public core::EngineObserver
      * @pre sm runs a kernel with at least one resident block
      */
     double estimatedDrainTimeUs(const gpu::Sm &sm, sim::SimTime now) const;
-
-    /** Predicted total remaining time (us) of @p k: its structural
-     *  remaining-TB count (grid minus completed) times the per-TB
-     *  estimate, ignoring parallelism — an upper-bound "work left"
-     *  figure for burst/length classification. */
-    double estimatedRemainingWorkUs(const gpu::KernelExec &k) const;
 
     /** Total TB observations ingested (tests). */
     std::uint64_t observations() const { return observed_; }

@@ -1,8 +1,6 @@
 #include "serve/arrival.hh"
 
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -175,29 +173,6 @@ readArrivalTrace(const std::string &path)
         out.push_back(us);
     }
     return out;
-}
-
-void
-writeArrivalTrace(const std::string &path,
-                  const std::vector<double> &arrivals_us)
-{
-    std::filesystem::path p(path);
-    if (p.has_parent_path()) {
-        std::error_code ec;
-        std::filesystem::create_directories(p.parent_path(), ec);
-    }
-    std::ofstream out(path);
-    if (!out)
-        sim::fatal("cannot write arrival trace '%s'", path.c_str());
-    out << "# arrival offsets, microseconds, one per line\n";
-    char buf[64];
-    for (double us : arrivals_us) {
-        // %.17g round-trips every finite double exactly.
-        std::snprintf(buf, sizeof buf, "%.17g\n", us);
-        out << buf;
-    }
-    if (!out)
-        sim::fatal("failed writing arrival trace '%s'", path.c_str());
 }
 
 } // namespace serve

@@ -89,11 +89,6 @@ std::vector<sim::SimTime> makeTimeline(const ArrivalSpec &spec,
  */
 std::vector<double> readArrivalTrace(const std::string &path);
 
-/** Write @p arrivals_us as an arrival-trace file readArrivalTrace
- *  round-trips exactly (full double precision). */
-void writeArrivalTrace(const std::string &path,
-                       const std::vector<double> &arrivals_us);
-
 } // namespace serve
 } // namespace gpump
 

@@ -105,17 +105,5 @@ toSystemSpec(const ScenarioSpec &spec, const std::string &policy,
     return sys;
 }
 
-workload::SystemResult
-runScenario(const ScenarioSpec &spec, const std::string &policy,
-            const std::string &mechanism,
-            const std::string &transferPolicy,
-            const sim::Config &overrides, sim::SimTime limit)
-{
-    workload::System system(
-        toSystemSpec(spec, policy, mechanism, transferPolicy),
-        overrides);
-    return system.run(limit);
-}
-
 } // namespace serve
 } // namespace gpump

@@ -101,19 +101,6 @@ workload::SystemSpec toSystemSpec(const ScenarioSpec &spec,
                                   const std::string &mechanism,
                                   const std::string &transferPolicy);
 
-/**
- * Convenience: compile and run the scenario in one call.
- *
- * @param overrides config overrides applied to the simulation.
- * @param limit     safety horizon forwarded to System::run.
- */
-workload::SystemResult runScenario(const ScenarioSpec &spec,
-                                   const std::string &policy,
-                                   const std::string &mechanism,
-                                   const std::string &transferPolicy,
-                                   const sim::Config &overrides,
-                                   sim::SimTime limit = sim::maxTime);
-
 } // namespace serve
 } // namespace gpump
 

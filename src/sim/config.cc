@@ -88,54 +88,45 @@ Config::parse(const std::string &token)
     return true;
 }
 
-void
-Config::parseAll(const std::vector<std::string> &tokens)
+const std::string *
+Config::lookup(const std::string &key) const
 {
-    for (const auto &t : tokens) {
-        if (!parse(t))
-            fatal("malformed config token '%s' (expected key=value)",
-                  t.c_str());
-    }
-}
-
-std::string
-Config::getString(const std::string &key, const std::string &def) const
-{
+    read_.insert(key);
     auto it = values_.find(key);
-    return it == values_.end() ? def : it->second;
+    return it == values_.end() ? nullptr : &it->second;
 }
 
 double
 Config::getDouble(const std::string &key, double def) const
 {
-    auto it = values_.find(key);
-    if (it == values_.end())
+    const std::string *text = lookup(key);
+    if (!text)
         return def;
     errno = 0;
     char *end = nullptr;
-    double v = std::strtod(it->second.c_str(), &end);
-    if (errno != 0 || end == it->second.c_str() || *end != '\0')
+    double v = std::strtod(text->c_str(), &end);
+    if (errno != 0 || end == text->c_str() || *end != '\0')
         fatal("config key '%s' has non-numeric value '%s'",
-              key.c_str(), it->second.c_str());
+              key.c_str(), text->c_str());
     // No model parameter is meaningful as nan or +-inf, and letting
     // one through turns into undefined double->int64 casts downstream.
     if (!std::isfinite(v))
         fatal("config key '%s' has non-finite value '%s'", key.c_str(),
-              it->second.c_str());
+              text->c_str());
     return v;
 }
 
 std::int64_t
 Config::getInt(const std::string &key, std::int64_t def) const
 {
-    auto it = values_.find(key);
-    if (it == values_.end())
+    const std::string *text = lookup(key);
+    if (!text)
         return def;
-    std::optional<std::int64_t> v = parseInt(it->second);
+    std::optional<std::int64_t> v = parseInt(*text);
     if (!v)
         fatal("config key '%s' has value '%s', which is not a 64-bit "
               "integer",
-              key.c_str(), it->second.c_str());
+              key.c_str(), text->c_str());
     return *v;
 }
 
@@ -154,32 +145,33 @@ Config::getInt32(const std::string &key, std::int32_t def) const
 SimTime
 Config::getMicroseconds(const std::string &key, SimTime def) const
 {
-    if (!has(key))
+    const std::string *text = lookup(key);
+    if (!text)
         return def;
     double us = getDouble(key, 0.0);
     if (us < 0)
         fatal("config key '%s' is a duration and must be >= 0 "
               "(got %s us)",
-              key.c_str(), getString(key, "").c_str());
+              key.c_str(), text->c_str());
     // microseconds() rounds us * 1e3 + 0.5 down to an int64; 2^63
     // is the first value that cast cannot represent.
     if (us * 1e3 + 0.5 >= 0x1p63)
         fatal("config key '%s' value %s us overflows the simulated "
               "clock (nanoseconds in 64 bits)",
-              key.c_str(), getString(key, "").c_str());
+              key.c_str(), text->c_str());
     return microseconds(us);
 }
 
 bool
 Config::getBool(const std::string &key, bool def) const
 {
-    auto it = values_.find(key);
-    if (it == values_.end())
+    const std::string *text = lookup(key);
+    if (!text)
         return def;
-    std::optional<bool> v = parseBool(it->second);
+    std::optional<bool> v = parseBool(*text);
     if (!v)
         fatal("config key '%s' has non-boolean value '%s'", key.c_str(),
-              it->second.c_str());
+              text->c_str());
     return *v;
 }
 
@@ -200,11 +192,10 @@ Config::keys() const
     return out;
 }
 
-void
-Config::dump(std::ostream &os) const
+std::vector<std::string>
+Config::readKeys() const
 {
-    for (const auto &kv : values_)
-        os << kv.first << " = " << kv.second << "\n";
+    return {read_.begin(), read_.end()};
 }
 
 std::string

@@ -9,9 +9,11 @@
  * caller-provided default (the model's published value).  Keys under
  * a config namespace claimed by a registered scheduling scheme
  * ("dss.*", "adaptive.*", ...) are additionally validated against
- * the scheme's declared tunables at construction time — unknown or
- * ill-typed ones are hard errors, not silent no-ops (see
- * core/registry.hh).
+ * the scheme's declared tunables at construction time (see
+ * core/registry.hh), and the getters record every key they look up,
+ * so that an assembled workload::System can reject any other key it
+ * never read: unknown or ill-typed keys are hard errors, not silent
+ * no-ops.
  */
 
 #ifndef GPUMP_SIM_CONFIG_HH
@@ -20,7 +22,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <ostream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -65,20 +67,13 @@ class Config
      */
     bool parse(const std::string &token);
 
-    /**
-     * Parse a list of "key=value" tokens, e.g. trailing CLI arguments.
-     * Tokens that fail to parse raise fatal().
-     */
-    void parseAll(const std::vector<std::string> &tokens);
-
     /** @name Typed getters with defaults
      *  Return the stored value converted to the requested type, or
      *  @p def when the key is absent.  Conversion failures (and
      *  non-finite doubles) raise fatal() naming the offending key.
+     *  Each records @p key as read, set or not (readKeys()).
      *  @{
      */
-    std::string getString(const std::string &key,
-                          const std::string &def) const;
     double getDouble(const std::string &key, double def) const;
     std::int64_t getInt(const std::string &key, std::int64_t def) const;
     /** getInt for parameters held in 32 bits: a value outside the
@@ -98,11 +93,12 @@ class Config
      */
     void merge(const Config &overrides);
 
-    /** All keys in sorted order (for reproducible dumps). */
+    /** All keys in sorted order. */
     std::vector<std::string> keys() const;
 
-    /** Dump as "key = value" lines. */
-    void dump(std::ostream &os) const;
+    /** Every key a typed getter has looked up, set or not, in sorted
+     *  order.  A copy of a Config carries its record along. */
+    std::vector<std::string> readKeys() const;
 
     /**
      * Canonical one-line "k=v;..." rendering of the full config, in
@@ -112,7 +108,11 @@ class Config
     std::string fingerprint() const;
 
   private:
+    /** The value of @p key, or nullptr when unset; records the read. */
+    const std::string *lookup(const std::string &key) const;
+
     std::map<std::string, std::string> values_;
+    mutable std::set<std::string> read_;
 };
 
 } // namespace sim

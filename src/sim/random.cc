@@ -34,12 +34,6 @@ Rng::seed(std::uint64_t seed_value)
         s = splitmix64(x);
 }
 
-double
-Rng::uniform(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform();
-}
-
 std::uint64_t
 Rng::uniformInt(std::uint64_t n)
 {
@@ -53,23 +47,6 @@ Rng::uniformInt(std::uint64_t n)
     }
 }
 
-std::int64_t
-Rng::uniformInt(std::int64_t lo, std::int64_t hi)
-{
-    GPUMP_ASSERT(lo <= hi, "uniformInt: empty range [%lld, %lld]",
-                 static_cast<long long>(lo), static_cast<long long>(hi));
-    // The width hi - lo + 1 can exceed INT64_MAX (and the naive
-    // signed subtraction overflows, which is UB); do all range
-    // arithmetic in uint64, where wrap-around is defined and the
-    // width is exact.  A span of 0 means the range covers the entire
-    // 64-bit domain, so any raw draw is a valid sample.
-    std::uint64_t span = static_cast<std::uint64_t>(hi) -
-        static_cast<std::uint64_t>(lo) + 1;
-    std::uint64_t offset = span == 0 ? next() : uniformInt(span);
-    return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
-                                     offset);
-}
-
 Rng::Lognormal
 Rng::Lognormal::fromMeanCv(double mean, double cv)
 {
@@ -77,16 +54,6 @@ Rng::Lognormal::fromMeanCv(double mean, double cv)
     GPUMP_ASSERT(cv > 0.0, "lognormal: cv must be positive");
     double sigma2 = std::log(1.0 + cv * cv);
     return Lognormal{std::log(mean) - 0.5 * sigma2, std::sqrt(sigma2)};
-}
-
-double
-Rng::lognormal(double mean, double cv)
-{
-    GPUMP_ASSERT(mean > 0.0, "lognormal: mean must be positive");
-    GPUMP_ASSERT(cv >= 0.0, "lognormal: cv must be non-negative");
-    if (cv == 0.0)
-        return mean;
-    return lognormal(Lognormal::fromMeanCv(mean, cv));
 }
 
 double

@@ -9,11 +9,9 @@
  * xoshiro256** plus the handful of distributions the models need.
  *
  * Every distribution consumes a FIXED number of raw draws per sample
- * (uniform/exponential: 1, normal/lognormal: 2).  That invariant is
- * what makes a Lognormal solved once bit-identical to
- * lognormal(mean, cv) re-solved per sample: either way the same draws
- * are consumed in the same order and run through the same per-sample
- * arithmetic — only the per-call parameter setup is hoisted.
+ * (uniform/exponential: 1, normal/lognormal: 2), so a draw never
+ * shifts the stream position of the draws after it by a
+ * value-dependent amount.
  */
 
 #ifndef GPUMP_SIM_RANDOM_HH
@@ -65,9 +63,6 @@ class Rng
         return static_cast<double>(next() >> 11) * 0x1.0p-53;
     }
 
-    /** Uniform double in [lo, hi). */
-    double uniform(double lo, double hi);
-
     /**
      * Uniform integer in [0, n).
      *
@@ -76,24 +71,14 @@ class Rng
      */
     std::uint64_t uniformInt(std::uint64_t n);
 
-    /**
-     * Uniform integer in [lo, hi] inclusive. @pre lo <= hi
-     *
-     * The range width is computed in unsigned 64-bit arithmetic, so
-     * ranges spanning most (or all) of the int64 domain — where
-     * `hi - lo + 1` overflows a signed 64-bit integer — are handled
-     * exactly; [INT64_MIN, INT64_MAX] degenerates to a raw draw.
-     */
-    std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
-
     /** Standard normal via Box-Muller (deterministic, no cache). */
     double normal()
     {
         // Box-Muller; both uniforms are drawn every call and a zero u1
         // is remapped (not redrawn), so the raw-draw stream consumed
-        // per sample is fixed — the invariant Lognormal and the
-        // reproducibility contract rely on — and the result is finite
-        // for every possible draw.
+        // per sample is fixed — the invariant the reproducibility
+        // contract relies on — and the result is finite for every
+        // possible draw.
         double u1 = uniform();
         double u2 = uniform();
         return boxMuller(u1, u2);
@@ -113,7 +98,7 @@ class Rng
      * return, so the logarithm — and therefore normal(), lognormal()
      * and every duration sampled from them — can never be infinite.
      * The remap (rather than a rejection loop) keeps the per-sample
-     * draw count fixed, which Lognormal relies on.
+     * draw count fixed.
      */
     static double boxMuller(double u1, double u2)
     {
@@ -146,14 +131,6 @@ class Rng
     {
         return std::exp(normal(dist.mu, dist.sigma));
     }
-
-    /**
-     * Lognormal by linear-domain mean and CV: the Lognormal solve
-     * plus one draw.  cv == 0 degenerates to the deterministic mean.
-     *
-     * @pre mean > 0, cv >= 0
-     */
-    double lognormal(double mean, double cv);
 
     /** Exponential with the given mean. @pre mean > 0 */
     double exponential(double mean);

@@ -64,17 +64,6 @@ Distribution::dump(std::ostream &os) const
 }
 
 void
-Distribution::reset()
-{
-    count_ = 0;
-    sum_ = 0.0;
-    min_ = 0.0;
-    max_ = 0.0;
-    mean_ = 0.0;
-    m2_ = 0.0;
-}
-
-void
 StatRegistry::add(Stat *stat)
 {
     GPUMP_ASSERT(stat != nullptr, "null stat registered");
@@ -105,13 +94,6 @@ StatRegistry::dump(std::ostream &os) const
 {
     for (const Stat *s : stats_)
         s->dump(os);
-}
-
-void
-StatRegistry::resetAll()
-{
-    for (Stat *s : stats_)
-        s->reset();
 }
 
 } // namespace sim

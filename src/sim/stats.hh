@@ -40,9 +40,6 @@ class Stat
     /** Render this stat's value(s) into @p os, one line per value. */
     virtual void dump(std::ostream &os) const = 0;
 
-    /** Reset to the just-constructed state. */
-    virtual void reset() = 0;
-
   private:
     StatRegistry *registry_;
     std::string name_;
@@ -61,7 +58,6 @@ class Scalar : public Stat
     double value() const { return value_; }
 
     void dump(std::ostream &os) const override;
-    void reset() override { value_ = 0.0; }
 
   private:
     double value_ = 0.0;
@@ -85,7 +81,6 @@ class Distribution : public Stat
     double stddev() const;
 
     void dump(std::ostream &os) const override;
-    void reset() override;
 
   private:
     std::uint64_t count_ = 0;
@@ -119,9 +114,6 @@ class StatRegistry
 
     /** Dump every stat as "name value # description" text lines. */
     void dump(std::ostream &os) const;
-
-    /** Reset every stat. */
-    void resetAll();
 
   private:
     std::vector<Stat *> stats_;

@@ -43,8 +43,8 @@ struct TraceOp
     enum class Kind
     {
         CpuPhase,     ///< host computation between API calls
-        MemcpyH2D,    ///< host-to-device transfer
-        MemcpyD2H,    ///< device-to-host transfer
+        MemcpyH2D,    ///< blocking host-to-device transfer (cudaMemcpy)
+        MemcpyD2H,    ///< blocking device-to-host transfer
         KernelLaunch, ///< asynchronous kernel launch
         DeviceSync,   ///< wait for all outstanding GPU work
     };
@@ -56,8 +56,6 @@ struct TraceOp
     std::int64_t bytes = 0;
     /** KernelLaunch: index into BenchmarkSpec::kernels. */
     int kernelIndex = -1;
-    /** Memcpy*: true for blocking cudaMemcpy semantics. */
-    bool synchronous = true;
 };
 
 /** A benchmark application: kernels plus its per-execution trace. */

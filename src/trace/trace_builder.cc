@@ -22,7 +22,6 @@ TraceBuilder::h2d(std::int64_t bytes)
     TraceOp op;
     op.kind = TraceOp::Kind::MemcpyH2D;
     op.bytes = bytes;
-    op.synchronous = true;
     spec_->ops.push_back(op);
     return *this;
 }
@@ -33,29 +32,6 @@ TraceBuilder::d2h(std::int64_t bytes)
     TraceOp op;
     op.kind = TraceOp::Kind::MemcpyD2H;
     op.bytes = bytes;
-    op.synchronous = true;
-    spec_->ops.push_back(op);
-    return *this;
-}
-
-TraceBuilder &
-TraceBuilder::h2dAsync(std::int64_t bytes)
-{
-    TraceOp op;
-    op.kind = TraceOp::Kind::MemcpyH2D;
-    op.bytes = bytes;
-    op.synchronous = false;
-    spec_->ops.push_back(op);
-    return *this;
-}
-
-TraceBuilder &
-TraceBuilder::d2hAsync(std::int64_t bytes)
-{
-    TraceOp op;
-    op.kind = TraceOp::Kind::MemcpyD2H;
-    op.bytes = bytes;
-    op.synchronous = false;
     spec_->ops.push_back(op);
     return *this;
 }

@@ -38,12 +38,6 @@ class TraceBuilder
     /** Blocking device-to-host copy. */
     TraceBuilder &d2h(std::int64_t bytes);
 
-    /** Non-blocking host-to-device copy (cudaMemcpyAsync). */
-    TraceBuilder &h2dAsync(std::int64_t bytes);
-
-    /** Non-blocking device-to-host copy. */
-    TraceBuilder &d2hAsync(std::int64_t bytes);
-
     /** Asynchronous kernel launch of spec.kernels[@p kernel_index]. */
     TraceBuilder &launch(int kernel_index);
 

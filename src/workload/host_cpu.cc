@@ -14,8 +14,6 @@ CpuParams::fromConfig(const sim::Config &cfg)
     p.threadsPerCore =
         cfg.getInt32("cpu.threads_per_core", p.threadsPerCore);
     p.clockGhz = cfg.getDouble("cpu.clock_ghz", p.clockGhz);
-    p.modelContention =
-        cfg.getBool("cpu.model_contention", p.modelContention);
     if (p.cores <= 0)
         sim::fatal("cpu.cores must be positive, got %d", p.cores);
     if (p.threadsPerCore <= 0)

@@ -30,8 +30,6 @@ struct CpuParams
     int cores = 4;
     int threadsPerCore = 2;
     double clockGhz = 2.8;
-    /** Stretch phases when runnable threads exceed hardware threads. */
-    bool modelContention = true;
 
     int hwThreads() const { return cores * threadsPerCore; }
 
@@ -77,7 +75,7 @@ class HostCpu
      */
     double slowdownFactor() const
     {
-        if (!params_.modelContention || running_ <= hwThreads_)
+        if (running_ <= hwThreads_)
             return 1.0;
         return static_cast<double>(running_) /
             static_cast<double>(hwThreads_);

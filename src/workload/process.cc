@@ -24,7 +24,6 @@ Process::Process(sim::Simulation &sim, sim::ProcessId id,
     for (const trace::TraceOp &op : spec->ops) {
         ReplayOp r;
         r.kind = op.kind;
-        r.synchronous = op.synchronous;
         r.duration = op.duration;
         r.bytes = op.bytes;
         r.memcpyKind = op.kind == trace::TraceOp::Kind::MemcpyH2D
@@ -196,14 +195,9 @@ Process::step()
               case Kind::MemcpyD2H: {
                 auto cmd = pool_->makeMemcpy(ctx_->id(), priority_,
                                              op.memcpyKind, op.bytes);
-                if (op.synchronous) {
-                    cmd->onComplete = [this] { opDone(); };
-                    stream_->enqueue(std::move(cmd));
-                    return; // blocked until the copy finishes
-                }
+                cmd->onComplete = [this] { opDone(); };
                 stream_->enqueue(std::move(cmd));
-                ++cursor_;
-                break; // asynchronous: fall through to the next op
+                return; // blocked until the copy finishes
               }
               case Kind::DeviceSync: {
                 if (ctx_->idle()) {

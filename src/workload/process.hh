@@ -160,8 +160,6 @@ class Process
     struct ReplayOp
     {
         trace::TraceOp::Kind kind;
-        /** Memcpy*: blocking cudaMemcpy semantics. */
-        bool synchronous;
         /** CpuPhase: host time consumed (before contention stretch). */
         sim::SimTime duration;
         /** Memcpy*: payload size and command kind. */

@@ -1,10 +1,45 @@
 #include "workload/system.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 #include "trace/parboil.hh"
 
 namespace gpump {
 namespace workload {
+
+namespace {
+
+/**
+ * Reject every key of @p cfg that no scheme claims and assembly never
+ * read.  Claimed keys were validated against their scheme's declared
+ * tunables when the scheme was made; every other reader (the
+ * *Params::fromConfig calls, the framework and System itself) runs
+ * unconditionally during assembly, so a key none of them read is a
+ * typo that would otherwise run the default machine.
+ */
+void
+rejectUnreadKeys(const sim::Config &cfg)
+{
+    const std::vector<std::string> read = cfg.readKeys();
+    for (const std::string &key : cfg.keys()) {
+        if (core::policyRegistry().claimant(key) != nullptr ||
+            core::mechanismRegistry().claimant(key) != nullptr ||
+            std::binary_search(read.begin(), read.end(), key)) {
+            continue;
+        }
+        std::string near = core::nearestOf(key, read);
+        if (!near.empty()) {
+            sim::fatal("unknown config key '%s'; did you mean '%s'?",
+                       key.c_str(), near.c_str());
+        }
+        sim::fatal("unknown config key '%s': no scheme claims it and "
+                   "the simulator reads no such key",
+                   key.c_str());
+    }
+}
+
+} // namespace
 
 System::System(const SystemSpec &spec, const sim::Config &overrides)
     : spec_(spec)
@@ -74,19 +109,7 @@ System::System(const SystemSpec &spec, const sim::Config &overrides)
         *sim_, gpuParams_, *gmem_, *dispatcher_);
     framework_->setTransferEngine(transferEngine_.get());
 
-    // Mechanisms get the same assembly-defaults hook as policies (the
-    // block below): a chance to fill contextual tunable defaults from
-    // the machine and workload sizes before the factory validates the
-    // config.  No built-in mechanism declares one today.
-    const core::MechanismRegistry::Descriptor &mech_desc =
-        core::mechanismRegistry().at(spec_.mechanism);
-    sim::Config mech_cfg = cfg;
-    if (mech_desc.assemblyDefaults) {
-        mech_desc.assemblyDefaults(mech_cfg, gpuParams_.numSms,
-                                   static_cast<int>(apps.size()));
-    }
-    framework_->setMechanism(core::makeMechanism(spec_.mechanism,
-                                                 mech_cfg));
+    framework_->setMechanism(core::makeMechanism(spec_.mechanism, cfg));
 
     // Device-memory residency: swap transfers ride the same transfer
     // engine as workload copies; the engine-side hooks (pinning, SMs
@@ -175,6 +198,7 @@ System::System(const SystemSpec &spec, const sim::Config &overrides)
         streams_.push_back(std::move(stream));
         processes_.push_back(std::move(process));
     }
+    rejectUnreadKeys(cfg);
 }
 
 SystemResult

@@ -38,12 +38,11 @@ launchOp(int index)
 }
 
 TraceOp
-copyOp(TraceOp::Kind kind, std::int64_t bytes, bool sync)
+copyOp(TraceOp::Kind kind, std::int64_t bytes)
 {
     TraceOp op;
     op.kind = kind;
     op.bytes = bytes;
-    op.synchronous = sync;
     return op;
 }
 
@@ -65,13 +64,13 @@ TEST(AppModel, DurationClassNames)
     EXPECT_STREQ(durationClassName(DurationClass::Long), "LONG");
 }
 
-TEST(AppModel, AggregatesCountSyncAndAsyncCopies)
+TEST(AppModel, AggregatesSumCopiesPerDirection)
 {
     BenchmarkSpec spec;
-    spec.ops.push_back(copyOp(TraceOp::Kind::MemcpyH2D, 100, true));
-    spec.ops.push_back(copyOp(TraceOp::Kind::MemcpyH2D, 50, false));
-    spec.ops.push_back(copyOp(TraceOp::Kind::MemcpyD2H, 30, true));
-    spec.ops.push_back(copyOp(TraceOp::Kind::MemcpyD2H, 7, false));
+    spec.ops.push_back(copyOp(TraceOp::Kind::MemcpyH2D, 100));
+    spec.ops.push_back(copyOp(TraceOp::Kind::MemcpyH2D, 50));
+    spec.ops.push_back(copyOp(TraceOp::Kind::MemcpyD2H, 30));
+    spec.ops.push_back(copyOp(TraceOp::Kind::MemcpyD2H, 7));
 
     EXPECT_EQ(spec.bytesH2D(), 150);
     EXPECT_EQ(spec.bytesD2H(), 37);
@@ -81,7 +80,7 @@ TEST(AppModel, CpuTimeSumsAllPhases)
 {
     BenchmarkSpec spec;
     spec.ops.push_back(cpuOp(sim::microseconds(100)));
-    spec.ops.push_back(copyOp(TraceOp::Kind::MemcpyH2D, 10, true));
+    spec.ops.push_back(copyOp(TraceOp::Kind::MemcpyH2D, 10));
     spec.ops.push_back(cpuOp(sim::microseconds(250)));
     EXPECT_EQ(spec.cpuTime(), sim::microseconds(350));
 }
@@ -91,7 +90,7 @@ TEST(AppModel, TotalLaunchesCountsOnlyLaunchOps)
     BenchmarkSpec spec;
     spec.kernels.push_back(makeKernel("k0", 2));
     spec.ops.push_back(launchOp(0));
-    spec.ops.push_back(copyOp(TraceOp::Kind::MemcpyD2H, 10, true));
+    spec.ops.push_back(copyOp(TraceOp::Kind::MemcpyD2H, 10));
     spec.ops.push_back(launchOp(0));
     EXPECT_EQ(spec.totalLaunches(), 2);
 }
@@ -128,7 +127,7 @@ TEST(AppModel, ValidateRejectsNegativeQuantities)
     {
         BenchmarkSpec spec;
         spec.name = "bench";
-        spec.ops.push_back(copyOp(TraceOp::Kind::MemcpyH2D, -8, true));
+        spec.ops.push_back(copyOp(TraceOp::Kind::MemcpyH2D, -8));
         EXPECT_THROW(spec.validate(), sim::FatalError);
     }
 }

@@ -19,6 +19,7 @@
 #include "serve/arrival.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
+#include "tests/test_util.hh"
 
 using namespace gpump;
 using serve::ArrivalSpec;
@@ -192,7 +193,7 @@ TEST(Arrival, TraceFileRoundTripsBitIdentically)
         us.push_back(sim::toMicroseconds(t));
 
     const std::string path = scratchPath("roundtrip.txt");
-    serve::writeArrivalTrace(path, us);
+    test::writeArrivalTrace(path, us);
     EXPECT_EQ(serve::readArrivalTrace(path), us);
 
     ArrivalSpec replay;

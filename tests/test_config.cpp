@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,7 +25,6 @@ using test::fatalMessageOf;
 TEST(Config, DefaultsWhenAbsent)
 {
     Config c;
-    EXPECT_EQ(c.getString("k", "dflt"), "dflt");
     EXPECT_DOUBLE_EQ(c.getDouble("k", 2.5), 2.5);
     EXPECT_EQ(c.getInt("k", 7), 7);
     EXPECT_TRUE(c.getBool("k", true));
@@ -36,11 +34,11 @@ TEST(Config, DefaultsWhenAbsent)
 TEST(Config, TypedRoundTrips)
 {
     Config c;
-    c.set("s", std::string("hello"));
+    c.set("s", std::string("0x10"));
     c.set("d", 3.25);
     c.set("i", static_cast<std::int64_t>(-42));
     c.set("b", true);
-    EXPECT_EQ(c.getString("s", ""), "hello");
+    EXPECT_EQ(c.getInt("s", 0), 16);
     EXPECT_DOUBLE_EQ(c.getDouble("d", 0), 3.25);
     EXPECT_EQ(c.getInt("i", 0), -42);
     EXPECT_TRUE(c.getBool("b", false));
@@ -55,13 +53,7 @@ TEST(Config, ParseTokens)
     EXPECT_FALSE(c.parse("=value"));
     // Value may itself contain '='.
     EXPECT_TRUE(c.parse("expr=a=b"));
-    EXPECT_EQ(c.getString("expr", ""), "a=b");
-}
-
-TEST(Config, ParseAllRejectsMalformed)
-{
-    Config c;
-    EXPECT_THROW(c.parseAll({"good=1", "bad"}), sim::FatalError);
+    EXPECT_EQ(c.fingerprint(), "expr=a\\=b;gpu.num_sms=13;");
 }
 
 TEST(Config, ConversionErrorsAreFatal)
@@ -247,7 +239,7 @@ TEST(Config, FingerprintEscapesSeparators)
     EXPECT_EQ(tricky.fingerprint(), "a=1\\;b\\=2;");
 }
 
-TEST(Config, KeysSortedAndDump)
+TEST(Config, KeysSorted)
 {
     Config c;
     c.set("zeta", static_cast<std::int64_t>(1));
@@ -256,10 +248,29 @@ TEST(Config, KeysSortedAndDump)
     ASSERT_EQ(keys.size(), 2u);
     EXPECT_EQ(keys[0], "alpha");
     EXPECT_EQ(keys[1], "zeta");
+}
 
-    std::ostringstream os;
-    c.dump(os);
-    EXPECT_EQ(os.str(), "alpha = 2\nzeta = 1\n");
+TEST(Config, GettersRecordTheKeysTheyRead)
+{
+    // Set or not, every key a typed getter looks up counts as read;
+    // set() and has() read nothing.
+    Config c;
+    c.set("b.set", static_cast<std::int64_t>(2));
+    c.set("z.unread", std::string("x"));
+    EXPECT_TRUE(c.has("z.unread"));
+    EXPECT_TRUE(c.readKeys().empty());
+
+    c.getInt("b.set", 0);
+    c.getDouble("a.absent", 1.0);
+    c.getBool("c.absent", false);
+    c.getInt32("e.absent", 0);
+    c.getMicroseconds("f.absent", 0);
+    EXPECT_EQ(c.readKeys(),
+              (std::vector<std::string>{"a.absent", "b.set", "c.absent",
+                                        "e.absent", "f.absent"}));
+    // A read that fails to convert still counts.
+    EXPECT_THROW(c.getInt("z.unread", 0), sim::FatalError);
+    EXPECT_EQ(c.readKeys().back(), "z.unread");
 }
 
 TEST(ConfigFuzz, MutatedTokensReadCleanlyOrFail)
@@ -300,7 +311,7 @@ TEST(ConfigFuzz, MutatedTokensReadCleanlyOrFail)
         if (!cfg.parse(m))
             continue;
         const std::string key = m.substr(0, m.find('='));
-        const std::string value = cfg.getString(key, "");
+        const std::string value = m.substr(m.find('=') + 1);
         auto read = [&](const char *what, auto &&fn) {
             try {
                 fn();

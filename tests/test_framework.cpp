@@ -67,7 +67,7 @@ TEST(Framework, CommandBufferHoldsOneCommandPerContext)
     // A second command from context 13's queue must stay in the
     // hardware queue: its buffer is occupied.
     rig.launch(queues[13], &k);
-    EXPECT_EQ(rig.dispatcher.pendingCommands(), 1u);
+    EXPECT_EQ(queues[13]->depth(), 1u);
 }
 
 TEST(Framework, AdmitBeyondCapacityPanics)

@@ -21,9 +21,12 @@ TEST(GpuMemory, AllocationAccounting)
     EXPECT_EQ(m.allocated(0), 1200);
     EXPECT_EQ(m.allocated(1), 500);
     EXPECT_EQ(m.totalAllocated(), 1700);
-    m.free(0, 1200);
+    m.freeAll(0);
     EXPECT_EQ(m.allocated(0), 0);
+    EXPECT_EQ(m.totalAllocated(), 500);
     m.freeAll(1);
+    EXPECT_EQ(m.totalAllocated(), 0);
+    m.freeAll(1); // freeing a context that owns nothing is a no-op
     EXPECT_EQ(m.totalAllocated(), 0);
 }
 
@@ -69,7 +72,7 @@ TEST(GpuMemory, CapacityBoundaryIsExact)
     EXPECT_EQ(m.totalAllocated(), 1000);
     EXPECT_THROW(m.allocate(2, 1), sim::FatalError)
         << "one byte past capacity must fail";
-    m.free(1, 1);
+    m.freeAll(1);
     m.allocate(2, 1); // freed byte is reusable
     EXPECT_EQ(m.totalAllocated(), 1000);
 }
@@ -80,15 +83,6 @@ TEST(GpuMemory, NegativeMoveBytesPanics)
     GpuMemory m(reg, GpuMemoryParams{});
     EXPECT_THROW(m.moveTime(-1, 13), sim::PanicError)
         << "a negative payload is a caller bug, not a zero-time move";
-}
-
-TEST(GpuMemory, FreeingUnownedPanics)
-{
-    sim::StatRegistry reg;
-    GpuMemory m(reg, GpuMemoryParams{});
-    m.allocate(0, 100);
-    EXPECT_THROW(m.free(0, 200), sim::PanicError);
-    EXPECT_THROW(m.free(3, 1), sim::PanicError);
 }
 
 TEST(GpuMemory, BandwidthShareMatchesTable1Model)

@@ -229,12 +229,11 @@ TEST(Report, JsonObjectRendering)
     o.add("name", "al\"pha\n")
         .add("x", 1.5)
         .add("n", static_cast<std::int64_t>(-3))
-        .add("ok", true)
         .add("v", std::vector<double>{1.0, 2.5})
         .add("s", std::vector<std::string>{"a", "b"});
     EXPECT_EQ(o.str(),
               "{\"name\":\"al\\\"pha\\n\",\"x\":1.5,\"n\":-3,"
-              "\"ok\":true,\"v\":[1,2.5],\"s\":[\"a\",\"b\"]}");
+              "\"v\":[1,2.5],\"s\":[\"a\",\"b\"]}");
 }
 
 TEST(Report, TableJsonlKeyedByHeaders)

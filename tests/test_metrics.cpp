@@ -109,11 +109,8 @@ TEST(Metrics, DegenerateCellPoisonsOnlyItsOwnNtt)
     EXPECT_TRUE(std::isnan(m.fairness));
 }
 
-TEST(Metrics, MeanAndGeomean)
+TEST(Metrics, Mean)
 {
     EXPECT_DOUBLE_EQ(mean({1.0, 2.0, 3.0}), 2.0);
-    EXPECT_DOUBLE_EQ(geomean({1.0, 4.0}), 2.0);
-    EXPECT_NEAR(geomean({2.0, 2.0, 2.0}), 2.0, 1e-12);
     EXPECT_THROW(mean({}), sim::PanicError);
-    EXPECT_THROW(geomean({0.0}), sim::PanicError);
 }

@@ -146,10 +146,6 @@ TEST(Predictor, DrainEstimateUsesElapsedTimeNotTheOracle)
     rig.sm.insertResident(
         {0, now - sim::microseconds(500.0), /*endAt=*/1, /*seq=*/0});
     EXPECT_DOUBLE_EQ(pred.estimatedDrainTimeUs(rig.sm, now), 0.0);
-
-    // Structural remaining work: per-TB estimate x remaining grid.
-    EXPECT_NEAR(pred.estimatedRemainingWorkUs(rig.kernel),
-                40.0 * rig.kernel.totalTbs(), 1e-3);
 }
 
 TEST(Burst, BinaryShiftSmoothingAndLog2Bucketing)

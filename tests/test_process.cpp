@@ -54,17 +54,6 @@ TEST(HostCpu, NoSlowdownUpToHwThreads)
     EXPECT_THROW(cpu.endPhase(), sim::PanicError);
 }
 
-TEST(HostCpu, ContentionCanBeDisabled)
-{
-    sim::Simulation sim;
-    CpuParams p;
-    p.modelContention = false;
-    HostCpu cpu(sim, p);
-    for (int i = 0; i < 20; ++i)
-        cpu.beginPhase();
-    EXPECT_DOUBLE_EQ(cpu.slowdownFactor(), 1.0);
-}
-
 TEST(Process, SingleRunOfEveryBenchmarkCompletes)
 {
     for (const auto &bench : trace::parboilSuite()) {

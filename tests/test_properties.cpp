@@ -29,6 +29,21 @@ using test::DeviceRig;
 
 namespace {
 
+/** A uniform double in [lo, hi), one raw draw. */
+double
+uniformIn(sim::Rng &rng, double lo, double hi)
+{
+    return lo + (hi - lo) * rng.uniform();
+}
+
+/** A uniform integer in [lo, hi]. @pre lo <= hi */
+int
+intIn(sim::Rng &rng, int lo, int hi)
+{
+    return lo + static_cast<int>(
+        rng.uniformInt(static_cast<std::uint64_t>(hi - lo + 1)));
+}
+
 struct InvariantProbe : core::EngineObserver
 {
     core::SchedulingFramework *fw = nullptr;
@@ -70,17 +85,9 @@ TEST_P(PolicyMechanismSweep, ConservationAndCompletion)
     for (int c = 0; c < 4; ++c) {
         for (int i = 0; i < 6; ++i) {
             trace::KernelProfile k = test::makeProfile(
-                sim::strformat("k%d_%d", c, i),
-                static_cast<int>(rng.uniformInt(
-                    static_cast<std::int64_t>(1), 400)),
-                rng.uniform(0.5, 60.0),
-                static_cast<int>(rng.uniformInt(
-                    static_cast<std::int64_t>(512), 40000)),
-                static_cast<int>(rng.uniformInt(
-                    static_cast<std::int64_t>(0), 12000)),
-                static_cast<int>(
-                    64 << rng.uniformInt(static_cast<std::int64_t>(0),
-                                         4)));
+                sim::strformat("k%d_%d", c, i), intIn(rng, 1, 400),
+                uniformIn(rng, 0.5, 60.0), intIn(rng, 512, 40000),
+                intIn(rng, 0, 12000), 64 << intIn(rng, 0, 4));
             profiles.push_back(k);
             expected_tbs +=
                 static_cast<std::uint64_t>(k.numThreadBlocks);
@@ -91,9 +98,8 @@ TEST_P(PolicyMechanismSweep, ConservationAndCompletion)
     for (int c = 0; c < 4; ++c) {
         for (int i = 0; i < 6; ++i) {
             const auto *prof = &profiles[next++];
-            int prio = static_cast<int>(
-                rng.uniformInt(static_cast<std::int64_t>(0), 2));
-            sim::SimTime at = sim::microseconds(rng.uniform(0, 300.0));
+            int prio = intIn(rng, 0, 2);
+            sim::SimTime at = sim::microseconds(uniformIn(rng, 0, 300.0));
             auto *q = queues[static_cast<std::size_t>(c)];
             rig.sim.events().schedule(at, [&rig, q, prof, prio] {
                 auto cmd =
@@ -202,9 +208,7 @@ TEST(DssProperty, WorkConservingUnderSaturation)
         for (int c = 0; c < 4; ++c) {
             profiles.push_back(test::makeProfile(
                 sim::strformat("k%d", c), 30000,
-                rng.uniform(20.0, 80.0),
-                static_cast<int>(rng.uniformInt(
-                    static_cast<std::int64_t>(2048), 30000))));
+                uniformIn(rng, 20.0, 80.0), intIn(rng, 2048, 30000)));
         }
         for (int c = 0; c < 4; ++c)
             rig.launch(rig.queueFor(c), &profiles[

@@ -194,18 +194,6 @@ TEST(Residency, RemapNotifierFiresWhenAVictimIsEvicted)
     EXPECT_EQ(remapped[0], 0);
 }
 
-TEST(Residency, UnregisteredContextsAreAlwaysResident)
-{
-    // Contexts without a footprint (tests, driver-internal work)
-    // never swap.
-    ResidencyRig rig(8);
-    EXPECT_TRUE(rig.rm.resident(42));
-    bool ready = false;
-    rig.rm.ensureResident(42, [&] { ready = true; });
-    EXPECT_TRUE(ready);
-    EXPECT_TRUE(rig.swaps.empty());
-}
-
 namespace {
 
 /** A synthetic app whose device footprint is @p h2d bytes of inputs
@@ -226,10 +214,10 @@ footprintSpec(const std::string &name, std::int64_t h2d, std::int64_t d2h)
     k.threadsPerTb = 512;
     s.kernels.push_back(k);
     using Kind = trace::TraceOp::Kind;
-    s.ops.push_back({Kind::MemcpyH2D, 0, h2d, -1, true});
-    s.ops.push_back({Kind::KernelLaunch, 0, 0, 0, true});
-    s.ops.push_back({Kind::DeviceSync, 0, 0, -1, true});
-    s.ops.push_back({Kind::MemcpyD2H, 0, d2h, -1, true});
+    s.ops.push_back({Kind::MemcpyH2D, 0, h2d, -1});
+    s.ops.push_back({Kind::KernelLaunch, 0, 0, 0});
+    s.ops.push_back({Kind::DeviceSync, 0, 0, -1});
+    s.ops.push_back({Kind::MemcpyD2H, 0, d2h, -1});
     s.validate();
     return s;
 }

@@ -8,13 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
-#include <set>
-#include <string>
-
-#include "core/policy.hh"
-#include "core/preemption.hh"
 #include "harness/suite.hh"
 #include "sim/logging.hh"
 
@@ -238,32 +234,6 @@ TEST(Runner, GoldenFig5QuickAggregatePinned)
 
     constexpr double kGolden = 1.4130172243592014;
     EXPECT_NEAR(avg, kGolden, 1e-9) << "pinned fig5 aggregate moved";
-}
-
-TEST(Suite, AllSchemesSpansTheRegistryCrossProduct)
-{
-    Suite suite("all");
-    suite.sizes({2}).uniform(1, 1).allSchemes();
-    Batch batch = suite.build();
-
-    // Expected column count: preempting policies x mechanisms, plus
-    // one column per non-preemptive policy.
-    std::size_t expected = 0;
-    for (const std::string &p : core::policyRegistry().list()) {
-        expected += core::policyRegistry().at(p).usesMechanism
-            ? core::mechanismRegistry().list().size()
-            : 1;
-    }
-    EXPECT_EQ(batch.schemes.size(), expected);
-    EXPECT_GE(batch.schemes.size(),
-              6u + 2u * (core::mechanismRegistry().size() - 1));
-
-    // Column names are the labels, and they are unique.
-    std::set<std::string> names;
-    for (const auto &spec : batch.schemes) {
-        EXPECT_EQ(spec.name, spec.scheme.label());
-        EXPECT_TRUE(names.insert(spec.name).second) << spec.name;
-    }
 }
 
 TEST(Suite, BuildValidatesSchemeNamesAndCollisions)

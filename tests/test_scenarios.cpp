@@ -1,7 +1,7 @@
 /**
  * Scenario-level integration tests: the paper's Figure 2 ordering,
- * asynchronous command traces, mixed-engine stream ordering, DSS
- * reservation retargeting and time-quantum monotonicity.
+ * mixed-engine stream ordering, DSS reservation retargeting and
+ * time-quantum monotonicity.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include "core/timemux.hh"
 #include "sim/logging.hh"
 #include "tests/test_util.hh"
-#include "trace/trace_builder.hh"
 #include "workload/system.hh"
 
 using namespace gpump;
@@ -95,38 +94,6 @@ TEST(Figure2, LatencyOrderingFcfsNpqPpq)
         << "preemptive latency must not depend on K1's remaining time";
     EXPECT_GT(fcfs, sim::microseconds(400.0))
         << "FCFS must wait for both queued kernels";
-}
-
-TEST(Scenarios, AsyncTransfersOverlapKernels)
-{
-    // A custom app that uploads asynchronously while kernels run:
-    // the async path of Process/TraceOp.
-    trace::BenchmarkSpec app;
-    app.name = "pipelined";
-    app.dataset = "test";
-    trace::KernelProfile k;
-    k.benchmark = "pipelined";
-    k.kernel = "stage";
-    k.launches = 4;
-    k.numThreadBlocks = 208;
-    k.timePerTbUs = 50.0;
-    k.regsPerTb = 4096;
-    k.threadsPerTb = 128;
-    app.kernels.push_back(k);
-    trace::TraceBuilder b(app);
-    b.cpu(100).h2d(trace::mib(1));
-    for (int i = 0; i < 4; ++i)
-        b.h2dAsync(trace::mib(4)).launch(0);
-    b.sync().d2h(trace::mib(1)).cpu(50);
-    app.validate();
-
-    workload::SystemSpec spec;
-    spec.customSpecs = {&app};
-    spec.minReplays = 2;
-    workload::System system(spec);
-    auto result = system.run(sim::seconds(10.0));
-    EXPECT_EQ(result.runs[0].size(), 2u);
-    EXPECT_EQ(result.kernelsCompleted, 8u);
 }
 
 TEST(Scenarios, StreamOrdersAcrossEngines)

@@ -46,8 +46,9 @@ singleStream(std::vector<double> arrivals_us, int max_backlog = 0)
 workload::SystemResult
 run(const serve::ScenarioSpec &sc)
 {
-    return serve::runScenario(sc, "fcfs", "context_switch", "fcfs",
-                              sim::Config());
+    workload::System system(
+        serve::toSystemSpec(sc, "fcfs", "context_switch", "fcfs"));
+    return system.run();
 }
 
 /** The contended scenario used by the determinism/overload/golden

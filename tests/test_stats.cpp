@@ -21,8 +21,6 @@ TEST(Stats, ScalarAccumulates)
     EXPECT_DOUBLE_EQ(s.value(), 3.5);
     s.set(7.0);
     EXPECT_DOUBLE_EQ(s.value(), 7.0);
-    s.reset();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
 }
 
 TEST(Stats, DistributionMoments)
@@ -70,18 +68,6 @@ TEST(Stats, DuplicateNamePanics)
     StatRegistry reg;
     Scalar a(reg, "dup", "");
     EXPECT_THROW(Scalar(reg, "dup", ""), PanicError);
-}
-
-TEST(Stats, ResetAll)
-{
-    StatRegistry reg;
-    Scalar a(reg, "a", "");
-    Distribution d(reg, "b", "");
-    a += 5;
-    d.sample(2.0);
-    reg.resetAll();
-    EXPECT_DOUBLE_EQ(a.value(), 0.0);
-    EXPECT_EQ(d.count(), 0u);
 }
 
 TEST(Stats, WelfordStableForLargeStreams)

@@ -7,6 +7,7 @@
 
 #include "metrics/metrics.hh"
 #include "sim/logging.hh"
+#include "tests/test_util.hh"
 #include "workload/system.hh"
 
 using namespace gpump;
@@ -185,4 +186,37 @@ TEST(SystemIntegration, EightProcessWorkloadRuns)
     for (const auto &runs : result.runs)
         EXPECT_GE(runs.size(), 2u);
     EXPECT_GT(result.preemptions, 0u);
+}
+
+TEST(SystemIntegration, KeyNothingReadsOrClaimsIsFatal)
+{
+    // A misspelled machine key must not run the default machine: once
+    // assembled, a System rejects every key that no scheme claims and
+    // assembly never read, naming the nearest key it did read.
+    SystemSpec spec;
+    spec.benchmarks = {"mri-q"};
+    sim::Config typo;
+    typo.set("gpu.num_smz", std::int64_t{208});
+    std::string msg =
+        test::fatalMessageOf([&] { System system(spec, typo); });
+    EXPECT_NE(msg.find("'gpu.num_smz'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("did you mean 'gpu.num_sms'"), std::string::npos)
+        << msg;
+
+    // The deleted contention switch is no longer read, so it fails.
+    sim::Config gone;
+    gone.set("cpu.model_contention", false);
+    msg = test::fatalMessageOf([&] { System system(spec, gone); });
+    EXPECT_NE(msg.find("'cpu.model_contention'"), std::string::npos)
+        << msg;
+
+    // Keys assembly reads pass, and so do keys a scheme claims, even
+    // when another scheme is selected: the registry validates those.
+    sim::Config fine;
+    fine.set("gpu.num_sms", std::int64_t{26});
+    fine.set("cpu.cores", std::int64_t{8});
+    fine.set("engine.preempted_first", false);
+    fine.set("dss.tokens_per_kernel", std::int64_t{3});
+    spec.policy = "fcfs";
+    EXPECT_NO_THROW(System(spec, fine));
 }

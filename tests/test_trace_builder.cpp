@@ -57,22 +57,16 @@ TEST(TraceBuilder, CpuPhaseIsConvertedToNanoseconds)
     EXPECT_EQ(spec.ops[0].duration, sim::microseconds(300));
 }
 
-TEST(TraceBuilder, BlockingAndAsyncCopiesSetSynchronousFlag)
+TEST(TraceBuilder, CopiesRecordDirectionAndBytes)
 {
     BenchmarkSpec spec;
-    TraceBuilder(spec)
-        .h2d(kib(1))
-        .d2h(kib(2))
-        .h2dAsync(kib(3))
-        .d2hAsync(kib(4));
+    TraceBuilder(spec).h2d(kib(1)).d2h(kib(2));
 
-    ASSERT_EQ(spec.ops.size(), 4u);
-    EXPECT_TRUE(spec.ops[0].synchronous);
-    EXPECT_TRUE(spec.ops[1].synchronous);
-    EXPECT_FALSE(spec.ops[2].synchronous);
-    EXPECT_FALSE(spec.ops[3].synchronous);
+    ASSERT_EQ(spec.ops.size(), 2u);
+    EXPECT_EQ(spec.ops[0].kind, TraceOp::Kind::MemcpyH2D);
+    EXPECT_EQ(spec.ops[1].kind, TraceOp::Kind::MemcpyD2H);
     EXPECT_EQ(spec.ops[0].bytes, kib(1));
-    EXPECT_EQ(spec.ops[3].bytes, kib(4));
+    EXPECT_EQ(spec.ops[1].bytes, kib(2));
 }
 
 TEST(TraceBuilder, LaunchRecordsKernelIndex)

@@ -2,8 +2,8 @@
  * @file
  * Shared test fixtures: synthetic kernel profiles, a miniature device
  * rig (dispatcher + engines + framework) that tests drive by
- * enqueueing commands directly, without the workload layer, and a
- * helper that captures a FatalError's message.
+ * enqueueing commands directly, without the workload layer, a helper
+ * that captures a FatalError's message, and an arrival-trace writer.
  */
 
 #ifndef GPUMP_TESTS_TEST_UTIL_HH
@@ -11,7 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -22,6 +26,7 @@
 #include "gpu/transfer_engine.hh"
 #include "memory/gpu_memory.hh"
 #include "memory/pcie.hh"
+#include "memory/residency.hh"
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
 #include "trace/kernel_profile.hh"
@@ -44,6 +49,28 @@ fatalMessageOf(Fn &&fn)
     return "";
 }
 
+/** Write @p arrivals_us as an arrival-trace file that
+ *  serve::readArrivalTrace round-trips exactly (full double
+ *  precision). */
+inline void
+writeArrivalTrace(const std::string &path,
+                  const std::vector<double> &arrivals_us)
+{
+    std::filesystem::path p(path);
+    if (p.has_parent_path())
+        std::filesystem::create_directories(p.parent_path());
+    std::ofstream out(path);
+    out << "# arrival offsets, microseconds, one per line\n";
+    char buf[64];
+    for (double us : arrivals_us) {
+        // %.17g round-trips every finite double exactly.
+        std::snprintf(buf, sizeof buf, "%.17g\n", us);
+        out << buf;
+    }
+    if (!out)
+        ADD_FAILURE() << "failed writing arrival trace " << path;
+}
+
 /** A synthetic kernel profile with direct control of the knobs that
  *  matter to scheduling tests. */
 inline trace::KernelProfile
@@ -64,7 +91,10 @@ makeProfile(const std::string &name, int num_tbs, double tb_us,
     return k;
 }
 
-/** A self-contained device: everything but processes. */
+/** A self-contained device: everything but processes.  It is wired
+ *  as workload::System wires it, and every context queueFor() names
+ *  is registered with the residency manager at footprint 0, so it is
+ *  always resident. */
 struct DeviceRig
 {
     sim::Simulation sim;
@@ -74,6 +104,8 @@ struct DeviceRig
     gpu::TransferEngine xfer;
     gpu::Dispatcher dispatcher;
     core::SchedulingFramework framework;
+    memory::ResidencyManager residency;
+    std::set<sim::ContextId> registered;
 
     explicit DeviceRig(const std::string &policy = "fcfs",
                        const std::string &mechanism = "context_switch",
@@ -88,7 +120,17 @@ struct DeviceRig
           pcie(sim.stats(), memory::PcieParams::fromConfig(sim.config())),
           xfer(sim, pcie, xfer_policy),
           dispatcher(sim, xfer),
-          framework(sim, params, gmem, dispatcher)
+          framework(sim, params, gmem, dispatcher),
+          residency(sim.stats(), gmem,
+                    [this](sim::ContextId ctx, int priority,
+                           std::int64_t bytes, bool to_device,
+                           std::function<void()> done) {
+                        framework.submitContextTransfer(
+                            ctx, priority, bytes,
+                            to_device ? gpu::Command::Kind::MemcpyH2D
+                                      : gpu::Command::Kind::MemcpyD2H,
+                            std::move(done));
+                    })
     {
         xfer.setCompletionNotifier([this](gpu::CommandQueue *q) {
             dispatcher.onCommandCompleted(q);
@@ -96,12 +138,22 @@ struct DeviceRig
         framework.setTransferEngine(&xfer);
         framework.setMechanism(
             core::makeMechanism(mechanism, sim.config()));
+        residency.setPinQuery([this](sim::ContextId ctx) {
+            return framework.contextPinned(ctx);
+        });
+        residency.setRemapNotifier([this](sim::ContextId ctx) {
+            framework.onContextRemapped(ctx);
+        });
+        framework.setResidency(&residency);
         framework.setPolicy(core::makePolicy(policy, sim.config()));
     }
 
-    /** Create a hardware queue for a context. */
+    /** Create a hardware queue for a context; a context's first queue
+     *  registers it with the residency manager. */
     gpu::CommandQueue *queueFor(sim::ContextId ctx)
     {
+        if (registered.insert(ctx).second)
+            residency.registerContext(ctx, /*priority=*/0, /*footprint=*/0);
         return dispatcher.createQueue(ctx, params.numHwQueues);
     }
 
