@@ -138,7 +138,8 @@ BM_PredictorUpdate(benchmark::State &state)
     const trace::KernelProfile *prof =
         trace::allKernelProfiles().front();
     gpu::GpuParams params;
-    gpu::CommandPtr cmd = gpu::Command::makeKernel(0, 0, prof);
+    gpu::CommandPool pool;
+    gpu::CommandPtr cmd = pool.makeKernel(0, 0, prof);
     gpu::KernelExec k(0, cmd, params, 64);
     gpu::Sm sm(0);
     sm.kernel = &k;

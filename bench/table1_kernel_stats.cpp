@@ -19,6 +19,7 @@
 #include "memory/gpu_memory.hh"
 #include "sim/stats.hh"
 #include "trace/parboil.hh"
+#include "workload/device.hh"
 
 using namespace gpump;
 
@@ -32,6 +33,7 @@ run(int argc, char **argv)
     sim::StatRegistry reg;
     memory::GpuMemory gmem(
         reg, memory::GpuMemoryParams::fromConfig(args.config()));
+    workload::rejectUnreadKeys(args.config());
 
     harness::AsciiTable t({"Benchmark", "Kernel", "Launches",
                            "AvgTime(us)", "TBs", "Time/TB(us)",

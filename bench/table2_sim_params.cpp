@@ -17,6 +17,7 @@
 #include "harness/report.hh"
 #include "memory/gpu_memory.hh"
 #include "memory/pcie.hh"
+#include "workload/device.hh"
 #include "workload/host_cpu.hh"
 
 using namespace gpump;
@@ -32,6 +33,7 @@ run(int argc, char **argv)
     auto pcie = memory::PcieParams::fromConfig(cfg);
     auto gmem = memory::GpuMemoryParams::fromConfig(cfg);
     auto cpu = workload::CpuParams::fromConfig(cfg);
+    workload::rejectUnreadKeys(cfg);
 
     harness::AsciiTable t({"Component", "Parameter", "Value"});
     t.addRow({"CPU", "Clock", harness::fmt(cpu.clockGhz, 1) + " GHz"});

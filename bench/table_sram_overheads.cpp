@@ -15,6 +15,7 @@
 #include "core/tables.hh"
 #include "harness/args.hh"
 #include "harness/report.hh"
+#include "workload/device.hh"
 
 using namespace gpump;
 
@@ -25,6 +26,7 @@ run(int argc, char **argv)
 {
     harness::Args args(argc, argv, {"csv", "jsonl"});
     gpu::GpuParams params = gpu::GpuParams::fromConfig(args.config());
+    workload::rejectUnreadKeys(args.config());
     core::FrameworkSramCosts c = core::frameworkSramCosts(params);
 
     harness::AsciiTable t({"Structure", "Entries", "Entry(bits)",

@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "core/framework.hh"
-#include "tests/test_util.hh"
 #include "harness/args.hh"
+#include "workload/device.hh"
 
 using namespace gpump;
 
@@ -56,31 +56,36 @@ struct TimelineProbe : core::EngineObserver
 std::pair<std::map<std::string, Span>, sim::SimTime>
 runScenario(const std::string &policy, const sim::Config &overrides)
 {
-    test::DeviceRig rig(policy, "context_switch", overrides);
+    workload::Device dev(policy, "context_switch", overrides);
     TimelineProbe probe;
-    probe.sim = &rig.sim;
-    rig.framework.addObserver(&probe);
+    probe.sim = &dev.sim;
+    dev.framework.addObserver(&probe);
 
     // K1: long, fills the GPU (16 waves of 25 us).  K2: medium.
     // K3: short, has a deadline.  All from different processes.
-    static auto k1 = test::makeProfile("K1", 13 * 16 * 16, 25.0);
-    static auto k2 = test::makeProfile("K2", 13 * 16 * 8, 25.0);
-    static auto k3 = test::makeProfile("K3", 13 * 16 / 2, 25.0);
+    static const auto k1 = trace::makeProfile("K1", 13 * 16 * 16, 25.0);
+    static const auto k2 = trace::makeProfile("K2", 13 * 16 * 8, 25.0);
+    static const auto k3 = trace::makeProfile("K3", 13 * 16 / 2, 25.0);
 
-    auto *q1 = rig.queueFor(0);
-    auto *q2 = rig.queueFor(1);
-    auto *q3 = rig.queueFor(2);
+    auto launch = [&dev](gpu::CommandQueue *q,
+                         const trace::KernelProfile *k, int priority) {
+        dev.dispatcher.enqueue(q,
+                               dev.pool.makeKernel(q->ctx(), priority, k));
+    };
+    auto *q1 = dev.addContext(0, 0, 0);
+    auto *q2 = dev.addContext(1, 0, 0);
+    auto *q3 = dev.addContext(2, 0, 0);
 
-    rig.launch(q1, &k1, 0);
+    launch(q1, &k1, 0);
     // K2 and K3 arrive shortly after K1 started.
     sim::SimTime submit3 = sim::microseconds(100.0);
-    rig.sim.events().schedule(sim::microseconds(50.0), [&rig, q2] {
-        rig.launch(q2, &k2, 0);
+    dev.sim.events().schedule(sim::microseconds(50.0), [&launch, q2] {
+        launch(q2, &k2, 0);
     });
-    rig.sim.events().schedule(submit3, [&rig, q3] {
-        rig.launch(q3, &k3, 5);
+    dev.sim.events().schedule(submit3, [&launch, q3] {
+        launch(q3, &k3, 5);
     });
-    rig.run();
+    dev.sim.run();
 
     sim::SimTime latency = probe.spans["K3"].end - submit3;
     return {probe.spans, latency};

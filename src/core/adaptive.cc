@@ -13,13 +13,13 @@ modeledContextSaveCost(SchedulingFramework &fw, const gpu::Sm *sm)
     GPUMP_ASSERT(sm->kernel != nullptr, "save estimate on idle SM");
     std::int64_t bytes = sm->kernel->contextBytesPerTb() *
         static_cast<std::int64_t>(sm->resident.size());
-    if (fw.contendedSwitch() && fw.transferEngine() != nullptr) {
+    if (fw.contendedSwitch()) {
         // The save is a D2H command on the transfer engine: it queues
         // behind every transfer already submitted, so the backlog is
         // part of the cost.  Ignoring it understated the save exactly
         // when the engine was busy — the case the contended model
         // exists for.
-        const gpu::TransferEngine &xfer = *fw.transferEngine();
+        const gpu::TransferEngine &xfer = fw.transferEngine();
         return fw.params().pipelineDrainLatency + xfer.modeledBacklog() +
             xfer.bus().transferDuration(bytes);
     }

@@ -16,8 +16,11 @@ namespace core {
 SchedulingFramework::SchedulingFramework(sim::Simulation &sim,
                                          const gpu::GpuParams &params,
                                          memory::GpuMemory &gmem,
-                                         gpu::Dispatcher &dispatcher)
+                                         gpu::Dispatcher &dispatcher,
+                                         gpu::TransferEngine &xfer,
+                                         gpu::CommandPool &pool)
     : sim_(&sim), params_(params), gmem_(&gmem), dispatcher_(&dispatcher),
+      xfer_(&xfer), pool_(&pool),
       kernelsCompleted_(sim.stats(), "engine.kernels_completed",
                         "kernels that ran to completion"),
       tbsCompleted_(sim.stats(), "engine.tbs_completed",
@@ -715,12 +718,9 @@ SchedulingFramework::submitContextTransfer(sim::ContextId ctx, int priority,
                                            gpu::Command::Kind kind,
                                            std::function<void()> done)
 {
-    GPUMP_ASSERT(xfer_ != nullptr,
-                 "context transfer with no transfer engine wired");
     GPUMP_ASSERT(kind != gpu::Command::Kind::KernelLaunch,
                  "context transfer must be a memcpy");
-    gpu::CommandPtr cmd =
-        gpu::Command::makeMemcpy(ctx, priority, kind, bytes);
+    gpu::CommandPtr cmd = pool_->makeMemcpy(ctx, priority, kind, bytes);
     cmd->onComplete = std::move(done);
     dispatcher_->stampInternal(cmd);
     ++ctxTransfers_;

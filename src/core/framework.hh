@@ -48,9 +48,16 @@ class SchedulingPolicy;
 class SchedulingFramework : public gpu::KernelSink
 {
   public:
+    /**
+     * @param xfer the transfer engine carrying contended context
+     *             save/restore traffic and residency swaps (not owned).
+     * @param pool the command pool those transfer commands are drawn
+     *             from (not owned).
+     */
     SchedulingFramework(sim::Simulation &sim, const gpu::GpuParams &params,
                         memory::GpuMemory &gmem,
-                        gpu::Dispatcher &dispatcher);
+                        gpu::Dispatcher &dispatcher,
+                        gpu::TransferEngine &xfer, gpu::CommandPool &pool);
     ~SchedulingFramework() override;
 
     /** @name Assembly
@@ -73,12 +80,6 @@ class SchedulingFramework : public gpu::KernelSink
         observers_.push_back(observer);
     }
 
-    /** Wire the transfer engine carrying contended context save /
-     *  restore traffic and residency swaps (assembly; optional —
-     *  without it gmem.contended_switch must stay off and no context
-     *  may need a residency swap).  Not owned. */
-    void setTransferEngine(gpu::TransferEngine *xfer) { xfer_ = xfer; }
-
     /** Wire the residency manager enforcing device-memory capacity
      *  (assembly; every SM assignment waits on it).  Not owned. */
     void setResidency(memory::ResidencyManager *residency)
@@ -95,11 +96,11 @@ class SchedulingFramework : public gpu::KernelSink
      *  (gmem.contended_switch) instead of the bandwidth-share model. */
     bool contendedSwitch() const { return contendedSwitch_; }
 
-    /** The transfer engine carrying contended context traffic, or
-     *  nullptr when none is wired.  Mechanisms use it to model the
-     *  queueing their own save would suffer (their DMA engine's state
-     *  is driver-visible, not workload oracle). */
-    gpu::TransferEngine *transferEngine() const { return xfer_; }
+    /** The transfer engine carrying contended context traffic.
+     *  Mechanisms use it to model the queueing their own save would
+     *  suffer (their DMA engine's state is driver-visible, not
+     *  workload oracle). */
+    const gpu::TransferEngine &transferEngine() const { return *xfer_; }
 
     /** @name Command buffers (dispatcher-facing)
      * @{ */
@@ -249,7 +250,6 @@ class SchedulingFramework : public gpu::KernelSink
      * restore, residency swap) to the transfer engine: it queues,
      * contends and completes exactly like a workload memcpy, but is
      * bound to no hardware queue.  @p done runs on completion.
-     * @pre a transfer engine is wired
      */
     void submitContextTransfer(sim::ContextId ctx, int priority,
                                std::int64_t bytes,
@@ -330,7 +330,8 @@ class SchedulingFramework : public gpu::KernelSink
     gpu::GpuParams params_;
     memory::GpuMemory *gmem_;
     gpu::Dispatcher *dispatcher_;
-    gpu::TransferEngine *xfer_ = nullptr;
+    gpu::TransferEngine *xfer_;
+    gpu::CommandPool *pool_;
     memory::ResidencyManager *residency_ = nullptr;
     /** Cached gmem params flag: save/restore rides the transfer
      *  engine.  Checked on the TB-issue hot path. */

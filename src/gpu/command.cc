@@ -26,75 +26,9 @@ Command::dispose(Command *c) noexcept
     // recycled, and the next acquire() would alias it.
     GPUMP_AUDIT(c->refs_ == 0,
                 "command disposed with %u live references", c->refs_);
-    // Both allocation paths (pool blocks and the plain-new heap
-    // factories) are raw ::operator new storage, so explicit
-    // destruction + operator delete / recycle covers both.
     CommandPool *pool = c->pool_;
     c->~Command();
-    if (pool != nullptr)
-        pool->recycle(c);
-    else
-        ::operator delete(c);
-}
-
-namespace {
-
-/** Shared validation + field initialization of the pooled and heap
- *  factories, so the two paths cannot drift apart.  @p alloc runs
- *  after validation, so a panicking argument never leaks a block. @{ */
-template <typename Alloc>
-Command *
-makeKernelWith(Alloc &&alloc, sim::ContextId ctx, int priority,
-               const trace::KernelProfile *profile)
-{
-    GPUMP_ASSERT(profile != nullptr, "kernel command without a profile");
-    Command *cmd = alloc();
-    cmd->kind = Command::Kind::KernelLaunch;
-    cmd->ctx = ctx;
-    cmd->priority = priority;
-    cmd->profile = profile;
-    return cmd;
-}
-
-template <typename Alloc>
-Command *
-makeMemcpyWith(Alloc &&alloc, sim::ContextId ctx, int priority,
-               Command::Kind direction, std::int64_t bytes)
-{
-    GPUMP_ASSERT(direction != Command::Kind::KernelLaunch,
-                 "memcpy command with kernel kind");
-    GPUMP_ASSERT(bytes >= 0, "negative memcpy size");
-    Command *cmd = alloc();
-    cmd->kind = direction;
-    cmd->ctx = ctx;
-    cmd->priority = priority;
-    cmd->bytes = bytes;
-    return cmd;
-}
-/** @} */
-
-Command *
-heapCommand()
-{
-    return new (::operator new(sizeof(Command))) Command;
-}
-
-} // namespace
-
-CommandPtr
-Command::makeKernel(sim::ContextId ctx, int priority,
-                    const trace::KernelProfile *profile)
-{
-    return CommandPtr::adopt(
-        makeKernelWith(heapCommand, ctx, priority, profile));
-}
-
-CommandPtr
-Command::makeMemcpy(sim::ContextId ctx, int priority, Kind direction,
-                    std::int64_t bytes)
-{
-    return CommandPtr::adopt(
-        makeMemcpyWith(heapCommand, ctx, priority, direction, bytes));
+    pool->recycle(c);
 }
 
 CommandPool::~CommandPool()
@@ -129,16 +63,30 @@ CommandPtr
 CommandPool::makeKernel(sim::ContextId ctx, int priority,
                         const trace::KernelProfile *profile)
 {
-    return CommandPtr::adopt(makeKernelWith(
-        [this] { return acquire(); }, ctx, priority, profile));
+    // Validate before acquire(), so a panicking argument never leaks
+    // a block.
+    GPUMP_ASSERT(profile != nullptr, "kernel command without a profile");
+    Command *cmd = acquire();
+    cmd->kind = Command::Kind::KernelLaunch;
+    cmd->ctx = ctx;
+    cmd->priority = priority;
+    cmd->profile = profile;
+    return CommandPtr::adopt(cmd);
 }
 
 CommandPtr
 CommandPool::makeMemcpy(sim::ContextId ctx, int priority,
                         Command::Kind direction, std::int64_t bytes)
 {
-    return CommandPtr::adopt(makeMemcpyWith(
-        [this] { return acquire(); }, ctx, priority, direction, bytes));
+    GPUMP_ASSERT(direction != Command::Kind::KernelLaunch,
+                 "memcpy command with kernel kind");
+    GPUMP_ASSERT(bytes >= 0, "negative memcpy size");
+    Command *cmd = acquire();
+    cmd->kind = direction;
+    cmd->ctx = ctx;
+    cmd->priority = priority;
+    cmd->bytes = bytes;
+    return CommandPtr::adopt(cmd);
 }
 
 } // namespace gpu

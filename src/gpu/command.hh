@@ -47,7 +47,7 @@ struct Command;
  * null tests, get/deref) but the count is a plain integer: commands
  * belong to exactly one single-threaded simulation and never cross
  * threads.  When the last handle drops, the command returns to its
- * CommandPool (or the heap for the pool-less factory helpers).
+ * CommandPool.
  */
 class CommandPtr
 {
@@ -179,25 +179,17 @@ struct Command
      */
     void complete();
 
-    /** Factory helpers (plain heap allocation, for tests and one-off
-     *  commands; the workload hot path uses a CommandPool). @{ */
-    static CommandPtr makeKernel(sim::ContextId ctx, int priority,
-                                 const trace::KernelProfile *profile);
-    static CommandPtr makeMemcpy(sim::ContextId ctx, int priority,
-                                 Kind direction, std::int64_t bytes);
-    /** @} */
-
   private:
     friend class CommandPtr;
     friend class CommandPool;
 
-    /** Last reference dropped: destroy, and recycle or free the block. */
+    /** Last reference dropped: destroy, and recycle the block. */
     static void dispose(Command *c) noexcept;
 
     /** Intrusive reference count (non-atomic by design — see file
      *  comment). */
     std::uint32_t refs_ = 0;
-    /** Owning pool the block returns to; null = plain heap. */
+    /** Owning pool the block returns to. */
     CommandPool *pool_ = nullptr;
 };
 
@@ -232,10 +224,11 @@ CommandPtr::adopt(Command *c) noexcept
  * block is parked for reuse instead of freed.  Steady-state replay
  * therefore allocates nothing per command.
  *
- * Lifetime contract: the pool must outlive every command drawn from
- * it (System declares its pool ahead of the engines so destruction
- * order guarantees this).  NOT thread-safe: one pool belongs to one
- * single-threaded simulation.
+ * Every command is drawn from a pool.  Lifetime contract: the pool
+ * must outlive every command drawn from it (workload::Device declares
+ * its pool ahead of the engines so destruction order guarantees
+ * this).  NOT thread-safe: one pool belongs to one single-threaded
+ * simulation.
  */
 class CommandPool
 {
@@ -245,7 +238,8 @@ class CommandPool
     CommandPool &operator=(const CommandPool &) = delete;
     ~CommandPool();
 
-    /** Pool equivalents of the Command::make* factories. @{ */
+    /** A kernel launch of @p profile, or a copy of @p bytes in
+     *  @p direction, issued by @p ctx at @p priority. @{ */
     CommandPtr makeKernel(sim::ContextId ctx, int priority,
                           const trace::KernelProfile *profile);
     CommandPtr makeMemcpy(sim::ContextId ctx, int priority,

@@ -24,7 +24,7 @@
  * core/, so the actual transfer submission and the two engine-side
  * hooks ("is this context pinned on an SM?", "this context was
  * evicted, so SMs holding it must reload it") are injected as
- * callbacks at assembly (workload::System wires them to the
+ * callbacks at assembly (workload::Device wires them to the
  * scheduling framework).
  */
 

@@ -11,8 +11,8 @@
  * ("dss.*", "adaptive.*", ...) are additionally validated against
  * the scheme's declared tunables at construction time (see
  * core/registry.hh), and the getters record every key they look up,
- * so that an assembled workload::System can reject any other key it
- * never read: unknown or ill-typed keys are hard errors, not silent
+ * so that an assembled workload::Device can reject any other key
+ * nothing read: unknown or ill-typed keys are hard errors, not silent
  * no-ops.
  */
 

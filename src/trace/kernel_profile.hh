@@ -76,6 +76,14 @@ struct KernelProfile
     std::string fullName() const { return benchmark + "." + kernel; }
 };
 
+/** A one-launch kernel of @p num_tbs blocks of @p tb_us each, with
+ *  direct control of the per-block demands that set occupancy (the
+ *  defaults run 16 blocks per SM of the Table 2 GPU).  For the
+ *  examples and tests that place kernels by hand. */
+KernelProfile makeProfile(const std::string &name, int num_tbs,
+                          double tb_us, int regs_per_tb = 4096,
+                          int shmem_per_tb = 0, int threads_per_tb = 128);
+
 } // namespace trace
 } // namespace gpump
 

@@ -23,7 +23,7 @@
  * kernel-profile pointers resolved, memcpy directions and command
  * kinds precomputed — and the replay state is two integers (the op
  * cursor and the completed-run count).  Commands come from the
- * System's CommandPool, so steady-state replay allocates nothing.
+ * device's CommandPool, so steady-state replay allocates nothing.
  */
 
 #ifndef GPUMP_WORKLOAD_PROCESS_HH

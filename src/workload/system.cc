@@ -1,45 +1,12 @@
 #include "workload/system.hh"
 
-#include <algorithm>
+#include <utility>
 
 #include "sim/logging.hh"
 #include "trace/parboil.hh"
 
 namespace gpump {
 namespace workload {
-
-namespace {
-
-/**
- * Reject every key of @p cfg that no scheme claims and assembly never
- * read.  Claimed keys were validated against their scheme's declared
- * tunables when the scheme was made; every other reader (the
- * *Params::fromConfig calls, the framework and System itself) runs
- * unconditionally during assembly, so a key none of them read is a
- * typo that would otherwise run the default machine.
- */
-void
-rejectUnreadKeys(const sim::Config &cfg)
-{
-    const std::vector<std::string> read = cfg.readKeys();
-    for (const std::string &key : cfg.keys()) {
-        if (core::policyRegistry().claimant(key) != nullptr ||
-            core::mechanismRegistry().claimant(key) != nullptr ||
-            std::binary_search(read.begin(), read.end(), key)) {
-            continue;
-        }
-        std::string near = core::nearestOf(key, read);
-        if (!near.empty()) {
-            sim::fatal("unknown config key '%s'; did you mean '%s'?",
-                       key.c_str(), near.c_str());
-        }
-        sim::fatal("unknown config key '%s': no scheme claims it and "
-                   "the simulator reads no such key",
-                   key.c_str());
-    }
-}
-
-} // namespace
 
 System::System(const SystemSpec &spec, const sim::Config &overrides)
     : spec_(spec)
@@ -86,68 +53,10 @@ System::System(const SystemSpec &spec, const sim::Config &overrides)
         sim::fatal("admission backlogs require arrival schedules");
     }
 
-    sim_ = std::make_unique<sim::Simulation>(spec_.seed, overrides);
-    const sim::Config &cfg = sim_->config();
-
-    gpuParams_ = gpu::GpuParams::fromConfig(cfg);
-    gmem_ = std::make_unique<memory::GpuMemory>(
-        sim_->stats(), memory::GpuMemoryParams::fromConfig(cfg));
-    pcie_ = std::make_unique<memory::PcieBus>(
-        sim_->stats(), memory::PcieParams::fromConfig(cfg));
-
-    transferEngine_ = std::make_unique<gpu::TransferEngine>(
-        *sim_, *pcie_,
-        gpu::TransferEngine::policyFromName(spec_.transferPolicy));
-    dispatcher_ = std::make_unique<gpu::Dispatcher>(*sim_,
-                                                    *transferEngine_);
-    transferEngine_->setCompletionNotifier(
-        [this](gpu::CommandQueue *q) {
-            dispatcher_->onCommandCompleted(q);
-        });
-
-    framework_ = std::make_unique<core::SchedulingFramework>(
-        *sim_, gpuParams_, *gmem_, *dispatcher_);
-    framework_->setTransferEngine(transferEngine_.get());
-
-    framework_->setMechanism(core::makeMechanism(spec_.mechanism, cfg));
-
-    // Device-memory residency: swap transfers ride the same transfer
-    // engine as workload copies; the engine-side hooks (pinning, SMs
-    // forgetting an evicted context) route back into the framework.
-    residency_ = std::make_unique<memory::ResidencyManager>(
-        sim_->stats(), *gmem_,
-        [this](sim::ContextId ctx, int priority, std::int64_t bytes,
-               bool to_device, std::function<void()> done) {
-            framework_->submitContextTransfer(
-                ctx, priority, bytes,
-                to_device ? gpu::Command::Kind::MemcpyH2D
-                          : gpu::Command::Kind::MemcpyD2H,
-                std::move(done));
-        });
-    residency_->setPinQuery([this](sim::ContextId ctx) {
-        return framework_->contextPinned(ctx);
-    });
-    residency_->setRemapNotifier([this](sim::ContextId ctx) {
-        framework_->onContextRemapped(ctx);
-    });
-    framework_->setResidency(residency_.get());
-
-    // Let the selected policy fill contextual defaults now that the
-    // machine and workload sizes are known (e.g. DSS's equal-share
-    // token budget, Section 4.4: tc = floor(NSMs / Nprocs) plus the
-    // remainder as bonus tokens).
-    const core::PolicyRegistry::Descriptor &policy_desc =
-        core::policyRegistry().at(spec_.policy);
-    sim::Config policy_cfg = cfg;
-    if (policy_desc.assemblyDefaults) {
-        policy_desc.assemblyDefaults(policy_cfg, gpuParams_.numSms,
-                                     static_cast<int>(apps.size()));
-    }
-    framework_->setPolicy(core::makePolicy(spec_.policy, policy_cfg));
-
-    hostCpu_ = std::make_unique<HostCpu>(*sim_,
-                                         CpuParams::fromConfig(cfg));
-
+    // The host's keys are read before the device takes the config
+    // over: the device rejects every key nothing has read by then.
+    sim::Config cfg = overrides;
+    const CpuParams cpu = CpuParams::fromConfig(cfg);
     sim::SimTime launch_overhead = cfg.getMicroseconds(
         "cpu.kernel_launch_overhead_us", sim::microseconds(3.0));
     std::int64_t scratch_bytes =
@@ -156,6 +65,13 @@ System::System(const SystemSpec &spec, const sim::Config &overrides)
         sim::fatal("process.scratch_bytes must be >= 0 (got %lld)",
                    static_cast<long long>(scratch_bytes));
     }
+
+    device_ = std::make_unique<Device>(
+        spec_.policy, spec_.mechanism, std::move(cfg), spec_.seed,
+        gpu::TransferEngine::policyFromName(spec_.transferPolicy),
+        static_cast<int>(apps.size()));
+    Device &dev = *device_;
+    hostCpu_ = std::make_unique<HostCpu>(dev.sim, cpu);
 
     for (std::size_t i = 0; i < apps.size(); ++i) {
         const trace::BenchmarkSpec &bench = *apps[i];
@@ -174,16 +90,14 @@ System::System(const SystemSpec &spec, const sim::Config &overrides)
         // own is fatal.
         std::int64_t footprint =
             bench.bytesH2D() + bench.bytesD2H() + scratch_bytes;
-        residency_->registerContext(ctx->id(), priority, footprint);
-
-        gpu::CommandQueue *queue = dispatcher_->createQueue(
-            ctx->id(), gpuParams_.numHwQueues);
+        gpu::CommandQueue *queue =
+            dev.addContext(ctx->id(), priority, footprint);
         auto stream = std::make_unique<gpu::Stream>(
-            *sim_, *ctx, *dispatcher_, queue,
-            gpuParams_.commandSubmitLatency);
+            dev.sim, *ctx, dev.dispatcher, queue,
+            dev.params.commandSubmitLatency);
         auto process = std::make_unique<Process>(
-            *sim_, static_cast<sim::ProcessId>(i), &bench, priority,
-            *hostCpu_, *ctx, *stream, cmdPool_, launch_overhead);
+            dev.sim, static_cast<sim::ProcessId>(i), &bench, priority,
+            *hostCpu_, *ctx, *stream, dev.pool, launch_overhead);
         if (!spec_.arrivalSchedules.empty()) {
             int backlog = spec_.admissionBacklogs.empty()
                 ? 0
@@ -198,7 +112,6 @@ System::System(const SystemSpec &spec, const sim::Config &overrides)
         streams_.push_back(std::move(stream));
         processes_.push_back(std::move(process));
     }
-    rejectUnreadKeys(cfg);
 }
 
 SystemResult
@@ -226,16 +139,16 @@ System::run(sim::SimTime limit)
         }
         // All processes start at t=0, co-scheduled (Section 4.1);
         // open-loop processes merely arm their first arrival.
-        sim_->events().schedule(0, [proc] { proc->start(); });
+        sim().events().schedule(0, [proc] { proc->start(); });
     }
 
     while (!done_) {
-        if (!sim_->events().step()) {
+        if (!sim().events().step()) {
             sim::fatal("simulation deadlocked: event queue empty with "
                        "%d process(es) incomplete",
                        stillRunning_);
         }
-        if (sim_->now() > limit) {
+        if (sim().now() > limit) {
             sim::fatal("simulation exceeded its horizon (%lld ns) with "
                        "%d process(es) incomplete; a kernel may be "
                        "unpreemptible under the configured mechanism",
@@ -244,12 +157,13 @@ System::run(sim::SimTime limit)
     }
 
     SystemResult result;
-    result.endTime = sim_->now();
-    result.eventsExecuted = sim_->events().executed();
-    result.kernelsCompleted = framework_->kernelsCompleted();
-    result.preemptions = framework_->preemptions();
-    result.contextBytesSaved = framework_->contextBytesSaved();
-    result.maxPtbqDepth = framework_->maxPtbqDepth();
+    const core::SchedulingFramework &fw = framework();
+    result.endTime = sim().now();
+    result.eventsExecuted = sim().events().executed();
+    result.kernelsCompleted = fw.kernelsCompleted();
+    result.preemptions = fw.preemptions();
+    result.contextBytesSaved = fw.contextBytesSaved();
+    result.maxPtbqDepth = fw.maxPtbqDepth();
     for (auto &p : processes_) {
         result.runs.push_back(p->records());
         result.meanTurnaroundUs.push_back(p->meanTurnaroundUs());

@@ -31,7 +31,7 @@ TEST(CommandPath, SingleKernelRunsToCompletion)
     auto *q = rig.queueFor(0);
     auto k = test::makeProfile("k", 26, 10.0); // occupancy >2, 1 wave
     bool completed = false;
-    auto cmd = gpu::Command::makeKernel(0, 0, &k);
+    auto cmd = rig.pool.makeKernel(0, 0, &k);
     cmd->onComplete = [&] { completed = true; };
     rig.dispatcher.enqueue(q, cmd);
     rig.run();
@@ -49,7 +49,7 @@ TEST(CommandPath, KernelTimingIsWavesTimesTbTime)
     // 13 SMs x 2 = 26 slots -> exactly 2 waves of 100 us.
     auto k = wideKernel("k", 52, 100.0);
     sim::SimTime done_at = -1;
-    auto cmd = gpu::Command::makeKernel(0, 0, &k);
+    auto cmd = rig.pool.makeKernel(0, 0, &k);
     cmd->onComplete = [&] { done_at = rig.sim.now(); };
     rig.dispatcher.enqueue(q, cmd);
     rig.run();
@@ -67,9 +67,9 @@ TEST(CommandPath, SameQueueCommandsSerializeInOrder)
     auto k1 = test::makeProfile("k1", 13, 10.0);
     auto k2 = test::makeProfile("k2", 13, 10.0);
     std::vector<std::string> order;
-    auto c1 = gpu::Command::makeKernel(0, 0, &k1);
+    auto c1 = rig.pool.makeKernel(0, 0, &k1);
     c1->onComplete = [&] { order.push_back("k1"); };
-    auto c2 = gpu::Command::makeKernel(0, 0, &k2);
+    auto c2 = rig.pool.makeKernel(0, 0, &k2);
     c2->onComplete = [&] { order.push_back("k2"); };
     rig.dispatcher.enqueue(q, c1);
     rig.dispatcher.enqueue(q, c2);
@@ -86,7 +86,7 @@ TEST(CommandPath, StreamChargesSubmissionLatencyAndTracksContext)
                        rig.params.commandSubmitLatency);
 
     auto k = test::makeProfile("k", 13, 10.0);
-    auto cmd = gpu::Command::makeKernel(0, 0, &k);
+    auto cmd = rig.pool.makeKernel(0, 0, &k);
     stream.enqueue(cmd);
     EXPECT_EQ(ctx.outstanding(), 1);
 
@@ -155,10 +155,10 @@ TEST(CommandPath, TwoContextsSerializeUnderFcfs)
     obs.sim = &rig.sim;
     rig.framework.addObserver(&obs);
 
-    auto c1 = gpu::Command::makeKernel(0, 0, &k1);
+    auto c1 = rig.pool.makeKernel(0, 0, &k1);
     c1->onComplete = [&] { end1 = rig.sim.now(); };
     rig.dispatcher.enqueue(q0, c1);
-    auto c2 = gpu::Command::makeKernel(1, 0, &k2);
+    auto c2 = rig.pool.makeKernel(1, 0, &k2);
     rig.dispatcher.enqueue(q1, c2);
     rig.run();
 

@@ -105,7 +105,7 @@ TEST(ContendedSwitch, SaveQueuesBehindWorkloadCopy)
     rig.run(sim::microseconds(100.0));
 
     const std::int64_t copy_bytes = 8ll << 20;
-    auto copy = gpu::Command::makeMemcpy(
+    auto copy = rig.pool.makeMemcpy(
         2, 0, gpu::Command::Kind::MemcpyH2D, copy_bytes);
     rig.dispatcher.enqueue(rig.queueFor(2), copy);
     rig.launch(rig.queueFor(1), &hi, 9);
@@ -131,7 +131,7 @@ TEST(ContendedSwitch, PreemptedWorkResumesViaRestoreFetches)
     auto lo = test::makeProfile("lo", 100, 200.0);
     auto hi = test::makeProfile("hi", 26, 50.0);
     bool lo_done = false;
-    auto lo_cmd = gpu::Command::makeKernel(0, 0, &lo);
+    auto lo_cmd = rig.pool.makeKernel(0, 0, &lo);
     lo_cmd->onComplete = [&] { lo_done = true; };
     rig.dispatcher.enqueue(rig.queueFor(0), lo_cmd);
     rig.run(sim::microseconds(50.0));
@@ -233,7 +233,7 @@ TEST(ContextLoad, ChargedOnContextChangeAndAfterEviction)
     auto kernelTime = [&](sim::ContextId ctx) {
         const sim::SimTime start = rig.sim.now();
         sim::SimTime end = -1;
-        auto cmd = gpu::Command::makeKernel(ctx, 0, &k);
+        auto cmd = rig.pool.makeKernel(ctx, 0, &k);
         cmd->onComplete = [&] { end = rig.sim.now(); };
         rig.dispatcher.enqueue(queues[ctx], cmd);
         rig.run();

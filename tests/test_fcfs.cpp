@@ -136,7 +136,7 @@ TEST(Fcfs, ManyKernelsAllComplete)
     for (int c = 0; c < 8; ++c) {
         queues.push_back(rig.queueFor(c));
         for (int i = 0; i < 4; ++i) {
-            auto cmd = gpu::Command::makeKernel(c, 0, &k);
+            auto cmd = rig.pool.makeKernel(c, 0, &k);
             cmd->onComplete = [&completed] { ++completed; };
             rig.dispatcher.enqueue(queues.back(), cmd);
         }

@@ -262,7 +262,7 @@ struct HandOverRig : DeviceRig
     void submit(sim::ContextId ctx, const trace::KernelProfile *prof,
                 sim::SimTime *done)
     {
-        auto cmd = gpu::Command::makeKernel(ctx, 0, prof);
+        auto cmd = pool.makeKernel(ctx, 0, prof);
         cmd->onComplete = [this, done] { *done = sim.now(); };
         dispatcher.enqueue(queueFor(ctx), cmd);
     }
@@ -423,7 +423,8 @@ TEST(Framework, KernelExecTbAccounting)
 {
     gpu::GpuParams params;
     auto prof = test::makeProfile("k", 4, 1.0);
-    auto cmd = gpu::Command::makeKernel(0, 0, &prof);
+    gpu::CommandPool pool;
+    auto cmd = pool.makeKernel(0, 0, &prof);
     gpu::KernelExec k(0, cmd, params, 8);
 
     EXPECT_EQ(k.totalTbs(), 4);
@@ -449,7 +450,8 @@ TEST(Framework, PtbqOverflowPanics)
 {
     gpu::GpuParams params;
     auto prof = test::makeProfile("k", 100, 1.0);
-    auto cmd = gpu::Command::makeKernel(0, 0, &prof);
+    gpu::CommandPool pool;
+    auto cmd = pool.makeKernel(0, 0, &prof);
     gpu::KernelExec k(0, cmd, params, 2);
     k.pushPreemptedTb({0, 1});
     k.pushPreemptedTb({1, 1});
@@ -521,7 +523,7 @@ TEST(Framework, ObserverSeesLifecycle)
     rig.framework.addObserver(&second);
     auto k = test::makeProfile("k", 40, 10.0);
     sim::SimTime completed_at = -1;
-    auto cmd = gpu::Command::makeKernel(0, 0, &k);
+    auto cmd = rig.pool.makeKernel(0, 0, &k);
     cmd->onComplete = [&] { completed_at = rig.sim.now(); };
     rig.dispatcher.enqueue(rig.queueFor(0), cmd);
     rig.run();
@@ -556,9 +558,9 @@ TEST(Framework, SetupLatencySkippedForSameContext)
     auto k1 = test::makeProfile("k1", 13, 10.0);
     auto k2 = test::makeProfile("k2", 13, 10.0);
     sim::SimTime end1 = -1, end2 = -1;
-    auto c1 = gpu::Command::makeKernel(0, 0, &k1);
+    auto c1 = rig.pool.makeKernel(0, 0, &k1);
     c1->onComplete = [&] { end1 = rig.sim.now(); };
-    auto c2 = gpu::Command::makeKernel(0, 0, &k2);
+    auto c2 = rig.pool.makeKernel(0, 0, &k2);
     c2->onComplete = [&] { end2 = rig.sim.now(); };
     rig.dispatcher.enqueue(q, c1);
     rig.dispatcher.enqueue(q, c2);

@@ -92,7 +92,7 @@ TEST(ContextSwitch, PreemptedWorkResumesAndCompletes)
     auto lo = test::makeProfile("lo", 100, 200.0);
     auto hi = test::makeProfile("hi", 26, 50.0);
     bool lo_done = false;
-    auto lo_cmd = gpu::Command::makeKernel(0, 0, &lo);
+    auto lo_cmd = rig.pool.makeKernel(0, 0, &lo);
     lo_cmd->onComplete = [&] { lo_done = true; };
     rig.dispatcher.enqueue(rig.queueFor(0), lo_cmd);
     rig.run(sim::microseconds(50.0));
@@ -113,7 +113,7 @@ TEST(ContextSwitch, RemainingWorkIsPreservedNotRestarted)
     auto hi = test::makeProfile("hi", 13, 1.0, 4096, 0, 2048);
 
     sim::SimTime lo_end = -1;
-    auto lo_cmd = gpu::Command::makeKernel(0, 0, &lo);
+    auto lo_cmd = rig.pool.makeKernel(0, 0, &lo);
     lo_cmd->onComplete = [&] { lo_end = rig.sim.now(); };
     rig.dispatcher.enqueue(rig.queueFor(0), lo_cmd);
     // Preempt at t=80us: 20us of work remains per TB.
@@ -291,7 +291,7 @@ TEST(Adaptive, ContendedSaveEstimateCountsTransferBacklog)
         rig.launch(rig.queueFor(0), &lo, 0);
         rig.run(sim::microseconds(100.0));
         if (copy_bytes > 0) {
-            auto copy = gpu::Command::makeMemcpy(
+            auto copy = rig.pool.makeMemcpy(
                 2, 0, gpu::Command::Kind::MemcpyH2D, copy_bytes);
             rig.dispatcher.enqueue(rig.queueFor(2), copy);
         }

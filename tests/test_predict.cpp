@@ -34,6 +34,7 @@ struct ObservationRig
 {
     trace::KernelProfile profile;
     gpu::GpuParams params;
+    gpu::CommandPool pool;
     gpu::CommandPtr cmd;
     gpu::KernelExec kernel;
     gpu::Sm sm;
@@ -41,7 +42,7 @@ struct ObservationRig
     explicit ObservationRig(double declared_tb_us, int num_tbs = 64)
         : profile(test::makeProfile("synthetic", num_tbs,
                                     declared_tb_us)),
-          cmd(gpu::Command::makeKernel(0, 0, &profile)),
+          cmd(pool.makeKernel(0, 0, &profile)),
           kernel(0, cmd, params, 64), sm(0)
     {
         sm.kernel = &kernel;

@@ -152,7 +152,7 @@ TEST(Process, CommandPoolRecyclesAcrossReplays)
         // (Commands of the replay the stop condition interrupted are
         // still live, so free < allocated here; the plateau is the
         // meaningful number.)
-        return system.commandPool().blocksAllocated();
+        return system.device().pool.blocksAllocated();
     };
     std::size_t two = blocks_for(2);
     std::size_t eight = blocks_for(8);

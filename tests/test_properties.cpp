@@ -102,9 +102,7 @@ TEST_P(PolicyMechanismSweep, ConservationAndCompletion)
             sim::SimTime at = sim::microseconds(uniformIn(rng, 0, 300.0));
             auto *q = queues[static_cast<std::size_t>(c)];
             rig.sim.events().schedule(at, [&rig, q, prof, prio] {
-                auto cmd =
-                    gpu::Command::makeKernel(q->ctx(), prio, prof);
-                rig.dispatcher.enqueue(q, cmd);
+                rig.launch(q, prof, prio);
             });
         }
     }

@@ -108,7 +108,7 @@ TEST(Scenarios, StreamOrdersAcrossEngines)
 
     auto *q = rig.queueFor(0);
     sim::SimTime copy_done = -1;
-    auto copy = gpu::Command::makeMemcpy(
+    auto copy = rig.pool.makeMemcpy(
         0, 0, gpu::Command::Kind::MemcpyH2D, 16 << 20);
     copy->onComplete = [&] { copy_done = rig.sim.now(); };
     rig.dispatcher.enqueue(q, copy);
@@ -131,7 +131,7 @@ TEST(Scenarios, IndependentQueuesDoNotOrder)
     probe.sim = &rig.sim;
     rig.framework.addObserver(&probe);
 
-    auto copy = gpu::Command::makeMemcpy(
+    auto copy = rig.pool.makeMemcpy(
         0, 0, gpu::Command::Kind::MemcpyH2D, 16 << 20);
     sim::SimTime copy_done = -1;
     copy->onComplete = [&] { copy_done = rig.sim.now(); };

@@ -192,21 +192,28 @@ TEST(SystemIntegration, KeyNothingReadsOrClaimsIsFatal)
 {
     // A misspelled machine key must not run the default machine: once
     // assembled, a System rejects every key that no scheme claims and
-    // assembly never read, naming the nearest key it did read.
+    // assembly never read, naming the nearest key it did read.  The
+    // test rig is the same Device, so it rejects the key too.
     SystemSpec spec;
     spec.benchmarks = {"mri-q"};
     sim::Config typo;
     typo.set("gpu.num_smz", std::int64_t{208});
-    std::string msg =
+    const std::string from_system =
         test::fatalMessageOf([&] { System system(spec, typo); });
-    EXPECT_NE(msg.find("'gpu.num_smz'"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("did you mean 'gpu.num_sms'"), std::string::npos)
-        << msg;
+    const std::string from_rig = test::fatalMessageOf(
+        [&] { test::DeviceRig rig("fcfs", "context_switch", typo); });
+    for (const std::string &msg : {from_system, from_rig}) {
+        EXPECT_NE(msg.find("'gpu.num_smz'"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("did you mean 'gpu.num_sms'"),
+                  std::string::npos)
+            << msg;
+    }
 
     // The deleted contention switch is no longer read, so it fails.
     sim::Config gone;
     gone.set("cpu.model_contention", false);
-    msg = test::fatalMessageOf([&] { System system(spec, gone); });
+    std::string msg =
+        test::fatalMessageOf([&] { System system(spec, gone); });
     EXPECT_NE(msg.find("'cpu.model_contention'"), std::string::npos)
         << msg;
 

@@ -13,10 +13,11 @@ using test::DeviceRig;
 namespace {
 
 gpu::CommandPtr
-memcpyCmd(sim::ContextId ctx, int priority, std::int64_t bytes,
-          std::vector<std::string> *order, const std::string &tag)
+memcpyCmd(DeviceRig &rig, sim::ContextId ctx, int priority,
+          std::int64_t bytes, std::vector<std::string> *order,
+          const std::string &tag)
 {
-    auto cmd = gpu::Command::makeMemcpy(
+    auto cmd = rig.pool.makeMemcpy(
         ctx, priority, gpu::Command::Kind::MemcpyH2D, bytes);
     cmd->onComplete = [order, tag] { order->push_back(tag); };
     return cmd;
@@ -29,7 +30,7 @@ TEST(TransferEngine, SingleTransferTiming)
     DeviceRig rig;
     auto *q = rig.queueFor(0);
     std::vector<std::string> order;
-    rig.dispatcher.enqueue(q, memcpyCmd(0, 0, 1 << 20, &order, "a"));
+    rig.dispatcher.enqueue(q, memcpyCmd(rig, 0, 0, 1 << 20, &order, "a"));
     sim::SimTime end = rig.run();
     ASSERT_EQ(order.size(), 1u);
     // 1 MiB = 256 bursts * 256 ns + 2 us setup = 67536 ns.
@@ -44,9 +45,9 @@ TEST(TransferEngine, FcfsOrder)
     auto *q2 = rig.queueFor(2);
     std::vector<std::string> order;
     // Low priority arrives first; FCFS ignores priorities.
-    rig.dispatcher.enqueue(q0, memcpyCmd(0, 0, 4096, &order, "lo1"));
-    rig.dispatcher.enqueue(q1, memcpyCmd(1, 5, 4096, &order, "hi"));
-    rig.dispatcher.enqueue(q2, memcpyCmd(2, 0, 4096, &order, "lo2"));
+    rig.dispatcher.enqueue(q0, memcpyCmd(rig, 0, 0, 4096, &order, "lo1"));
+    rig.dispatcher.enqueue(q1, memcpyCmd(rig, 1, 5, 4096, &order, "hi"));
+    rig.dispatcher.enqueue(q2, memcpyCmd(rig, 2, 0, 4096, &order, "lo2"));
     rig.run();
     EXPECT_EQ(order, (std::vector<std::string>{"lo1", "hi", "lo2"}));
 }
@@ -62,9 +63,9 @@ TEST(TransferEngine, PriorityPolicyReordersQueue)
     // First transfer starts immediately (engine idle); while it is on
     // the wire the other two queue up and the high-priority one must
     // win the next slot.
-    rig.dispatcher.enqueue(q0, memcpyCmd(0, 0, 1 << 20, &order, "first"));
-    rig.dispatcher.enqueue(q1, memcpyCmd(1, 0, 4096, &order, "lo"));
-    rig.dispatcher.enqueue(q2, memcpyCmd(2, 7, 4096, &order, "hi"));
+    rig.dispatcher.enqueue(q0, memcpyCmd(rig, 0, 0, 1 << 20, &order, "first"));
+    rig.dispatcher.enqueue(q1, memcpyCmd(rig, 1, 0, 4096, &order, "lo"));
+    rig.dispatcher.enqueue(q2, memcpyCmd(rig, 2, 7, 4096, &order, "hi"));
     rig.run();
     EXPECT_EQ(order, (std::vector<std::string>{"first", "hi", "lo"}));
 }
@@ -77,9 +78,9 @@ TEST(TransferEngine, PriorityTiesBrokenByArrival)
     auto *q1 = rig.queueFor(1);
     auto *q2 = rig.queueFor(2);
     std::vector<std::string> order;
-    rig.dispatcher.enqueue(q0, memcpyCmd(0, 0, 1 << 20, &order, "first"));
-    rig.dispatcher.enqueue(q1, memcpyCmd(1, 3, 4096, &order, "a"));
-    rig.dispatcher.enqueue(q2, memcpyCmd(2, 3, 4096, &order, "b"));
+    rig.dispatcher.enqueue(q0, memcpyCmd(rig, 0, 0, 1 << 20, &order, "first"));
+    rig.dispatcher.enqueue(q1, memcpyCmd(rig, 1, 3, 4096, &order, "a"));
+    rig.dispatcher.enqueue(q2, memcpyCmd(rig, 2, 3, 4096, &order, "b"));
     rig.run();
     EXPECT_EQ(order, (std::vector<std::string>{"first", "a", "b"}));
 }
@@ -98,7 +99,7 @@ TEST(TransferEngine, OverlapsWithKernelExecution)
 
     std::vector<std::string> order;
     sim::SimTime xfer_done = -1;
-    auto cmd = gpu::Command::makeMemcpy(1, 0,
+    auto cmd = rig.pool.makeMemcpy(1, 0,
                                         gpu::Command::Kind::MemcpyD2H,
                                         4096);
     cmd->onComplete = [&] { xfer_done = rig.sim.now(); };
@@ -114,7 +115,7 @@ TEST(TransferEngine, RejectsKernelCommands)
 {
     DeviceRig rig;
     auto k = test::makeProfile("k", 1, 1.0);
-    auto cmd = gpu::Command::makeKernel(0, 0, &k);
+    auto cmd = rig.pool.makeKernel(0, 0, &k);
     EXPECT_THROW(rig.xfer.submit(cmd), sim::PanicError);
 }
 
