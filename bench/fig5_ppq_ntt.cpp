@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
-#include "core/preemption.hh"
 #include "harness/report.hh"
 #include "harness/suite.hh"
 
@@ -51,8 +50,6 @@ run(int argc, char **argv)
     // Asking for draining would duplicate the fixed PPQ-Drain
     // column, so that column is dropped in that case.
     std::string mech = args.flag("mechanism", "context_switch");
-    if (const auto *md = core::mechanismRegistry().find(mech))
-        mech = md->name; // canonicalize aliases (cs, drain, ...)
     std::string mech_col =
         mech == "context_switch" ? "PPQ-CS" : "PPQ-" + mech;
     std::vector<std::string> prio_cols{"NPQ", mech_col};

@@ -10,9 +10,10 @@
  *   DSS-Proactive  save/restore with restore prefetch for the
  *                  reservation target (proactive_mem).
  *
- * Every scheme column runs with the contended model on; pass
- * gmem.contended_switch=0 to sweep the share model instead (the
- * bare key=value overrides win over the per-scheme default).
+ * Every scheme column runs with the contended model on.
+ * proactive_mem stages its restore fetches as transfer commands, so
+ * it needs that model: gmem.contended_switch=0 on the command line is
+ * a fatal error naming the key.
  *
  * Usage: fig7_proactive [--quick] [--workloads=N] [--replays=N]
  *                       [--seed=N] [--sizes=2,4,...] [--jobs=N]
@@ -38,21 +39,23 @@ run(int argc, char **argv)
     harness::Args args(argc, argv, BenchOptions::flags());
     BenchOptions opt = BenchOptions::fromArgs(args, "fig7_proactive");
 
-    sim::Config contended;
-    contended.set("gmem.contended_switch", true);
+    // The model is base config, not a per-scheme override, so a
+    // command-line gmem.contended_switch reaches every request.
+    sim::Config cfg = figureConfig(args);
+    if (!cfg.has("gmem.contended_switch"))
+        cfg.set("gmem.contended_switch", true);
 
     harness::Suite suite("fig7p");
     suite.sizes(opt.sizes)
         .uniform(opt.workloads, opt.seed)
         .minReplays(opt.replays)
-        .scheme("FCFS", {"fcfs", "context_switch", "fcfs"}, contended)
-        .scheme("DSS-CS", {"dss", "context_switch", "fcfs"}, contended)
-        .scheme("DSS-Adaptive", {"dss", "adaptive", "fcfs"}, contended)
-        .scheme("DSS-Proactive", {"dss", "proactive_mem", "fcfs"},
-                contended);
+        .scheme("FCFS", {"fcfs", "context_switch", "fcfs"})
+        .scheme("DSS-CS", {"dss", "context_switch", "fcfs"})
+        .scheme("DSS-Adaptive", {"dss", "adaptive", "fcfs"})
+        .scheme("DSS-Proactive", {"dss", "proactive_mem", "fcfs"});
     harness::Batch batch = suite.build();
 
-    harness::Runner runner(figureConfig(args), opt.jobs);
+    harness::Runner runner(cfg, opt.jobs);
     opt.configureRunner(runner);
     runner.setProgress(progressMeter("fig7p"));
     auto results = bench::runAll(runner, batch.requests);

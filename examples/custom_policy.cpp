@@ -43,8 +43,6 @@ class SjfPolicy : public core::SchedulingPolicy
   public:
     explicit SjfPolicy(bool by_tbs) : byTbs_(by_tbs) {}
 
-    const char *name() const override { return "sjf"; }
-
     void onCommandWaiting(sim::ContextId) override { pump(); }
     void onSmIdle(gpu::Sm *) override { pump(); }
     void onKernelFinished(gpu::KernelExec *) override { pump(); }

@@ -51,8 +51,6 @@ class AdaptiveMechanism : public PreemptionMechanism
      *         save cost; must be >= 0. */
     explicit AdaptiveMechanism(double bias);
 
-    const char *name() const override { return "adaptive"; }
-
     void bind(SchedulingFramework &fw) override;
     void beginPreemption(gpu::Sm *sm) override;
 

@@ -123,7 +123,7 @@ void
 PpqAgingPolicy::onPreemptionComplete(gpu::Sm *sm, gpu::KernelExec *next)
 {
     refreshService();
-    // Honour the reservation directly (as DSS and tmux do): the
+    // Honour the reservation directly (as DSS does): the
     // beneficiary's aged boost earned this SM, and routing through
     // the priority-sorted scheduler would let the preempted kernel
     // take it straight back once the boost freezes.

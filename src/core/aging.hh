@@ -50,8 +50,6 @@ class PpqAgingPolicy : public PpqPolicy
      */
     PpqAgingPolicy(sim::SimTime interval, int step, int max_boost);
 
-    const char *name() const override { return "ppq_aging"; }
-
     /** Also adds the aging timer to the framework's event queue. */
     void bind(SchedulingFramework &fw) override;
 

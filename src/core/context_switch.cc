@@ -97,7 +97,6 @@ contextSwitchDescriptor()
 {
     MechanismRegistry::Descriptor d;
     d.name = "context_switch";
-    d.aliases = {"cs"};
     d.doc = "Save/restore preemption (Section 3.2): drain the "
             "pipeline, save every resident thread block's context to "
             "off-chip memory at the SM's bandwidth share, re-issue "

@@ -26,7 +26,6 @@ namespace core {
 class ContextSwitchMechanism : public PreemptionMechanism
 {
   public:
-    const char *name() const override { return "context_switch"; }
     void beginPreemption(gpu::Sm *sm) override;
 
   private:

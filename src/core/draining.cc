@@ -25,7 +25,6 @@ drainingDescriptor()
 {
     MechanismRegistry::Descriptor d;
     d.name = "draining";
-    d.aliases = {"drain"};
     d.doc = "Drain-to-thread-block-boundary preemption (Section 3.2): "
             "stop issuing and let resident blocks finish; no context "
             "is saved, latency is the blocks' remaining run time";

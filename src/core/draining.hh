@@ -22,7 +22,6 @@ namespace core {
 class DrainingMechanism : public PreemptionMechanism
 {
   public:
-    const char *name() const override { return "draining"; }
     void beginPreemption(gpu::Sm *sm) override;
 };
 

@@ -1,7 +1,5 @@
 #include "core/dss.hh"
 
-#include <algorithm>
-
 #include "core/framework.hh"
 #include "sim/logging.hh"
 
@@ -9,9 +7,9 @@ namespace gpump {
 namespace core {
 
 DssPolicy::DssPolicy(int tokens_per_kernel, int bonus_tokens,
-                     bool retarget, bool weight_by_priority)
+                     bool retarget)
     : tokensPerKernel_(tokens_per_kernel), bonusPool_(bonus_tokens),
-      retarget_(retarget), weightByPriority_(weight_by_priority)
+      retarget_(retarget)
 {
     GPUMP_ASSERT(tokens_per_kernel >= 0 && bonus_tokens >= 0,
                  "negative DSS token budget");
@@ -60,10 +58,7 @@ DssPolicy::admit()
         if (ctx == sim::invalidContext)
             break;
         gpu::KernelExec *k = fw_->admit(ctx);
-        int weight = weightByPriority_
-            ? 1 + std::max(0, k->priority())
-            : 1;
-        k->tokens = tokensPerKernel_ * weight;
+        k->tokens = tokensPerKernel_;
         if (bonusPool_ > 0) {
             --bonusPool_;
             ++k->tokens;
@@ -208,9 +203,6 @@ dssDescriptor()
         {"dss.retarget", TunableType::Bool, "true",
          "re-target in-flight reservations whose beneficiary no "
          "longer needs the SM (Section 3.4 optimisation)"},
-        {"dss.weight_by_priority", TunableType::Bool, "false",
-         "scale each kernel's token grant by (1 + process priority): "
-         "OS-controlled weighted sharing"},
     };
     // Equal sharing (Section 4.4) needs the machine and workload
     // sizes, which only exist at system assembly.  The pair default
@@ -233,9 +225,7 @@ dssDescriptor()
         int tokens = cfg.getInt32("dss.tokens_per_kernel", 1);
         int bonus = cfg.getInt32("dss.bonus_tokens", 0);
         bool retarget = cfg.getBool("dss.retarget", true);
-        bool weighted = cfg.getBool("dss.weight_by_priority", false);
-        return std::make_unique<DssPolicy>(tokens, bonus, retarget,
-                                           weighted);
+        return std::make_unique<DssPolicy>(tokens, bonus, retarget);
     };
     return d;
 }

@@ -44,16 +44,8 @@ class DssPolicy : public SchedulingPolicy
      *        when their beneficiary no longer needs the SM
      *        (Section 3.4 optimisation; ablated in
      *        bench/ablation_retarget).
-     * @param weight_by_priority scale the token grant by
-     *        (1 + process priority): the OS-controlled weighted
-     *        sharing the token abstraction was designed for
-     *        (Section 3.4: tokens "represent their SM budget").
-     *        Steady-state SM shares become proportional to grants.
      */
-    DssPolicy(int tokens_per_kernel, int bonus_tokens, bool retarget,
-              bool weight_by_priority);
-
-    const char *name() const override { return "dss"; }
+    DssPolicy(int tokens_per_kernel, int bonus_tokens, bool retarget);
 
     void onCommandWaiting(sim::ContextId ctx) override;
     void onSmIdle(gpu::Sm *sm) override;
@@ -80,7 +72,6 @@ class DssPolicy : public SchedulingPolicy
     int tokensPerKernel_;
     int bonusPool_;
     bool retarget_;
-    bool weightByPriority_;
     bool inPartition_ = false;
     bool partitionAgain_ = false;
 };

@@ -21,8 +21,6 @@ namespace core {
 class FcfsPolicy : public SchedulingPolicy
 {
   public:
-    const char *name() const override { return "fcfs"; }
-
     void onCommandWaiting(sim::ContextId ctx) override;
     void onSmIdle(gpu::Sm *sm) override;
     void onKernelFinished(gpu::KernelExec *k) override;

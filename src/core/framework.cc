@@ -158,12 +158,6 @@ SchedulingFramework::activeQueueFull() const
         maxActiveKernels(params_);
 }
 
-int
-SchedulingFramework::numActiveKernels() const
-{
-    return static_cast<int>(activeQueue_.size());
-}
-
 gpu::KernelExec *
 SchedulingFramework::admit(sim::ContextId ctx)
 {
@@ -731,6 +725,8 @@ int
 SchedulingFramework::stageRestore(gpu::KernelExec *k, int max_tbs)
 {
     GPUMP_ASSERT(k != nullptr, "stageRestore(null)");
+    GPUMP_ASSERT(contendedSwitch_,
+                 "restore fetches need the contended-switch model");
     if (max_tbs <= 0)
         return 0;
     int uncovered = static_cast<int>(k->ptbqDepth()) -
@@ -748,34 +744,16 @@ SchedulingFramework::stageRestore(gpu::KernelExec *k, int max_tbs)
     if (n <= 0)
         return 0;
     k->restoreRequested(n);
-    std::uint64_t gen = k->generation();
-    std::int64_t bytes = k->contextBytesPerTb() * n;
-    if (contendedSwitch_) {
-        submitContextTransfer(
-            k->ctx(), k->priority(), bytes, gpu::Command::Kind::MemcpyH2D,
-            [this, k, gen, n] { restoreArrived(k, gen, n); });
-    } else {
-        // Share-model staging (proactive prefetch without the
-        // contended-switch model): the fetch takes the bandwidth-share
-        // move time but queues behind nothing.
-        sim_->events().scheduleIn(
-            gmem_->moveTime(bytes, params_.numSms),
-            [this, k, gen, n] { restoreArrived(k, gen, n); },
-            sim::prioDriver);
-    }
+    submitContextTransfer(k->ctx(), k->priority(),
+                          k->contextBytesPerTb() * n,
+                          gpu::Command::Kind::MemcpyH2D,
+                          [this, k, n] { restoreArrived(k, n); });
     return n;
 }
 
 void
-SchedulingFramework::restoreArrived(gpu::KernelExec *k, std::uint64_t gen,
-                                    int n)
+SchedulingFramework::restoreArrived(gpu::KernelExec *k, int n)
 {
-    if (k->generation() != gen) {
-        // The kernel finished and its KSR slot was recycled while the
-        // fetch was in flight (share-model prefetch only; contended
-        // parking keeps the kernel on an SM).  Nothing to credit.
-        return;
-    }
     k->restoreArrived(n);
     tbsPrefetched_ += static_cast<double>(n);
     for (auto &sm : sms_) {

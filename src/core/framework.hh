@@ -123,7 +123,6 @@ class SchedulingFramework : public gpu::KernelSink
     /** @name Active queue / KSRT
      * @{ */
     bool activeQueueFull() const;
-    int numActiveKernels() const;
 
     /**
      * Admit @p ctx's buffered command: allocate a KSR, append to the
@@ -258,11 +257,10 @@ class SchedulingFramework : public gpu::KernelSink
 
     /**
      * Stage restore fetches for up to @p max_tbs of @p k's PTBQ
-     * entries that are neither credited nor already being fetched.
-     * Under the contended-switch model the fetch is an H2D transfer
-     * command; otherwise it takes the bandwidth-share move time
-     * without contending.  On arrival the entries gain restore credit
-     * and every SM running @p k is re-driven.
+     * entries that are neither credited nor already being fetched:
+     * one H2D transfer command.  On arrival the entries gain restore
+     * credit and every SM running @p k is re-driven.
+     * @pre contendedSwitch()
      * @return the number of TBs actually staged (0 when fully covered).
      */
     int stageRestore(gpu::KernelExec *k, int max_tbs);
@@ -304,10 +302,11 @@ class SchedulingFramework : public gpu::KernelSink
      *  for finishSetup.  Runs once the kernel's context is resident. */
     void beginSetup(gpu::Sm *sm);
     void finishSetup(gpu::Sm *sm);
-    /** Restore fetch staged with @p gen landed; grants credit and
-     *  re-drives the kernel's SMs unless the KernelExec was recycled
-     *  meanwhile. */
-    void restoreArrived(gpu::KernelExec *k, std::uint64_t gen, int n);
+    /** A restore fetch covering @p n of @p k's PTBQ entries landed:
+     *  grants the credit and re-drives the kernel's SMs.  @p k is
+     *  still active: its uncredited entries cannot re-issue, so it
+     *  cannot finish while a fetch is in flight. */
+    void restoreArrived(gpu::KernelExec *k, int n);
     /** True when @p sm should stay parked on its kernel instead of
      *  going idle: contended-switch restores are in flight and the SM
      *  re-drives when they land. */

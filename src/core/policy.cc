@@ -4,7 +4,6 @@
 #include "core/dss.hh"
 #include "core/fcfs.hh"
 #include "core/priority.hh"
-#include "core/timemux.hh"
 #include "predict/bore_burst.hh"
 
 namespace gpump {
@@ -21,7 +20,6 @@ policyRegistry()
         ppqDescriptor(/*exclusive=*/true),
         ppqDescriptor(/*exclusive=*/false),
         dssDescriptor(),
-        timeMuxDescriptor(),
         ppqAgingDescriptor(),
         predict::boreBurstDescriptor(),
     });

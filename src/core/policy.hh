@@ -10,9 +10,9 @@
  * any bench or example with --list-schemes for the live list with doc
  * strings and declared tunables.  Built-ins: "fcfs" (the baseline
  * GPU), "npq", "ppq_excl", "ppq_shared" (Section 4.2-4.3), "dss"
- * (Algorithm 1), "tmux" (round-robin time slicing), "ppq_aging" (PPQ
- * with priority aging against low-priority starvation) and
- * "bore_burst" (predict/bore_burst.hh), listed in policy.cc.
+ * (Algorithm 1), "ppq_aging" (PPQ with priority aging against
+ * low-priority starvation) and "bore_burst" (predict/bore_burst.hh),
+ * listed in policy.cc.
  */
 
 #ifndef GPUMP_CORE_POLICY_HH
@@ -37,9 +37,6 @@ class SchedulingPolicy
 {
   public:
     virtual ~SchedulingPolicy() = default;
-
-    /** Policy name for reports. */
-    virtual const char *name() const = 0;
 
     /** Wire to the owning framework (called once at assembly). */
     virtual void bind(SchedulingFramework &fw) { fw_ = &fw; }
@@ -78,8 +75,8 @@ PolicyRegistry &policyRegistry();
  * Policy factory: a thin lookup into policyRegistry().
  *
  * @param name a registered policy ("fcfs", "npq", "ppq_excl",
- *             "ppq_shared", "dss", "tmux", "ppq_aging", "bore_burst",
- *             or anything registered out of tree).
+ *             "ppq_shared", "dss", "ppq_aging", "bore_burst", or
+ *             anything registered out of tree).
  * @param cfg  policy tunables (e.g. "dss.tokens_per_kernel").
  *
  * Raises fatal() for unknown names (listing every registered policy)

@@ -42,9 +42,6 @@ class PreemptionMechanism
   public:
     virtual ~PreemptionMechanism() = default;
 
-    /** Mechanism name for reports (the registry's canonical name). */
-    virtual const char *name() const = 0;
-
     /**
      * Begin vacating @p sm.  The SM is already flagged reserved and
      * is in the Running state with at least one resident thread
@@ -69,9 +66,9 @@ MechanismRegistry &mechanismRegistry();
 /**
  * Mechanism factory: a thin lookup into mechanismRegistry().
  *
- * @param name a registered mechanism ("context_switch"/"cs",
- *             "draining"/"drain", "adaptive", or anything registered
- *             out of tree).
+ * @param name a registered mechanism ("context_switch", "draining",
+ *             "adaptive", "proactive_mem", "pred_adaptive", or
+ *             anything registered out of tree).
  * @param cfg  mechanism tunables (e.g. "adaptive.bias").
  *
  * Raises fatal() for unknown names (listing every registered

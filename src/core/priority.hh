@@ -32,8 +32,6 @@ namespace core {
 class NpqPolicy : public SchedulingPolicy
 {
   public:
-    const char *name() const override { return "npq"; }
-
     void onCommandWaiting(sim::ContextId ctx) override;
     void onSmIdle(gpu::Sm *sm) override;
     void onKernelFinished(gpu::KernelExec *k) override;
@@ -73,11 +71,6 @@ class PpqPolicy : public NpqPolicy
     /** @param exclusive grant the top priority exclusive engine
      *                   access (no low-priority back-filling). */
     explicit PpqPolicy(bool exclusive) : exclusive_(exclusive) {}
-
-    const char *name() const override
-    {
-        return exclusive_ ? "ppq_excl" : "ppq_shared";
-    }
 
     void onCommandWaiting(sim::ContextId ctx) override;
     void onKernelFinished(gpu::KernelExec *k) override;

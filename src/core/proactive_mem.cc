@@ -15,6 +15,11 @@ ProactiveMemMechanism::ProactiveMemMechanism(int lookahead)
 void
 ProactiveMemMechanism::bind(SchedulingFramework &fw)
 {
+    if (!fw.contendedSwitch()) {
+        sim::fatal("mechanism 'proactive_mem' stages restore fetches as "
+                   "transfer commands and needs "
+                   "gmem.contended_switch=1");
+    }
     PreemptionMechanism::bind(fw);
     contextSwitch_.bind(fw);
 }
@@ -48,7 +53,6 @@ proactiveMemDescriptor()
 {
     MechanismRegistry::Descriptor d;
     d.name = "proactive_mem";
-    d.aliases = {"proactive"};
     d.doc = "Context switch with restore prefetch: stages the "
             "reservation target's preempted-block state over the "
             "transfer path while the victim drains and saves, so "

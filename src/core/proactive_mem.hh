@@ -12,12 +12,11 @@
  * carry restore credit (gpu/kernel_exec.hh) and re-issue without the
  * inline restore cost.
  *
- * The overlap matters most under the contended-switch model
- * (gmem.contended_switch), where saves and restores queue on the
- * transfer path: prefetching moves the restore wait off the critical
- * path of the switch.  Under the default share model the fetch still
- * runs ahead at the bandwidth-share rate, shaving the restore term off
- * re-issued blocks' runtimes.
+ * The fetches are transfer commands, so the mechanism needs the
+ * contended-switch model (gmem.contended_switch=1), where saves and
+ * restores queue on the transfer path: prefetching moves the restore
+ * wait off the critical path of the switch.  Binding it to a framework
+ * without that model is fatal.
  *
  * Registers as "proactive_mem" with the "proactive_mem.lookahead"
  * tunable; built entirely on the public mechanism + framework API
@@ -42,8 +41,7 @@ class ProactiveMemMechanism : public PreemptionMechanism
      *         must be > 0. */
     explicit ProactiveMemMechanism(int lookahead);
 
-    const char *name() const override { return "proactive_mem"; }
-
+    /** Fatal unless @p fw runs the contended-switch model. */
     void bind(SchedulingFramework &fw) override;
     void beginPreemption(gpu::Sm *sm) override;
 

@@ -28,7 +28,6 @@
 #ifndef GPUMP_CORE_REGISTRY_HH
 #define GPUMP_CORE_REGISTRY_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <map>
@@ -117,8 +116,6 @@ class SchemeRegistry
         std::string configPrefix;
         /** Declared tunables, all under configPrefix. */
         std::vector<Tunable> tunables;
-        /** Accepted shorthands ("cs" for "context_switch"). */
-        std::vector<std::string> aliases;
         /**
          * Policies only: true when the scheme triggers preemptions,
          * i.e. the mechanism choice affects its behaviour.  Drives
@@ -155,8 +152,8 @@ class SchemeRegistry
 
     /**
      * Register a scheme.  Fails fast (fatal) on an empty name or
-     * factory, a duplicate name/alias, or a tunable declared outside
-     * the claimed configPrefix.
+     * factory, a duplicate name, or a tunable declared outside the
+     * claimed configPrefix.
      */
     void add(Descriptor d)
     {
@@ -184,7 +181,7 @@ class SchemeRegistry
                            d.configPrefix.c_str());
             }
         }
-        if (byName_.count(d.name) || aliases_.count(d.name)) {
+        if (byName_.count(d.name)) {
             sim::fatal("duplicate %s registration '%s'", kind_.c_str(),
                        d.name.c_str());
         }
@@ -199,33 +196,14 @@ class SchemeRegistry
                 }
             }
         }
-        for (std::size_t i = 0; i < d.aliases.size(); ++i) {
-            const std::string &a = d.aliases[i];
-            bool self_dup = a == d.name ||
-                std::find(d.aliases.begin(),
-                          d.aliases.begin() +
-                              static_cast<std::ptrdiff_t>(i),
-                          a) != d.aliases.begin() +
-                    static_cast<std::ptrdiff_t>(i);
-            if (self_dup || byName_.count(a) || aliases_.count(a)) {
-                sim::fatal("duplicate %s alias '%s' (registering '%s')",
-                           kind_.c_str(), a.c_str(), d.name.c_str());
-            }
-        }
-        auto [it, inserted] = byName_.emplace(d.name, std::move(d));
-        GPUMP_ASSERT(inserted, "registry emplace failed");
-        for (const std::string &a : it->second.aliases)
-            aliases_.emplace(a, &it->second);
+        byName_.emplace(d.name, std::move(d));
     }
 
-    /** Alias-aware lookup; nullptr when unknown. */
+    /** Lookup by name; nullptr when unknown. */
     const Descriptor *find(const std::string &name) const
     {
         auto it = byName_.find(name);
-        if (it != byName_.end())
-            return &it->second;
-        auto at = aliases_.find(name);
-        return at == aliases_.end() ? nullptr : at->second;
+        return it == byName_.end() ? nullptr : &it->second;
     }
 
     /**
@@ -252,7 +230,7 @@ class SchemeRegistry
         return out; // std::map iteration is already sorted
     }
 
-    /** Number of registered schemes (aliases not counted). */
+    /** Number of registered schemes. */
     std::size_t size() const
     {
         return byName_.size();
@@ -368,7 +346,6 @@ class SchemeRegistry
 
     std::string kind_;
     std::map<std::string, Descriptor> byName_;
-    std::map<std::string, const Descriptor *> aliases_;
 };
 
 } // namespace core

@@ -37,7 +37,6 @@ KernelExec::assign(sim::KsrIndex ksr, CommandPtr cmd,
     ptbq_.clear();
     restoreCredit_ = 0;
     restoreInFlight_ = 0;
-    ++generation_;
     tokens = 0;
     hasBonusToken = false;
     smsHeld = 0;
@@ -99,10 +98,10 @@ KernelExec::restoreArrived(int n)
     restoreInFlight_ -= n;
     restoreCredit_ = std::min(restoreCredit_ + n,
                               static_cast<int>(ptbq_.size()));
-    // The sum credit + inflight can transiently exceed the queue when
-    // inline takes raced a staged fetch (the arrival clamp here is the
-    // cleanup), but credit itself must never outgrow the entries it
-    // covers.
+    // Fetches are staged only under the contended model, where an
+    // entry re-issues only against credit, so credit + inflight stays
+    // within the queue; the clamp and the audit keep credit from ever
+    // outgrowing the entries it covers.
     GPUMP_AUDIT(restoreCredit_ <= static_cast<int>(ptbq_.size()) &&
                     restoreInFlight_ >= 0,
                 "restore-credit clamp failed on arrival "

@@ -149,9 +149,6 @@ class KernelExec
      * Credit never exceeds the PTBQ depth, so prefetched state cannot
      * leak onto blocks saved by a later preemption.
      * @{ */
-    /** Bumped by every assign(); lets async restore completions detect
-     *  that the KernelExec was recycled for a different kernel. */
-    std::uint64_t generation() const { return generation_; }
     int restoreCredit() const { return restoreCredit_; }
     int restoreInFlight() const { return restoreInFlight_; }
     /** A restore fetch covering @p n PTBQ entries was submitted. */
@@ -197,7 +194,6 @@ class KernelExec
     int running_ = 0;
     int restoreCredit_ = 0;
     int restoreInFlight_ = 0;
-    std::uint64_t generation_ = 0;
     std::deque<PreemptedTb> ptbq_;
 };
 

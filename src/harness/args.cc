@@ -28,14 +28,7 @@ printRegistry(std::ostream &os, const char *title,
     os << title << ":\n";
     for (const std::string &name : registry.list()) {
         const auto &d = registry.at(name);
-        os << "  " << name;
-        if (!d.aliases.empty()) {
-            os << " (";
-            for (std::size_t i = 0; i < d.aliases.size(); ++i)
-                os << (i ? ", " : "") << d.aliases[i];
-            os << ")";
-        }
-        os << "\n      " << d.doc << "\n";
+        os << "  " << name << "\n      " << d.doc << "\n";
         for (const core::Tunable &t : d.tunables) {
             os << "      " << t.key << "  ("
                << core::tunableTypeName(t.type) << ", default "

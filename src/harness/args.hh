@@ -69,7 +69,7 @@ class Args
 
 /**
  * Print every registered scheduling policy and preemption mechanism —
- * name, aliases, one-line doc, and declared tunables with types,
+ * name, one-line doc, and declared tunables with types,
  * defaults and docs — to @p os.  The --list-schemes implementation,
  * also usable directly by examples.
  */

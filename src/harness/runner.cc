@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/policy.hh"
-#include "core/preemption.hh"
 #include "harness/exec/coordinator.hh"
 #include "sim/logging.hh"
 
@@ -14,17 +13,15 @@ namespace harness {
 std::string
 Scheme::label() const
 {
-    // Registry-driven: aliases canonicalize ("cs" -> "context_switch")
-    // and policies that never preempt (fcfs, npq, ...) collapse the
-    // mechanism component, so distinct registered schemes can never
-    // share a label.  Unregistered names pass through verbatim (the
-    // label must be printable even for a scheme that will fail to
-    // construct).
+    // Registry-driven: policies that never preempt (fcfs, npq, ...)
+    // collapse the mechanism component, so distinct registered schemes
+    // can never share a label.  Unregistered names pass through
+    // verbatim (the label must be printable even for a scheme that
+    // will fail to construct).
     const auto *pd = core::policyRegistry().find(policy);
-    const auto *md = core::mechanismRegistry().find(mechanism);
-    std::string base = pd ? pd->name : policy;
+    std::string base = policy;
     if (pd == nullptr || pd->usesMechanism)
-        base += "/" + (md ? md->name : mechanism);
+        base += "/" + mechanism;
     if (transferPolicy != "fcfs")
         base += "/" + transferPolicy + "-xfer";
     return base;

@@ -55,10 +55,10 @@ struct Scheme
 
     /**
      * "policy/mechanism" label for reports, driven by the registry:
-     * aliases canonicalize, policies that never preempt drop the
-     * mechanism component, and the transfer policy is appended when
-     * it is not the default ("fcfs"), so distinct registered schemes
-     * always get distinct labels.
+     * policies that never preempt drop the mechanism component, and
+     * the transfer policy is appended when it is not the default
+     * ("fcfs"), so distinct registered schemes always get distinct
+     * labels.
      */
     std::string label() const;
 };

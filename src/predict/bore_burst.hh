@@ -46,8 +46,6 @@ class BoreBurstPolicy : public core::PpqPolicy
      */
     BoreBurstPolicy(int smoothness, int max_offset, double decay_us);
 
-    const char *name() const override { return "bore_burst"; }
-
     /** Registers the burst estimator as an engine observer. */
     void bind(core::SchedulingFramework &fw) override;
 

@@ -54,8 +54,6 @@ class PredAdaptiveMechanism : public core::PreemptionMechanism,
     PredAdaptiveMechanism(double ewma_alpha, double confidence_min,
                           double bias);
 
-    const char *name() const override { return "pred_adaptive"; }
-
     /** Binds the base mechanisms and registers the predictor and this
      *  mechanism as engine observers. */
     void bind(core::SchedulingFramework &fw) override;

@@ -1,8 +1,6 @@
 #include "serve/arrival.hh"
 
 #include <cmath>
-#include <fstream>
-#include <sstream>
 
 #include "sim/logging.hh"
 
@@ -61,13 +59,10 @@ std::vector<sim::SimTime>
 traceTimeline(const ArrivalSpec &spec, sim::SimTime horizon,
               std::size_t max_requests)
 {
-    const std::vector<double> &us = spec.traceUs.empty()
-        ? readArrivalTrace(spec.traceFile)
-        : spec.traceUs;
     std::vector<sim::SimTime> out;
-    out.reserve(us.size());
+    out.reserve(spec.traceUs.size());
     double prev = 0.0;
-    for (double u : us) {
+    for (double u : spec.traceUs) {
         if (!std::isfinite(u) || u < 0.0)
             sim::fatal("arrival trace: bad offset %f us", u);
         if (u < prev)
@@ -108,8 +103,8 @@ ArrivalSpec::validate() const
                        burstMeanUs, idleMeanUs);
         break;
       case Kind::Trace:
-        if (traceUs.empty() && traceFile.empty())
-            sim::fatal("trace arrivals need traceUs or traceFile");
+        if (traceUs.empty())
+            sim::fatal("trace arrivals need traceUs");
         break;
     }
 }
@@ -131,48 +126,6 @@ makeTimeline(const ArrivalSpec &spec, sim::Rng &rng, sim::SimTime horizon,
         return traceTimeline(spec, horizon, max_requests);
     }
     sim::fatal("unreachable arrival kind");
-}
-
-std::vector<double>
-readArrivalTrace(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        sim::fatal("cannot read arrival trace '%s'", path.c_str());
-    std::vector<double> out;
-    std::string line;
-    int lineno = 0;
-    double prev = 0.0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        std::size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        std::istringstream ls(line);
-        if ((ls >> std::ws).eof())
-            continue; // blank or comment-only line
-        double us;
-        // Both a non-number and a number that overflows a double
-        // (1e999) fail this read.
-        if (!(ls >> us))
-            sim::fatal("arrival trace %s:%d: malformed or out-of-range "
-                       "offset",
-                       path.c_str(), lineno);
-        std::string trailing;
-        if (ls >> trailing)
-            sim::fatal("arrival trace %s:%d: trailing tokens",
-                       path.c_str(), lineno);
-        if (!std::isfinite(us) || us < 0.0)
-            sim::fatal("arrival trace %s:%d: bad offset", path.c_str(),
-                       lineno);
-        if (us < prev)
-            sim::fatal("arrival trace %s:%d: offsets must be "
-                       "nondecreasing",
-                       path.c_str(), lineno);
-        prev = us;
-        out.push_back(us);
-    }
-    return out;
 }
 
 } // namespace serve

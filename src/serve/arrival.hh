@@ -13,8 +13,8 @@
  *  - Bursty (on-off MMPP): exponentially-dwelling ON periods emitting
  *    Poisson arrivals separated by silent OFF periods — the
  *    diurnal-burst pattern that makes tail latency interesting;
- *  - Trace: an explicit timeline (inline or from a file), for
- *    replaying measured production arrival logs.
+ *  - Trace: an explicit inline timeline, for pinning arrivals
+ *    exactly (tests) or replaying a measured arrival log.
  *
  * Determinism contract: a timeline is a pure function of (spec, RNG
  * seed, horizon, cap).  Stochastic kinds draw one sim::Rng sample per
@@ -27,7 +27,6 @@
 #define GPUMP_SERVE_ARRIVAL_HH
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "sim/random.hh"
@@ -43,7 +42,7 @@ struct ArrivalSpec
     {
         Poisson, ///< exponential inter-arrival gaps at ratePerSec
         Bursty,  ///< on-off process: Poisson bursts, silent gaps
-        Trace,   ///< explicit timeline (traceUs or traceFile)
+        Trace,   ///< explicit timeline (traceUs)
     };
 
     Kind kind = Kind::Poisson;
@@ -57,12 +56,8 @@ struct ArrivalSpec
     /** Bursty only: mean OFF-period (silence) length, microseconds. */
     double idleMeanUs = 1000.0;
 
-    /** Trace only: arrival offsets in microseconds, nondecreasing.
-     *  Takes precedence over traceFile when non-empty. */
+    /** Trace only: arrival offsets in microseconds, nondecreasing. */
     std::vector<double> traceUs;
-    /** Trace only: file of arrival offsets (one decimal number of
-     *  microseconds per line; '#' comments and blank lines skipped). */
-    std::string traceFile;
 
     /** Raises fatal() on out-of-range parameters. */
     void validate() const;
@@ -80,14 +75,6 @@ std::vector<sim::SimTime> makeTimeline(const ArrivalSpec &spec,
                                        sim::SimTime horizon,
                                        std::size_t max_requests = 1u
                                            << 20);
-
-/**
- * Read an arrival-trace file: one arrival offset (microseconds) per
- * line, nondecreasing and non-negative; '#' comments and blank lines
- * are skipped.  Raises fatal() on unreadable files or malformed
- * content.
- */
-std::vector<double> readArrivalTrace(const std::string &path);
 
 } // namespace serve
 } // namespace gpump

@@ -51,16 +51,10 @@ ScenarioSpec::fingerprint() const
             std::to_string(static_cast<int>(a.kind)) + "," +
             hex(a.ratePerSec) + "," + hex(a.burstMeanUs) + "," +
             hex(a.idleMeanUs);
-        // A trace file keys on the offsets makeTimeline reads from it,
-        // rendered like an inline trace: rewriting the file changes
-        // the key, and an inline trace of the same offsets shares it.
-        std::vector<double> trace = a.traceUs;
-        if (trace.empty() && a.kind == ArrivalSpec::Kind::Trace)
-            trace = readArrivalTrace(a.traceFile);
-        if (!trace.empty()) {
+        if (!a.traceUs.empty()) {
             out += ",trace:";
-            for (std::size_t i = 0; i < trace.size(); ++i)
-                out += (i ? " " : "") + hex(trace[i]);
+            for (std::size_t i = 0; i < a.traceUs.size(); ++i)
+                out += (i ? " " : "") + hex(a.traceUs[i]);
         }
         out += "}";
     }

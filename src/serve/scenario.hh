@@ -75,8 +75,7 @@ struct ScenarioSpec
     /** Canonical one-line rendering of the full scenario identity
      *  (tenants, arrival processes, horizon, seed; no newlines).
      *  Equal scenarios have equal fingerprints — the serving arm of
-     *  the multi-process executor's work-unit key (harness/exec).
-     *  A trace file is read and keyed on its offsets. */
+     *  the multi-process executor's work-unit key (harness/exec). */
     std::string fingerprint() const;
 };
 

@@ -49,6 +49,29 @@ struct PreemptionProbe : core::EngineObserver
     }
 };
 
+/** Counts the reservations the framework hands over without the
+ *  mechanism: SMs still in Setup, and SMs parked for restore fetches
+ *  (Running with nothing resident). */
+struct ReservationProbe : core::EngineObserver
+{
+    int setup = 0;
+    int parked = 0;
+
+    std::uint64_t handedOver() const
+    {
+        return static_cast<std::uint64_t>(setup + parked);
+    }
+
+    void preemptionRequested(const gpu::Sm &sm, const gpu::KernelExec &,
+                             const gpu::KernelExec &) override
+    {
+        if (sm.state == gpu::Sm::State::Setup)
+            ++setup;
+        else if (sm.resident.empty())
+            ++parked;
+    }
+};
+
 } // namespace
 
 TEST(ContendedSwitch, SavesSerializeOnTheTransferEngine)
@@ -154,45 +177,84 @@ TEST(ContendedSwitch, PreemptedWorkResumesViaRestoreFetches)
 
 TEST(ProactiveMem, StagesRestoresForTheReservationTarget)
 {
-    // Round-robin time slicing between two long kernels: from the
-    // second rotation on, the reservation target has a non-empty
-    // PTBQ, so the mechanism must stage restore fetches ahead of the
-    // switch (share model here; the contended variant is below).
-    DeviceRig rig("tmux", "proactive_mem");
-    auto a = test::makeProfile("a", 2000, 50.0);
-    auto b = test::makeProfile("b", 2000, 50.0);
-    rig.launch(rig.queueFor(0), &a, 0);
-    rig.launch(rig.queueFor(1), &b, 0);
+    // PPQ with a short aging interval between two long kernels: the
+    // preempted low-priority kernel ages past the running one and
+    // becomes a reservation target with a non-empty PTBQ, so the
+    // mechanism must stage restore fetches ahead of the switch.
+    sim::Config cfg = contendedConfig();
+    cfg.set("ppq_aging.interval_us", 20.0);
+    DeviceRig rig("ppq_aging", "proactive_mem", cfg);
+    ReservationProbe probe;
+    rig.framework.addObserver(&probe);
+    auto lo = test::makeProfile("lo", 2000, 50.0);
+    auto hi = test::makeProfile("hi", 2000, 50.0);
+    rig.launch(rig.queueFor(0), &lo, 0);
+    rig.run(sim::microseconds(100.0));
+    rig.launch(rig.queueFor(1), &hi, 1);
     rig.run();
 
     EXPECT_EQ(rig.framework.kernelsCompleted(), 2u);
+    EXPECT_EQ(rig.framework.tbsCompleted(), 4000u);
     auto &mech = dynamic_cast<core::ProactiveMemMechanism &>(
         rig.framework.mechanism());
     EXPECT_GT(mech.prefetchesIssued(), 0u)
-        << "rotations after the first must find preempted TBs to "
-           "stage";
+        << "an aged, preempted kernel must find its TBs staged";
     EXPECT_GT(mech.tbsStaged(), 0u);
-    EXPECT_LE(mech.prefetchesIssued() + mech.prefetchesSkipped(),
-              rig.framework.preemptions())
-        << "each preemption takes at most one staging decision";
+    EXPECT_EQ(mech.prefetchesIssued() + mech.prefetchesSkipped(),
+              rig.framework.preemptions() - probe.handedOver())
+        << "every preemption the mechanism runs takes one staging "
+           "decision";
     EXPECT_GT(rig.framework.tbsPrefetched(), 0u);
+    EXPECT_GT(rig.framework.contextTransfers(),
+              rig.framework.preemptions())
+        << "prefetches must be transfer commands besides the saves";
 }
 
-TEST(ProactiveMem, WorksUnderTheContendedModel)
+TEST(ProactiveMem, ReservingAParkedSmHandsItOverWithoutTheMechanism)
 {
-    DeviceRig rig("tmux", "proactive_mem", contendedConfig());
-    auto a = test::makeProfile("a", 2000, 50.0);
-    auto b = test::makeProfile("b", 2000, 50.0);
-    rig.launch(rig.queueFor(0), &a, 0);
-    rig.launch(rig.queueFor(1), &b, 0);
+    // Staging one TB per preemption leaves most restores to the SMs'
+    // own fetches, so a kernel handed SMs back often finds no credit
+    // and parks them until its fetches land.  Aging then reserves
+    // some of those parked SMs: nothing runs there, so the framework
+    // hands them over at once instead of running the mechanism.
+    sim::Config cfg = contendedConfig();
+    cfg.set("ppq_aging.interval_us", 20.0);
+    cfg.set("proactive_mem.lookahead", std::int64_t{1});
+    DeviceRig rig("ppq_aging", "proactive_mem", cfg);
+    ReservationProbe probe;
+    rig.framework.addObserver(&probe);
+    auto lo = test::makeProfile("lo", 2000, 200.0);
+    auto hi = test::makeProfile("hi", 2000, 50.0);
+    rig.launch(rig.queueFor(0), &lo, 0);
+    rig.run(sim::microseconds(100.0));
+    rig.launch(rig.queueFor(1), &hi, 1);
     rig.run();
 
     EXPECT_EQ(rig.framework.kernelsCompleted(), 2u);
+    EXPECT_EQ(rig.framework.tbsCompleted(), 4000u);
+    EXPECT_GT(probe.parked, 0) << "no parked SM was reserved";
     auto &mech = dynamic_cast<core::ProactiveMemMechanism &>(
         rig.framework.mechanism());
     EXPECT_GT(mech.prefetchesIssued(), 0u);
-    EXPECT_GT(rig.framework.contextTransfers(), 0u)
-        << "prefetches must be real transfer commands when contended";
+    EXPECT_EQ(mech.prefetchesIssued() + mech.prefetchesSkipped(),
+              rig.framework.preemptions() - probe.handedOver())
+        << "a parked or setting-up SM must not reach the mechanism";
+}
+
+TEST(ProactiveMem, RequiresTheContendedModel)
+{
+    std::string msg = test::fatalMessageOf(
+        [] { DeviceRig rig("ppq_excl", "proactive_mem"); });
+    EXPECT_NE(msg.find("gmem.contended_switch"), std::string::npos)
+        << msg;
+
+    sim::Config off;
+    off.set("gmem.contended_switch", false);
+    workload::SystemSpec spec;
+    spec.benchmarks = {"sgemm", "histo"};
+    spec.policy = "dss";
+    spec.mechanism = "proactive_mem";
+    EXPECT_THROW(workload::System(spec, off), sim::FatalError);
 }
 
 TEST(ProactiveMem, UnknownTunableIsRejectedWithSuggestion)

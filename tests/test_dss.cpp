@@ -74,6 +74,21 @@ TEST(Dss, TwoKernelsSplitSevenSix)
     EXPECT_EQ(shares[1], 6);
 }
 
+TEST(Dss, EqualSharingIgnoresPriority)
+{
+    auto rig = dssRig(2);
+    auto lo = test::makeProfile("lo", 40000, 50.0);
+    auto hi = test::makeProfile("hi", 40000, 50.0);
+    rig.launch(rig.queueFor(0), &lo, 0);
+    rig.run(sim::microseconds(300.0));
+    rig.launch(rig.queueFor(1), &hi, 7);
+    rig.run(rig.sim.now() + sim::milliseconds(2.0));
+    auto shares = smShares(rig.framework);
+    EXPECT_EQ(shares[0], 7);
+    EXPECT_EQ(shares[1], 6)
+        << "equal sharing must ignore process priorities";
+}
+
 TEST(Dss, FourKernelsSplitFourThreeThreeThree)
 {
     auto rig = dssRig(4);
@@ -211,7 +226,6 @@ TEST(Dss, FactoryReadsConfig)
     cfg.set("dss.tokens_per_kernel", static_cast<std::int64_t>(3));
     cfg.set("dss.bonus_tokens", static_cast<std::int64_t>(1));
     auto policy = core::makePolicy("dss", cfg);
-    EXPECT_STREQ(policy->name(), "dss");
     auto *dss = dynamic_cast<core::DssPolicy *>(policy.get());
     ASSERT_NE(dss, nullptr);
     EXPECT_EQ(dss->bonusPool(), 1);

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -617,34 +618,53 @@ TEST(ExecCache, RequestKeyCoversEverythingThatChangesAResult)
     EXPECT_NE(k0, exec::requestKey(other, batch.requests[0]));
 }
 
-TEST(ExecCache, RequestKeyCoversTraceFileContents)
+TEST(ExecCache, RequestKeyCoversServingScenario)
 {
-    TempDir dir("gpump_exec_tracekey");
-    const std::string path = (dir.path / "arrivals.txt").string();
-    test::writeArrivalTrace(path, {100.0, 2500.0});
-
+    // ScenarioSpec::fingerprint() is the serving request's key: equal
+    // scenarios share it, and any field that changes the offered load
+    // or the run changes it, down to the last bit of a trace offset.
     serve::TenantSpec tenant;
     tenant.benchmark = "mri-q";
     tenant.arrivals.kind = serve::ArrivalSpec::Kind::Trace;
-    tenant.arrivals.traceFile = path;
-    auto from_file = std::make_shared<serve::ScenarioSpec>();
-    from_file->tenants.push_back(tenant);
-    RunRequest req;
-    req.serving = from_file;
+    tenant.arrivals.traceUs = {100.0, 2500.0};
+    serve::ScenarioSpec scenario;
+    scenario.tenants.push_back(tenant);
+
     const sim::Config base;
-    const std::string before = exec::requestKey(base, req);
+    auto key = [&](const serve::ScenarioSpec &spec) {
+        RunRequest req;
+        req.serving = std::make_shared<serve::ScenarioSpec>(spec);
+        return exec::requestKey(base, req);
+    };
+    const std::string k0 = key(scenario);
+    EXPECT_EQ(k0, key(scenario));
 
-    // Rewriting the file between sweeps must not serve old results.
-    test::writeArrivalTrace(path, {100.0, 2600.0});
-    const std::string after = exec::requestKey(base, req);
-    EXPECT_NE(before, after);
-
-    // An inline trace of the same offsets shares the file's key.
-    auto inline_trace = std::make_shared<serve::ScenarioSpec>(*from_file);
-    inline_trace->tenants[0].arrivals.traceFile.clear();
-    inline_trace->tenants[0].arrivals.traceUs = {100.0, 2600.0};
-    req.serving = inline_trace;
-    EXPECT_EQ(exec::requestKey(base, req), after);
+    std::vector<std::function<void(serve::ScenarioSpec &)>> changes = {
+        [](serve::ScenarioSpec &s) {
+            s.tenants[0].arrivals.traceUs[1] = 2600.0;
+        },
+        [](serve::ScenarioSpec &s) {
+            s.tenants[0].arrivals.traceUs[1] =
+                std::nextafter(2500.0, 3000.0);
+        },
+        [](serve::ScenarioSpec &s) {
+            s.tenants[0].arrivals.traceUs.push_back(2500.0);
+        },
+        [](serve::ScenarioSpec &s) {
+            s.tenants[0].arrivals.kind = serve::ArrivalSpec::Kind::Poisson;
+        },
+        [](serve::ScenarioSpec &s) { s.tenants[0].priority = 1; },
+        [](serve::ScenarioSpec &s) { s.tenants[0].deadlineUs = 500.0; },
+        [](serve::ScenarioSpec &s) { s.tenants[0].maxBacklog = 2; },
+        [](serve::ScenarioSpec &s) { s.tenants.push_back(s.tenants[0]); },
+        [](serve::ScenarioSpec &s) { s.horizonUs *= 2.0; },
+        [](serve::ScenarioSpec &s) { s.seed += 1; },
+    };
+    for (std::size_t i = 0; i < changes.size(); ++i) {
+        serve::ScenarioSpec changed = scenario;
+        changes[i](changed);
+        EXPECT_NE(key(changed), k0) << "change " << i;
+    }
 }
 
 TEST(ExecCache, StaleEntriesAreDetected)

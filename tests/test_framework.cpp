@@ -55,7 +55,7 @@ TEST(Framework, CommandBufferHoldsOneCommandPerContext)
     for (int c = 0; c < 15; ++c)
         rig.launch(queues[static_cast<size_t>(c)], &k);
 
-    EXPECT_EQ(rig.framework.numActiveKernels(), 13);
+    EXPECT_EQ(rig.framework.activeKernels().size(), 13u);
     EXPECT_TRUE(rig.framework.activeQueueFull());
     std::vector<sim::ContextId> waiting;
     rig.framework.waitingBuffers(waiting);
@@ -102,7 +102,6 @@ namespace {
 class AdmitOnlyPolicy : public core::SchedulingPolicy
 {
   public:
-    const char *name() const override { return "admit_only"; }
     void onCommandWaiting(sim::ContextId) override
     {
         fw_->admitInArrivalOrder();
@@ -225,7 +224,7 @@ TEST(Framework, AssignToReservationNeedsAnUncoveredTarget)
 namespace {
 
 /** AdmitOnlyPolicy that also hands a vacated SM to its reservation's
- *  target, as DSS, tmux and ppq_aging do. */
+ *  target, as DSS and ppq_aging do. */
 class HandOverPolicy : public AdmitOnlyPolicy
 {
   public:

@@ -8,6 +8,8 @@
 #include <utility>
 
 #include "core/adaptive.hh"
+#include "core/context_switch.hh"
+#include "core/draining.hh"
 #include "sim/logging.hh"
 #include "tests/test_util.hh"
 #include "workload/system.hh"
@@ -180,14 +182,18 @@ TEST(Draining, DrainedTbsRunExactlyOnce)
     EXPECT_EQ(rig.framework.kernelsCompleted(), 2u);
 }
 
-TEST(Mechanisms, FactoryNamesAndAliases)
+TEST(Mechanisms, FactoryBuildsTheNamedMechanism)
 {
-    EXPECT_STREQ(core::makeMechanism("context_switch")->name(),
-                 "context_switch");
-    EXPECT_STREQ(core::makeMechanism("cs")->name(), "context_switch");
-    EXPECT_STREQ(core::makeMechanism("draining")->name(), "draining");
-    EXPECT_STREQ(core::makeMechanism("drain")->name(), "draining");
-    EXPECT_STREQ(core::makeMechanism("adaptive")->name(), "adaptive");
+    auto built = [](const char *name) { return core::makeMechanism(name); };
+    EXPECT_NE(dynamic_cast<core::ContextSwitchMechanism *>(
+                  built("context_switch").get()),
+              nullptr);
+    EXPECT_NE(dynamic_cast<core::DrainingMechanism *>(
+                  built("draining").get()),
+              nullptr);
+    EXPECT_NE(dynamic_cast<core::AdaptiveMechanism *>(
+                  built("adaptive").get()),
+              nullptr);
     EXPECT_THROW(core::makeMechanism("bogus"), sim::FatalError);
 }
 

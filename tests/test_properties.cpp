@@ -116,7 +116,7 @@ TEST_P(PolicyMechanismSweep, ConservationAndCompletion)
     EXPECT_FALSE(probe.oversubscribed) << "SM occupancy violated";
 
     // Terminal state: engine fully drained.
-    EXPECT_EQ(rig.framework.numActiveKernels(), 0);
+    EXPECT_TRUE(rig.framework.activeKernels().empty());
     EXPECT_EQ(rig.framework.engineContext(), sim::invalidContext);
     for (const auto &sm : rig.framework.sms()) {
         EXPECT_EQ(sm->state, gpu::Sm::State::Idle);

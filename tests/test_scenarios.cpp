@@ -1,7 +1,7 @@
 /**
  * Scenario-level integration tests: the paper's Figure 2 ordering,
  * mixed-engine stream ordering, DSS reservation retargeting and
- * time-quantum monotonicity.
+ * uncontended runs matching the solo baseline under every policy.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "core/timemux.hh"
 #include "sim/logging.hh"
 #include "tests/test_util.hh"
 #include "workload/system.hh"
@@ -179,36 +178,13 @@ TEST(Scenarios, DssRetargetRecoversOrphanReservations)
     }
 }
 
-TEST(Scenarios, SmallerQuantumMeansMoreRotations)
-{
-    auto rotations_with = [](double quantum_us) {
-        sim::Config cfg;
-        cfg.set("tmux.quantum_us", quantum_us);
-        DeviceRig rig("tmux", "context_switch", cfg);
-        auto ka = test::makeProfile("a", 20000, 20.0);
-        auto kb = test::makeProfile("b", 20000, 20.0);
-        rig.launch(rig.queueFor(0), &ka);
-        rig.launch(rig.queueFor(1), &kb);
-        rig.run(sim::milliseconds(4.0));
-        auto *tm = dynamic_cast<core::TimeMuxPolicy *>(
-            &rig.framework.policy());
-        return tm->rotations();
-    };
-    auto fast = rotations_with(100.0);
-    auto slow = rotations_with(800.0);
-    EXPECT_GT(fast, slow)
-        << "quantum must control the multiplexing rate";
-    EXPECT_GT(slow, 0u);
-}
-
 TEST(Scenarios, FcfsIsolatedEqualsSoloBaseline)
 {
     // Sanity anchor for all NTT metrics: a 1-process "workload" under
     // every policy matches the FCFS isolated time (policies must not
     // perturb uncontended execution).
     double fcfs_us = 0;
-    for (const char *policy : {"fcfs", "npq", "ppq_excl", "dss",
-                               "tmux"}) {
+    for (const char *policy : {"fcfs", "npq", "ppq_excl", "dss"}) {
         workload::SystemSpec spec;
         spec.benchmarks = {"histo"};
         spec.policy = policy;

@@ -2,9 +2,8 @@
  * @file
  * Shared test fixtures: a device rig (the production
  * workload::Device, with no processes) that tests drive by enqueueing
- * commands directly, a helper that captures a FatalError's message,
- * and an arrival-trace writer.  test::makeProfile is
- * trace::makeProfile.
+ * commands directly, and a helper that captures a FatalError's
+ * message.  test::makeProfile is trace::makeProfile.
  */
 
 #ifndef GPUMP_TESTS_TEST_UTIL_HH
@@ -12,12 +11,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "sim/logging.hh"
 #include "trace/kernel_profile.hh"
@@ -41,28 +36,6 @@ fatalMessageOf(Fn &&fn)
     }
     ADD_FAILURE() << "expected sim::FatalError";
     return "";
-}
-
-/** Write @p arrivals_us as an arrival-trace file that
- *  serve::readArrivalTrace round-trips exactly (full double
- *  precision). */
-inline void
-writeArrivalTrace(const std::string &path,
-                  const std::vector<double> &arrivals_us)
-{
-    std::filesystem::path p(path);
-    if (p.has_parent_path())
-        std::filesystem::create_directories(p.parent_path());
-    std::ofstream out(path);
-    out << "# arrival offsets, microseconds, one per line\n";
-    char buf[64];
-    for (double us : arrivals_us) {
-        // %.17g round-trips every finite double exactly.
-        std::snprintf(buf, sizeof buf, "%.17g\n", us);
-        out << buf;
-    }
-    if (!out)
-        ADD_FAILURE() << "failed writing arrival trace " << path;
 }
 
 /** A workload::Device built for zero processes, plus the calls tests
